@@ -187,14 +187,14 @@ def verify_hadamard_column_indexing(n: int, tol: float = DEFAULT_TOL) -> Relatio
     """
     if not 1 <= n <= 6:
         raise ValueError(f"n must be in 1..6, got {n}")
-    mat = hadamard_power(n)
-    scale = 2.0 ** (-n / 2.0)
     size = 1 << n
+    columns = hadamard_power(n).array.reshape(size, size)
+    scale = 2.0 ** (-n / 2.0)
     worst = None
     for col in range(size):
         form = BooleanLinearForm(f"{col:0{n}b}", 0)
         expected = polarity_vector(form).scale(scale)
-        actual = Tensor(n, (mat.data[(row << n) | col] for row in range(size)))
+        actual = Tensor(n, columns[:, col])
         report = compare(
             f"hadamard-column-indexing-n{n}", actual, expected,
             f"column {col:0{n}b} of H^{n}",

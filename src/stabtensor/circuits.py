@@ -19,6 +19,7 @@ verification suite reports the comparison instead of assuming either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from stabtensor import generators as gen
 from stabtensor.tensor import Tensor, TensorNetwork, contract_pair
@@ -177,16 +178,19 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     st = _WireState()
     cur: list[tuple[str, int]] = []
     in_legs: list[tuple[str, int]] = []
+    # Tensors are immutable, so every node of one kind can share one
+    # instance; each is built on first use within this compile.
+    generator = lru_cache(maxsize=None)(gen.by_name)
 
     if circuit.input is not None:
         for bit in circuit.input:
-            ket = gen.ket_one() if bit == "1" else gen.ket_zero()
-            name = st.add(f"in{bit}", ket)
+            name = st.add(f"in{bit}", generator(f"ket{bit}"))
             cur.append((name, 0))
     else:
         # Anchor each open input on an identity node so inputs stay legs.
+        identity = gen.identity_map()
         for w in range(circuit.width):
-            name = st.add("id", gen.identity_map())
+            name = st.add("id", identity)
             cur.append((name, 0))
             in_legs.append((name, 1))
 
@@ -196,13 +200,13 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
     def apply_lifted(w: int, k: int) -> None:
         # copy tensor with (1, i**k) on its first leg is diag(1, i**k)
-        d = st.add("copy", gen.copy_tensor())
-        t = st.add(f"t{k % 4}", gen.t_vector(k))
+        d = st.add("copy", generator("copy"))
+        t = st.add(f"t{k % 4}", generator(f"t{k % 4}"))
         st.bonds.append(((t, 0), (d, 0)))
         apply_map(w, d, 2, 1)
 
     def apply_h(w: int) -> None:
-        h = st.add("H", gen.hadamard())
+        h = st.add("H", generator("hadamard"))
         apply_map(w, h, 1, 0)
 
     for op in circuit.ops:
@@ -224,14 +228,14 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
             apply_lifted(op.wires[0], 1)  # S
         elif op.gate == "CN":
             c, t = op.wires
-            d = st.add("copy", gen.copy_tensor())
-            x = st.add("xor", gen.xor_tensor())
+            d = st.add("copy", generator("copy"))
+            x = st.add("xor", generator("xor"))
             st.bonds.append(((d, 2), (x, 2)))
             apply_map(c, d, 0, 1)
             apply_map(t, x, 1, 0)
         elif op.gate == "NOT":
-            x = st.add("xor", gen.xor_tensor())
-            one = st.add("one", gen.ket_one())
+            x = st.add("xor", generator("xor"))
+            one = st.add("one", generator("ket1"))
             st.bonds.append(((one, 0), (x, 2)))
             apply_map(op.wires[0], x, 1, 0)
 

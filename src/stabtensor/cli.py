@@ -14,10 +14,9 @@ import sys
 from stabtensor import boolfn, oracles, relations
 from stabtensor.circuits import CircuitParseError, circuit_state, parse_circuit
 from stabtensor.generators import copy_tensor
-from stabtensor.tensor import Tensor
+from stabtensor.tensor import DEFAULT_TOL, Tensor
 
 ENV_TOL = "STABTENSOR_TOL"
-DEFAULT_TOL = 1e-10
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

@@ -317,7 +317,7 @@ def crosscheck_circuit(
     against the dense oracle for one circuit."""
     n = circuit.width
     dense = dense_simulate(circuit)
-    net_state = np.array(circuit_state(circuit).data, dtype=complex)
+    net_state = circuit_state(circuit).array.reshape(-1)
     amp_delta, scalar_mag = phase_fixed_delta(net_state, dense.amplitudes)
 
     tab = tableau_simulate(circuit)

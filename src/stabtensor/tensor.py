@@ -1,7 +1,8 @@
 """Dense complex tensors over dimension-2 legs, and networks of them.
 
-Layout convention, used everywhere in this package: a rank-r tensor stores
-2**r complex entries flat in row-major leg order, with the leftmost leg as
+Layout convention, used everywhere in this package: a rank-r tensor holds
+one read-only complex128 array of shape (2,)*r, and `Tensor.data` lists
+the same 2**r entries flat in row-major leg order, the leftmost leg being
 the most significant bit of the flat index.  A rank-0 tensor is a scalar.
 
 Tensors and networks are immutable once constructed and safe to share
@@ -12,10 +13,9 @@ disjoint networks may be contracted in parallel.
 from __future__ import annotations
 
 import heapq
-from cmath import isfinite
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from stabtensor._kernels import contract_flat, permute_flat
+import numpy as np
 
 Amplitude = complex
 
@@ -25,21 +25,25 @@ DEFAULT_TOL = 1e-10
 class Tensor:
     """Immutable dense tensor; every leg has dimension 2."""
 
-    __slots__ = ("_rank", "_data")
+    __slots__ = ("_rank", "_array")
 
     def __init__(self, rank: int, data: Iterable[complex]):
         if rank < 0:
             raise ValueError(f"rank must be non-negative, got {rank}")
-        entries = tuple(complex(v) for v in data)
-        if len(entries) != 1 << rank:
+        if not isinstance(data, (np.ndarray, np.generic, list, tuple)):
+            data = list(data)  # np.array would wrap an iterator as one object
+        # Always a private copy: later writes by the caller cannot reach it.
+        arr = np.array(data, dtype=np.complex128, order="C")
+        if arr.size != 1 << rank:
             raise ValueError(
-                f"rank-{rank} tensor needs {1 << rank} entries, got {len(entries)}"
+                f"rank-{rank} tensor needs {1 << rank} entries, got {arr.size}"
             )
-        for v in entries:
-            if not isfinite(v):
-                raise ValueError(f"non-finite amplitude {v!r}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"non-finite amplitude {arr[~finite][0].item()!r}")
+        arr.flags.writeable = False
         self._rank = rank
-        self._data = entries
+        self._array = arr.reshape((2,) * rank)
 
     @property
     def rank(self) -> int:
@@ -50,8 +54,14 @@ class Tensor:
         return (2,) * self._rank
 
     @property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only complex128 array of shape (2,)*rank."""
+        return self._array
+
+    @property
     def data(self) -> tuple[complex, ...]:
-        return self._data
+        """The entries flat in row-major leg order, as Python complex."""
+        return tuple(self._array.reshape(-1).tolist())
 
     def __getitem__(self, idx) -> complex:
         if isinstance(idx, tuple):
@@ -62,21 +72,21 @@ class Tensor:
                 if bit not in (0, 1):
                     raise IndexError(f"leg index must be 0 or 1, got {bit}")
                 flat = (flat << 1) | bit
-            return self._data[flat]
-        return self._data[idx]
+            return self._array.item(flat)
+        return self.data[idx]
 
     def item(self) -> complex:
         if self._rank != 0:
             raise ValueError(f"item() on rank-{self._rank} tensor")
-        return self._data[0]
+        return self._array.item()
 
     def scale(self, factor: complex) -> Tensor:
-        return Tensor(self._rank, (factor * v for v in self._data))
+        return Tensor(self._rank, factor * self._array)
 
     def __repr__(self) -> str:
         if self._rank <= 2:
-            return f"Tensor(rank={self._rank}, data={self._data!r})"
-        return f"Tensor(rank={self._rank}, <{len(self._data)} entries>)"
+            return f"Tensor(rank={self._rank}, data={self.data!r})"
+        return f"Tensor(rank={self._rank}, <{self._array.size} entries>)"
 
 
 def tensor_from_fn(rank: int, fn: Callable[..., complex]) -> Tensor:
@@ -115,8 +125,7 @@ def contract_pair(
     _check_legs(legs_a, a.rank, "first")
     _check_legs(legs_b, b.rank, "second")
     out_rank = a.rank + b.rank - 2 * len(legs_a)
-    data = contract_flat(a.data, a.rank, list(legs_a), b.data, b.rank, list(legs_b))
-    return Tensor(out_rank, data)
+    return Tensor(out_rank, np.tensordot(a.array, b.array, axes=(legs_a, legs_b)))
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
@@ -127,19 +136,22 @@ def permute_legs(a: Tensor, perm: Sequence[int]) -> Tensor:
     """Return the tensor with leg k of `a` moved to position perm[k]."""
     if sorted(perm) != list(range(a.rank)):
         raise ValueError(f"{list(perm)} is not a permutation of 0..{a.rank - 1}")
-    return Tensor(a.rank, permute_flat(a.data, a.rank, list(perm)))
+    source = [0] * a.rank
+    for k, p in enumerate(perm):
+        source[p] = k
+    return Tensor(a.rank, a.array.transpose(source))
 
 
 def max_abs_diff(a: Tensor, b: Tensor) -> float:
     if a.rank != b.rank:
         raise ValueError(f"shape mismatch: rank {a.rank} vs {b.rank}")
-    return max(abs(x - y) for x, y in zip(a.data, b.data))
+    return float(np.abs(a.array - b.array).max())
 
 
 def max_scaled_diff(a: Tensor, factor: complex, b: Tensor) -> float:
     if a.rank != b.rank:
         raise ValueError(f"shape mismatch: rank {a.rank} vs {b.rank}")
-    return max(abs(x - factor * y) for x, y in zip(a.data, b.data))
+    return float(np.abs(a.array - factor * b.array).max())
 
 
 def equal_up_to_scalar(a: Tensor, b: Tensor, tol: float = DEFAULT_TOL) -> complex | None:
@@ -150,12 +162,13 @@ def equal_up_to_scalar(a: Tensor, b: Tensor, tol: float = DEFAULT_TOL) -> comple
     """
     if a.rank != b.rank:
         raise ValueError(f"shape mismatch: rank {a.rank} vs {b.rank}")
-    pivot = max(range(len(b.data)), key=lambda k: abs(b.data[k]))
-    if abs(b.data[pivot]) == 0.0:
-        if all(abs(x) <= tol for x in a.data):
+    flat_b = b.array.reshape(-1)
+    pivot = int(np.argmax(np.abs(flat_b)))
+    if flat_b[pivot] == 0:
+        if np.abs(a.array).max() <= tol:
             return 1 + 0j
         return None
-    lam = a.data[pivot] / b.data[pivot]
+    lam = a.array.item(pivot) / flat_b.item(pivot)
     if max_scaled_diff(a, lam, b) <= tol:
         return lam
     return None
@@ -319,7 +332,3 @@ class TensorNetwork:
 
         perm = [self.open_legs.index(ref) for ref in result_legs]
         return permute_legs(result, perm)
-
-
-def contract_network(net: TensorNetwork, order: Sequence[int] | None = None) -> Tensor:
-    return net.contract(order=order)

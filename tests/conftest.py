@@ -1,22 +1,6 @@
 import numpy as np
-import pytest
 
-from stabtensor import _pykernels
 from stabtensor.tensor import Tensor
-
-try:
-    from stabtensor import _ckernels
-except ImportError:
-    _ckernels = None
-
-KERNEL_IMPLS = [pytest.param(_pykernels, id="python")]
-if _ckernels is not None:
-    KERNEL_IMPLS.append(pytest.param(_ckernels, id="compiled"))
-
-
-@pytest.fixture(params=KERNEL_IMPLS)
-def kernels(request):
-    return request.param
 
 
 def to_np(t: Tensor) -> np.ndarray:

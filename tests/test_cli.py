@@ -1,9 +1,5 @@
 """CLI behaviour: subcommands, exit codes, deterministic records."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from stabtensor import cli
@@ -126,25 +122,3 @@ class TestPolarity:
     def test_out_of_range(self):
         assert cli.main(["polarity", "--n", "9"]) == 2
 
-
-def test_pure_python_fallback_selected():
-    code = "import stabtensor; print(stabtensor.kernel_backend())"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "STABTENSOR_PURE_PYTHON": "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout.strip() == "python"
-
-
-def test_verify_passes_on_pure_python_backend(bell_path):
-    cmd = [sys.executable, "-m", "stabtensor.cli", "verify"]
-    proc = subprocess.run(
-        cmd,
-        env={**os.environ, "STABTENSOR_PURE_PYTHON": "1"},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,30 +1,41 @@
-"""Both kernel backends against a numpy reference and against each other."""
+"""contract_pair and permute_legs against an independent np.einsum reference."""
 
 import random
+import string
 
 import numpy as np
 import pytest
 
-from stabtensor import _pykernels
-from tests.conftest import KERNEL_IMPLS
+from stabtensor.tensor import Tensor, contract_pair, permute_legs
 
-try:
-    from stabtensor import _ckernels
-except ImportError:
-    _ckernels = None
-
-
-def _random_flat(rng, rank):
-    return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1 << rank)]
+# Operands are built from Python tuples of complex and from numpy arrays:
+# the constructor must store both the same way.
+SOURCES = [
+    pytest.param(lambda arr: tuple(arr.reshape(-1).tolist()), id="python"),
+    pytest.param(lambda arr: arr, id="numpy"),
+]
 
 
-def _numpy_contract(a, rank_a, legs_a, b, rank_b, legs_b):
-    ta = np.array(a).reshape((2,) * rank_a)
-    tb = np.array(b).reshape((2,) * rank_b)
-    return np.tensordot(ta, tb, axes=(legs_a, legs_b)).reshape(-1)
+def _random_array(rng, rank):
+    flat = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1 << rank)]
+    return np.array(flat).reshape((2,) * rank)
 
 
-@pytest.mark.parametrize("kernels", KERNEL_IMPLS)
+def _einsum_contract(a, legs_a, b, legs_b):
+    # Explicit subscripts: paired legs share a letter, free legs of `a`
+    # precede free legs of `b` in the output.
+    letters = iter(string.ascii_letters)
+    sub_a = [next(letters) for _ in range(a.ndim)]
+    sub_b = [next(letters) for _ in range(b.ndim)]
+    for pa, pb in zip(legs_a, legs_b):
+        sub_b[pb] = sub_a[pa]
+    out = [s for k, s in enumerate(sub_a) if k not in legs_a]
+    out += [s for k, s in enumerate(sub_b) if k not in legs_b]
+    spec = f"{''.join(sub_a)},{''.join(sub_b)}->{''.join(out)}"
+    return np.einsum(spec, a, b)
+
+
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize(
     "rank_a,legs_a,rank_b,legs_b",
     [
@@ -35,43 +46,29 @@ def _numpy_contract(a, rank_a, legs_a, b, rank_b, legs_b):
         (4, [0, 3], 4, [2, 1]),
         (5, [4, 0, 2], 3, [1, 0, 2]),
         (6, [5], 2, [0]),
+        (2, [0, 1], 2, [1, 0]),
     ],
 )
-def test_contract_matches_numpy(kernels, rank_a, legs_a, rank_b, legs_b):
+def test_contract_matches_numpy(source, rank_a, legs_a, rank_b, legs_b):
     rng = random.Random(11 + rank_a * 7 + rank_b)
-    a = _random_flat(rng, rank_a)
-    b = _random_flat(rng, rank_b)
-    got = np.array(kernels.contract_flat(a, rank_a, legs_a, b, rank_b, legs_b))
-    want = _numpy_contract(a, rank_a, legs_a, b, rank_b, legs_b)
-    np.testing.assert_allclose(got, want, atol=1e-13)
+    a = _random_array(rng, rank_a)
+    b = _random_array(rng, rank_b)
+    got = contract_pair(Tensor(rank_a, source(a)), legs_a, Tensor(rank_b, source(b)), legs_b)
+    want = _einsum_contract(a, legs_a, b, legs_b)
+    assert got.rank == want.ndim
+    np.testing.assert_allclose(got.array, want, atol=1e-13)
 
 
-@pytest.mark.parametrize("kernels", KERNEL_IMPLS)
-def test_permute_matches_numpy(kernels):
+@pytest.mark.parametrize("source", SOURCES)
+def test_permute_matches_numpy(source):
     rng = random.Random(5)
     for rank in range(0, 6):
-        data = _random_flat(rng, rank)
+        data = _random_array(rng, rank)
         perm = list(range(rank))
         rng.shuffle(perm)
-        got = np.array(kernels.permute_flat(data, rank, perm)).reshape((2,) * rank)
-        # perm maps source axis k to destination perm[k]
-        want = np.moveaxis(
-            np.array(data).reshape((2,) * rank), range(rank), perm
-        )
-        np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
-def test_backends_bit_identical():
-    rng = random.Random(99)
-    for _ in range(25):
-        rank_a = rng.randint(1, 7)
-        rank_b = rng.randint(1, 5)
-        k = rng.randint(0, min(rank_a, rank_b))
-        legs_a = rng.sample(range(rank_a), k)
-        legs_b = rng.sample(range(rank_b), k)
-        a = _random_flat(rng, rank_a)
-        b = _random_flat(rng, rank_b)
-        py = _pykernels.contract_flat(a, rank_a, legs_a, b, rank_b, legs_b)
-        cy = _ckernels.contract_flat(a, rank_a, legs_a, b, rank_b, legs_b)
-        assert py == cy  # same summation order: exact equality required
+        got = permute_legs(Tensor(rank, source(data)), perm)
+        # perm maps source leg k to destination perm[k]
+        letters = string.ascii_letters[:rank]
+        moved = "".join(letters[perm.index(j)] for j in range(rank))
+        want = np.einsum(f"{letters}->{moved}", data)
+        np.testing.assert_array_equal(got.array, want)

@@ -13,7 +13,6 @@ from stabtensor.circuits import Circuit, GateApp, compile_circuit, feynman_gate_
 from stabtensor.tensor import (
     Tensor,
     TensorNetwork,
-    contract_network,
     contract_pair,
     equal_up_to_scalar,
     max_abs_diff,
@@ -50,6 +49,31 @@ class TestConstruction:
 
     def test_shape(self):
         assert Tensor(3, [0] * 8).shape == (2, 2, 2)
+
+    def test_storage_is_read_only(self):
+        t = Tensor(2, (1, 0, 0, 1))
+        assert t.array.shape == (2, 2)
+        with pytest.raises(ValueError):
+            t.array[0, 1] = 5
+        with pytest.raises(ValueError):
+            t.array.reshape(-1)[1] = 5
+        assert t.data == (1, 0, 0, 1)
+
+    def test_caller_mutation_does_not_reach_tensor(self):
+        entries = [1, 2, 3, 4]
+        from_list = Tensor(2, entries)
+        entries[0] = 99
+        arr = np.array([1, 2, 3, 4], dtype=complex)
+        from_array = Tensor(2, arr)
+        arr[0] = 99
+        assert from_list.data == (1, 2, 3, 4)
+        assert from_array.data == (1, 2, 3, 4)
+
+    def test_data_entries_are_python_complex(self):
+        t = contract_pair(gen.hadamard(), (1,), gen.ket_zero(), (0,))
+        assert all(type(v) is complex for v in t.data)
+        assert type(t[(1,)]) is complex
+        assert type(Tensor(0, (2,)).item()) is complex
 
 
 class TestContractPair:
@@ -281,5 +305,5 @@ def test_contraction_order_independence(name):
     for _ in range(2):
         order = list(range(len(net.bonds)))
         rng.shuffle(order)
-        shuffled = contract_network(net, order=order)
+        shuffled = net.contract(order=order)
         assert max_abs_diff(shuffled, reference) <= 1e-12
