@@ -96,6 +96,11 @@ def cmd_simulate(args) -> int:
     except CircuitParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.crosscheck and circuit.width > oracles.MAX_DENSE_WIDTH:
+        print(f"error: --crosscheck needs the dense oracle, which is limited "
+              f"to {oracles.MAX_DENSE_WIDTH} wires; the circuit has "
+              f"{circuit.width}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     state = circuit_state(circuit)
     n = circuit.width
     if args.format == "records":

@@ -12,7 +12,6 @@ disjoint networks may be contracted in parallel.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -183,10 +182,6 @@ class LegBinding(NamedTuple):
     leg_b: int
 
 
-# Kronecker pairing used to trace two legs within one cluster.
-_TRACE_PAIR = Tensor(2, (1, 0, 0, 1))
-
-
 def _as_binding(bond) -> LegBinding:
     if isinstance(bond, LegBinding):
         return bond
@@ -244,15 +239,31 @@ class TensorNetwork:
     def contract(self, order: Sequence[int] | None = None) -> Tensor:
         """Contract every bond and return the open legs in declared order.
 
-        `order` optionally fixes the bond contraction order (a permutation
-        of bond indices); by default bonds are picked greedily to minimise
-        the intermediate rank.  The result is order-independent up to
-        floating-point rounding.
+        Bonds are taken in declared order, or in `order` (a permutation of
+        bond indices) when given.  A bond between two clusters merges them
+        over every bond they share in one `contract_pair` call, so a bond
+        left inside one cluster is a node bonded to itself, and is traced.
+        Compiled circuits declare their bonds in gate order, which bounds
+        the peak intermediate rank by the circuit width n: at most
+        max(n + 1, 4) for a state and 2n for an operator.  The result is
+        order-independent up to floating-point rounding.
         """
-        if order is not None and sorted(order) != list(range(len(self.bonds))):
+        if order is None:
+            order = range(len(self.bonds))
+        elif sorted(order) != list(range(len(self.bonds))):
             raise ValueError("order must be a permutation of the bond indices")
 
-        # cluster id -> (tensor, provenance of each leg as (node, leg))
+        # Every live leg -> the leg it is bonded to (None for an open leg).
+        # Summed legs are dropped.
+        partner: dict[tuple[Hashable, int], tuple[Hashable, int] | None]
+        partner = dict.fromkeys(self.open_legs)
+        for bond in self.bonds:
+            partner[bond.node_a, bond.leg_a] = (bond.node_b, bond.leg_b)
+            partner[bond.node_b, bond.leg_b] = (bond.node_a, bond.leg_a)
+
+        # cluster id -> (tensor, provenance of each leg as (node, leg)).  A
+        # merged cluster keeps the smaller id, so ids ascend in first-seen
+        # node order.  owner stays current only for nodes with live legs.
         tensors: dict[int, Tensor] = {}
         legmaps: dict[int, list[tuple[Hashable, int]]] = {}
         owner: dict[Hashable, int] = {}
@@ -261,72 +272,45 @@ class TensorNetwork:
             legmaps[cid] = [(node, leg) for leg in range(tensor.rank)]
             owner[node] = cid
 
-        def contract_bond(bond: LegBinding) -> None:
-            ca = owner[bond.node_a]
-            cb = owner[bond.node_b]
-            pa = legmaps[ca].index((bond.node_a, bond.leg_a))
+        for idx in order:
+            bond = self.bonds[idx]
+            ref_a, ref_b = (bond.node_a, bond.leg_a), (bond.node_b, bond.leg_b)
+            if ref_a not in partner:
+                continue  # summed when its two clusters merged
+            ca, cb = owner[bond.node_a], owner[bond.node_b]
+            legs_a = legmaps[ca]
             if ca == cb:
-                pb = legmaps[ca].index((bond.node_b, bond.leg_b))
-                merged = contract_pair(tensors[ca], (pa, pb), _TRACE_PAIR, (0, 1))
-                keep = [
-                    ref for k, ref in enumerate(legmaps[ca]) if k not in (pa, pb)
-                ]
-                tensors[ca] = merged
-                legmaps[ca] = keep
-                return
-            pb = legmaps[cb].index((bond.node_b, bond.leg_b))
-            merged = contract_pair(tensors[ca], (pa,), tensors[cb], (pb,))
-            keep = [ref for k, ref in enumerate(legmaps[ca]) if k != pa]
-            keep += [ref for k, ref in enumerate(legmaps[cb]) if k != pb]
-            tensors[ca] = merged
-            legmaps[ca] = keep
-            del tensors[cb], legmaps[cb]
-            for node, cid in owner.items():
-                if cid == cb:
-                    owner[node] = ca
-
-        def result_rank(bond: LegBinding) -> int:
-            ca = owner[bond.node_a]
-            cb = owner[bond.node_b]
-            if ca == cb:
-                return tensors[ca].rank - 2
-            return tensors[ca].rank + tensors[cb].rank - 2
-
-        if order is not None:
-            for idx in order:
-                contract_bond(self.bonds[idx])
-        else:
-            # Lazy heap: stale rank estimates are re-pushed, ties break on
-            # bond index, so the greedy order is deterministic.
-            heap = [(result_rank(b), i) for i, b in enumerate(self.bonds)]
-            heapq.heapify(heap)
-            done: set[int] = set()
-            while heap:
-                est, idx = heapq.heappop(heap)
-                if idx in done:
-                    continue
-                actual = result_rank(self.bonds[idx])
-                if actual != est:
-                    heapq.heappush(heap, (actual, idx))
-                    continue
-                contract_bond(self.bonds[idx])
-                done.add(idx)
+                traced = np.trace(
+                    tensors[ca].array,
+                    axis1=legs_a.index(ref_a),
+                    axis2=legs_a.index(ref_b),
+                )
+                del partner[ref_a], partner[ref_b]
+                tensors[ca] = Tensor(tensors[ca].rank - 2, traced)
+                legmaps[ca] = [ref for ref in legs_a if ref in partner]
+                continue
+            pos_b = {ref: k for k, ref in enumerate(legmaps[cb])}
+            shared_a, shared_b = zip(*(
+                (k, pos_b[partner[ref]])
+                for k, ref in enumerate(legs_a)
+                if partner[ref] in pos_b
+            ))
+            for k in shared_a:
+                del partner[partner.pop(legs_a[k])]
+            merged = contract_pair(tensors[ca], shared_a, tensors[cb], shared_b)
+            keep, gone = min(ca, cb), max(ca, cb)
+            for node, _ in legmaps[gone]:
+                owner[node] = keep
+            legmaps[keep] = [ref for ref in legs_a + legmaps[cb] if ref in partner]
+            tensors[keep] = merged
+            del tensors[gone], legmaps[gone]
 
         # Outer-product the disconnected clusters in first-seen node order.
         result: Tensor | None = None
         result_legs: list[tuple[Hashable, int]] = []
-        consumed: set[int] = set()
-        for node in self.nodes:
-            cid = owner[node]
-            if cid in consumed:
-                continue
-            consumed.add(cid)
-            if result is None:
-                result = tensors[cid]
-                result_legs = list(legmaps[cid])
-            else:
-                result = contract_pair(result, (), tensors[cid], ())
-                result_legs += legmaps[cid]
+        for cid, tensor in tensors.items():
+            result = tensor if result is None else contract_pair(result, (), tensor, ())
+            result_legs += legmaps[cid]
         if result is None:
             return Tensor(0, (1,))
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from stabtensor import oracles
+from stabtensor import oracles, tensor
 from stabtensor.circuits import (
     Circuit,
     CircuitParseError,
@@ -168,3 +168,44 @@ class TestCompile:
         got = np.array(circuit_state(circ).data)
         want = oracles.dense_simulate(circ).amplitudes
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.fixture()
+def peak_rank(monkeypatch):
+    """Record the largest rank of any contract_pair result in the test."""
+    peak = [0]
+    original = tensor.contract_pair
+
+    def recording(a, legs_a, b, legs_b):
+        out = original(a, legs_a, b, legs_b)
+        peak[0] = max(peak[0], out.rank)
+        return out
+
+    monkeypatch.setattr(tensor, "contract_pair", recording)
+    return peak
+
+
+class TestContractionWidth:
+    """Gate-order contraction stays near the circuit width."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("width,depth", [(8, 100), (10, 100), (12, 400)])
+    def test_state_peak_rank_and_dense_agreement(self, peak_rank, width, depth, seed):
+        circ = oracles.random_clifford_circuit(width, depth, seed)
+        state = circuit_state(circ)
+        assert peak_rank[0] <= width + 1
+        delta, scale = oracles.phase_fixed_delta(
+            state.array.reshape(-1), oracles.dense_simulate(circ).amplitudes
+        )
+        assert delta <= 1e-10 and scale > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("width", [4, 5, 6])
+    def test_operator_peak_rank_and_dense_agreement(self, peak_rank, width, seed):
+        circ = oracles.random_clifford_circuit(width, 60, seed)
+        u = circuit_unitary(circ).array.reshape(1 << width, 1 << width)
+        assert peak_rank[0] <= 2 * width
+        for col in range(1 << width):
+            basis = Circuit(width, circ.ops, format(col, f"0{width}b"))
+            want = oracles.dense_simulate(basis).amplitudes
+            np.testing.assert_allclose(u[:, col], want, atol=1e-10)

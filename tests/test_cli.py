@@ -2,7 +2,7 @@
 
 import pytest
 
-from stabtensor import cli
+from stabtensor import cli, oracles
 
 BELL_FILE = "# bell pair\nwires 2\nH 0\nCN 0 1\n"
 CNOT_TABLE = "bits 2\n00 00\n01 01\n10 11\n11 10\n"
@@ -79,6 +79,16 @@ class TestSimulate:
 
     def test_missing_file_exits_2(self):
         assert cli.main(["simulate", "/nonexistent/file.circ"]) == 2
+
+    def test_crosscheck_beyond_dense_limit_exits_2(self, tmp_path, capsys):
+        width = oracles.MAX_DENSE_WIDTH + 1
+        path = tmp_path / "wide.circ"
+        path.write_text(f"wires {width}\nH 0\n")
+        assert cli.main(["simulate", str(path), "--crosscheck"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestEntropy:

@@ -1,5 +1,7 @@
 """Dense and tableau oracles, their agreement channel, and the crosscheck."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -133,9 +135,14 @@ class TestAgreement:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_triple_agreement_sample(self, seed):
-        circ = random_clifford_circuit(4, 30, seed=seed)
-        result = crosscheck_circuit(circ, seed=seed)
-        assert result.ok(1e-9), result
+        # Every width from 1 to 7, from the zero input and from a nonzero one.
+        rng = random.Random(seed)
+        for width in range(1, 8):
+            circ = random_clifford_circuit(width, 30, seed=seed)
+            bits = format(rng.randrange(1, 1 << width), f"0{width}b")
+            for start in (circ, Circuit(width, circ.ops, bits)):
+                result = crosscheck_circuit(start, seed=seed)
+                assert result.ok(1e-9), (width, start.input, result)
 
 
 def test_random_circuit_is_deterministic_per_seed():

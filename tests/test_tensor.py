@@ -1,5 +1,6 @@
 """Core tensor operations: construction, contraction, networks, scalar equality."""
 
+import itertools
 import math
 import random
 
@@ -294,10 +295,33 @@ def _corpus():
         [(("d", 1), ("x", 1)), (("d", 2), ("x", 2))],
         [("x", 0), ("d", 0)],
     )
-    return {"feynman": feynman_gate_network(), "bell": bell, "ghz": ghz, "hopf": hopf}
+    return {
+        "feynman": feynman_gate_network(),
+        "bell": bell,
+        "ghz": ghz,
+        "hopf": hopf,
+        "loop": _loop_network(),
+    }
 
 
-@pytest.mark.parametrize("name", ["feynman", "bell", "ghz", "hopf"])
+def _loop_network():
+    """Node a is bonded to itself (legs 1, 3) and twice to node b."""
+    rng = random.Random(5)
+    return TensorNetwork(
+        {"a": random_tensor(rng, 5), "b": random_tensor(rng, 3)},
+        [(("a", 1), ("a", 3)), (("a", 0), ("b", 2)), (("b", 0), ("a", 4))],
+        [("b", 1), ("a", 2)],
+    )
+
+
+def test_self_loop_and_shared_bonds_match_einsum():
+    net = _loop_network()
+    want = np.einsum("pqrqs,stp->tr", net.nodes["a"].array, net.nodes["b"].array)
+    for order in itertools.permutations(range(len(net.bonds))):
+        np.testing.assert_allclose(net.contract(order=order).array, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["feynman", "bell", "ghz", "hopf", "loop"])
 def test_contraction_order_independence(name):
     net = _corpus()[name]
     rng = random.Random(42)
