@@ -8,15 +8,23 @@ runs can be diffed byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from typing import Iterator
+
+import numpy as np
 
 from stabtensor import boolfn, oracles, relations
 from stabtensor.circuits import CircuitParseError, circuit_state, parse_circuit
 from stabtensor.generators import copy_tensor
-from stabtensor.tensor import DEFAULT_TOL, Tensor
+from stabtensor.tensor import DEFAULT_TOL, MAX_RANK, Tensor
 
 ENV_TOL = "STABTENSOR_TOL"
+
+# Amplitude records per stdout write: a state of up to 16 wires goes out in
+# one call, and the text of a wider one is never held whole.
+WRITE_BLOCK = 1 << 16
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -84,10 +92,37 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _amp_rows(state: Tensor, fmt) -> Iterator[tuple[str, str, str]]:
+    """(index, fmt(re), fmt(im)) for every amplitude, in index order.
+
+    Indices are MSB-first bit strings.  A stabilizer state has few distinct
+    real and imaginary parts, so `fmt` runs once per distinct float in each
+    block, keyed on its bit pattern so that 0.0 and -0.0 stay apart.
+    """
+    flat = state.array.reshape(-1)
+    index = map("".join, itertools.product("01", repeat=state.rank))
+    for start in range(0, flat.size, WRITE_BLOCK):
+        block = flat[start:start + WRITE_BLOCK]
+        keys = block.view(np.uint64).tolist()  # re, im, re, im, ...
+        distinct = dict(zip(keys, block.view(np.float64).tolist()))
+        texts = {key: fmt(value) for key, value in distinct.items()}
+        parts = map(texts.__getitem__, keys)
+        yield from zip(itertools.islice(index, block.size), parts, parts)
+
+
+def _write_lines(head: str, lines: Iterator[str]) -> None:
+    """Write `head`, then `lines`, to stdout in calls of WRITE_BLOCK lines."""
+    text = head + "".join(itertools.islice(lines, WRITE_BLOCK))
+    while text:
+        sys.stdout.write(text)
+        text = "".join(itertools.islice(lines, WRITE_BLOCK))
+
+
 def cmd_simulate(args) -> int:
     tol = _resolve_tol(args.tol)
     try:
-        text = open(args.circuit, encoding="utf-8").read()
+        with open(args.circuit, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -95,6 +130,11 @@ def cmd_simulate(args) -> int:
         circuit = parse_circuit(text)
     except CircuitParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if circuit.width + 1 > MAX_RANK:
+        print(f"error: simulating {circuit.width} wires needs a rank-"
+              f"{circuit.width + 1} intermediate; the rank budget is "
+              f"{MAX_RANK}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.crosscheck and circuit.width > oracles.MAX_DENSE_WIDTH:
         print(f"error: --crosscheck needs the dense oracle, which is limited "
@@ -104,13 +144,15 @@ def cmd_simulate(args) -> int:
     state = circuit_state(circuit)
     n = circuit.width
     if args.format == "records":
-        print(f"state wires={n}")
-        for k, amp in enumerate(state.data):
-            print(f"amp index={k:0{n}b} re={amp.real!r} im={amp.imag!r}")
+        _write_lines(f"state wires={n}\n", (
+            f"amp index={k} re={re} im={im}\n"
+            for k, re, im in _amp_rows(state, repr)
+        ))
     else:
-        print(f"output state on {n} wire(s):")
-        for k, amp in enumerate(state.data):
-            print(f"  |{k:0{n}b}>  {amp.real:+.10f}{amp.imag:+.10f}j")
+        _write_lines(f"output state on {n} wire(s):\n", (
+            f"  |{k}>  {re}{im}j\n"
+            for k, re, im in _amp_rows(state, "{:+.10f}".format)
+        ))
     if not args.crosscheck:
         return EXIT_OK
     result = oracles.crosscheck_circuit(circuit, seed=args.seed)
@@ -134,7 +176,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_entropy(args) -> int:
     try:
-        text = open(args.table, encoding="utf-8").read()
+        with open(args.table, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

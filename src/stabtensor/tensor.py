@@ -12,6 +12,7 @@ disjoint networks may be contracted in parallel.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -19,6 +20,14 @@ import numpy as np
 Amplitude = complex
 
 DEFAULT_TOL = 1e-10
+
+# Largest tensor rank `contract_pair` will build: one 256 MiB complex128
+# array, which stays under 2 GiB with the kernel's transposed copies.
+MAX_RANK = 24
+
+
+class RankBudgetError(ValueError):
+    """A contraction would build a tensor of rank above MAX_RANK."""
 
 
 class Tensor:
@@ -72,7 +81,9 @@ class Tensor:
                     raise IndexError(f"leg index must be 0 or 1, got {bit}")
                 flat = (flat << 1) | bit
             return self._array.item(flat)
-        return self.data[idx]
+        if isinstance(idx, slice):
+            return self.data[idx]
+        return self._array.reshape(-1).item(operator.index(idx))
 
     def item(self) -> complex:
         if self._rank != 0:
@@ -115,7 +126,9 @@ def contract_pair(
     """Contract paired legs of a and b (legs_a[t] sums against legs_b[t]).
 
     Surviving legs of a precede surviving legs of b, each group keeping its
-    original order.  Zero pairs gives the outer product.
+    original order.  Zero pairs gives the outer product.  Raises
+    RankBudgetError, before allocating, if the result's rank exceeds
+    MAX_RANK.
     """
     if len(legs_a) != len(legs_b):
         raise ValueError(
@@ -123,8 +136,19 @@ def contract_pair(
         )
     _check_legs(legs_a, a.rank, "first")
     _check_legs(legs_b, b.rank, "second")
-    out_rank = a.rank + b.rank - 2 * len(legs_a)
-    return Tensor(out_rank, np.tensordot(a.array, b.array, axes=(legs_a, legs_b)))
+    free_a = [p for p in range(a.rank) if p not in legs_a]
+    free_b = [p for p in range(b.rank) if p not in legs_b]
+    out_rank = len(free_a) + len(free_b)
+    if out_rank > MAX_RANK:
+        raise RankBudgetError(
+            f"contraction result has rank {out_rank}, above the budget {MAX_RANK}"
+        )
+    # np.tensordot's own steps, without its generic argument handling:
+    # summed legs last in a and first in b, both flattened to 2-D, one dot.
+    summed = 1 << len(legs_a)
+    mat_a = a.array.transpose(free_a + list(legs_a)).reshape(-1, summed)
+    mat_b = b.array.transpose(list(legs_b) + free_b).reshape(summed, -1)
+    return Tensor(out_rank, np.dot(mat_a, mat_b))
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:

@@ -1,12 +1,67 @@
 """CLI behaviour: subcommands, exit codes, deterministic records."""
 
+import io
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from stabtensor import cli, oracles
+from stabtensor.circuits import Circuit, circuit_state
+from stabtensor.tensor import MAX_RANK, Tensor
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BELL_FILE = "# bell pair\nwires 2\nH 0\nCN 0 1\n"
 CNOT_TABLE = "bits 2\n00 00\n01 01\n10 11\n11 10\n"
 AND_TABLE = "bits 2\n00 00\n01 00\n10 00\n11 01\n"
+
+
+def _line_loop_output(fmt, state):
+    """Reference for simulate's state output: one f-string per amplitude."""
+    n = state.rank
+    lines = []
+    if fmt == "records":
+        lines.append(f"state wires={n}")
+        for k, amp in enumerate(state.data):
+            lines.append(f"amp index={k:0{n}b} re={amp.real!r} im={amp.imag!r}")
+    else:
+        lines.append(f"output state on {n} wire(s):")
+        for k, amp in enumerate(state.data):
+            lines.append(f"  |{k:0{n}b}>  {amp.real:+.10f}{amp.imag:+.10f}j")
+    return "".join(line + "\n" for line in lines)
+
+
+def _circuit_file(path, circuit):
+    lines = [f"wires {circuit.width}", f"input {circuit.input}"]
+    lines += [" ".join([op.gate, *map(str, op.wires)]) for op in circuit.ops]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _seeded_circuits():
+    """Two circuits per width 1-12, with NOT, from zero and nonzero inputs."""
+    rng = random.Random(5)
+    gates = oracles.CLIFFORD_GATES + ("NOT",)
+    for width in range(1, 13):
+        for start in range(2):
+            circ = oracles.random_clifford_circuit(
+                width, rng.randrange(10, 60), rng.randrange(1 << 30), gates=gates)
+            bits = format(start * rng.randrange(1, 1 << width), f"0{width}b")
+            yield Circuit(width, circ.ops, bits)
+
+
+class _CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
 
 
 @pytest.fixture()
@@ -80,6 +135,55 @@ class TestSimulate:
     def test_missing_file_exits_2(self):
         assert cli.main(["simulate", "/nonexistent/file.circ"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["records", "human"])
+    def test_output_matches_line_loop(self, fmt, tmp_path, capsys):
+        negative_zeros = 0
+        for k, circ in enumerate(_seeded_circuits()):
+            path = _circuit_file(tmp_path / f"c{k}.circ", circ)
+            assert cli.main(["--format", fmt, "simulate", path]) == 0
+            out = capsys.readouterr().out
+            assert out == _line_loop_output(fmt, circuit_state(circ)), circ
+            negative_zeros += out.count("=-0.0 ") + out.count("=-0.0\n")
+        if fmt == "records":
+            assert negative_zeros > 0
+
+    @pytest.mark.parametrize("fmt", ["records", "human"])
+    def test_signed_zeros_in_one_state(self, fmt, tmp_path, capsys, monkeypatch):
+        amps = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0.5]
+        state = Tensor(2, amps)
+        monkeypatch.setattr(cli, "circuit_state", lambda circuit: state)
+        path = tmp_path / "two.circ"
+        path.write_text("wires 2\n")
+        assert cli.main(["--format", fmt, "simulate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == _line_loop_output(fmt, state)
+        if fmt == "records":
+            assert "amp index=00 re=0.0 im=-0.0\n" in out
+            assert "amp index=01 re=-0.0 im=0.0\n" in out
+        else:
+            assert "  |00>  +0.0000000000-0.0000000000j\n" in out
+
+    @pytest.mark.parametrize("block,width,calls", [(cli.WRITE_BLOCK, 12, 1), (5, 5, 7)])
+    def test_records_per_write(self, block, width, calls, tmp_path, monkeypatch):
+        circ = next(c for c in _seeded_circuits() if c.width == width and "1" in c.input)
+        path = _circuit_file(tmp_path / "c.circ", circ)
+        monkeypatch.setattr(cli, "WRITE_BLOCK", block)
+        out = _CountingOut()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["--format", "records", "simulate", path]) == 0
+        assert out.calls == calls
+        assert out.getvalue() == _line_loop_output("records", circuit_state(circ))
+
+    def test_width_above_rank_budget_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.circ"
+        path.write_text("wires 28\nH 0\n")
+        assert cli.main(["--format", "records", "simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"rank budget is {MAX_RANK}" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_crosscheck_beyond_dense_limit_exits_2(self, tmp_path, capsys):
         width = oracles.MAX_DENSE_WIDTH + 1
         path = tmp_path / "wide.circ"
@@ -120,6 +224,21 @@ class TestEntropy:
         path = tmp_path / "short.tab"
         path.write_text("bits 2\n00 00\n01 01\n10 10\n")
         assert cli.main(["entropy", str(path)]) == 2
+
+
+def test_input_files_are_closed(tmp_path, bell_path):
+    table = tmp_path / "cnot.tab"
+    table.write_text(CNOT_TABLE)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv in (["simulate", bell_path], ["entropy", str(table)]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "stabtensor.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
 
 
 class TestPolarity:

@@ -35,20 +35,20 @@ def _einsum_contract(a, legs_a, b, legs_b):
     return np.einsum(spec, a, b)
 
 
+SHAPES = [
+    (0, [], 0, []),
+    (1, [], 2, []),
+    (3, [0], 1, [0]),
+    (3, [1, 2], 2, [0, 1]),
+    (4, [0, 3], 4, [2, 1]),
+    (5, [4, 0, 2], 3, [1, 0, 2]),
+    (6, [5], 2, [0]),
+    (2, [0, 1], 2, [1, 0]),
+]
+
+
 @pytest.mark.parametrize("source", SOURCES)
-@pytest.mark.parametrize(
-    "rank_a,legs_a,rank_b,legs_b",
-    [
-        (0, [], 0, []),
-        (1, [], 2, []),
-        (3, [0], 1, [0]),
-        (3, [1, 2], 2, [0, 1]),
-        (4, [0, 3], 4, [2, 1]),
-        (5, [4, 0, 2], 3, [1, 0, 2]),
-        (6, [5], 2, [0]),
-        (2, [0, 1], 2, [1, 0]),
-    ],
-)
+@pytest.mark.parametrize("rank_a,legs_a,rank_b,legs_b", SHAPES)
 def test_contract_matches_numpy(source, rank_a, legs_a, rank_b, legs_b):
     rng = random.Random(11 + rank_a * 7 + rank_b)
     a = _random_array(rng, rank_a)
@@ -57,6 +57,17 @@ def test_contract_matches_numpy(source, rank_a, legs_a, rank_b, legs_b):
     want = _einsum_contract(a, legs_a, b, legs_b)
     assert got.rank == want.ndim
     np.testing.assert_allclose(got.array, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("rank_a,legs_a,rank_b,legs_b", SHAPES)
+def test_contract_is_bit_identical_to_tensordot(rank_a, legs_a, rank_b, legs_b):
+    # The kernel runs tensordot's transpose, reshape and dot itself: the
+    # same arithmetic in the same order, so every bit must agree.
+    rng = random.Random(23 + rank_a * 7 + rank_b)
+    a = _random_array(rng, rank_a)
+    b = _random_array(rng, rank_b)
+    got = contract_pair(Tensor(rank_a, a), legs_a, Tensor(rank_b, b), legs_b)
+    assert np.array_equal(got.array, np.tensordot(a, b, axes=(legs_a, legs_b)))
 
 
 @pytest.mark.parametrize("source", SOURCES)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from stabtensor import generators as gen
 from stabtensor.circuits import Circuit, GateApp, compile_circuit, feynman_gate_network
 from stabtensor.tensor import (
+    MAX_RANK,
+    RankBudgetError,
     Tensor,
     TensorNetwork,
     contract_pair,
@@ -76,6 +78,22 @@ class TestConstruction:
         assert type(t[(1,)]) is complex
         assert type(Tensor(0, (2,)).item()) is complex
 
+    def test_int_index_matches_data(self, monkeypatch):
+        t = random_tensor(random.Random(4), 5)
+        data = t.data
+        # One entry is read without building the whole tuple.
+        monkeypatch.setattr(Tensor, "data", property(lambda self: pytest.fail(".data built")))
+        for k in range(-40, 40):
+            if -32 <= k < 32:
+                assert t[k] == data[k]
+                assert type(t[k]) is complex
+            else:
+                with pytest.raises(IndexError):
+                    t[k]
+        monkeypatch.undo()
+        assert t[3:7] == t.data[3:7]
+        assert t[::-1] == t.data[::-1]
+
 
 class TestContractPair:
     def test_copy_with_ket0_gives_00(self):
@@ -105,6 +123,13 @@ class TestContractPair:
     def test_mismatched_leg_counts(self):
         with pytest.raises(ValueError):
             contract_pair(gen.copy_tensor(), (0, 1), gen.ket_zero(), (0,))
+
+    def test_result_above_rank_budget_is_refused(self):
+        assert MAX_RANK == 24
+        a = Tensor(13, np.ones(1 << 13))
+        with pytest.raises(RankBudgetError, match="rank 26"):
+            contract_pair(a, (), a, ())
+        assert issubclass(RankBudgetError, ValueError)
 
 
 class TestPermute:
