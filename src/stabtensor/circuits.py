@@ -11,8 +11,9 @@ Gate decomposition into generator tensors is canonical and fixed:
     NOT  XOR tensor with the constant |1> on one input
 
 Two controlled-NOT constructions coexist on purpose: the wired network
-(`feynman_gate_network`, used for simulation) and the raised-index single
-contraction (`cn_index_contraction`).  They are not the same tensor; the
+(`feynman_gate_network`; `compile_circuit` wires the same copy/XOR pair
+for each CN) and the raised-index single contraction
+(`cn_index_contraction`).  They are not the same tensor; the
 verification suite reports the comparison instead of assuming either.
 """
 
@@ -106,8 +107,6 @@ def parse_circuit(text: str) -> Circuit:
             except ValueError as exc:
                 raise CircuitParseError(f"bad wire list in {line!r}") from exc
             ops.append(GateApp(head, wires))
-        except CircuitParseError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from None
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from None
     if width is None:

@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.circuit, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
@@ -178,7 +178,7 @@ def cmd_entropy(args) -> int:
     try:
         with open(args.table, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

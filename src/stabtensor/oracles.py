@@ -131,13 +131,10 @@ class StabilizerTableau:
 
 def tableau_simulate(circuit: Circuit) -> StabilizerTableau:
     """Standard tableau updates per gate, starting from |0...0>."""
-    if circuit.input is not None and "1" in circuit.input:
-        tab = StabilizerTableau(circuit.width)
-        for w, bit in enumerate(circuit.input):
-            if bit == "1":
-                tab.apply("X", (w,))
-    else:
-        tab = StabilizerTableau(circuit.width)
+    tab = StabilizerTableau(circuit.width)
+    for w, bit in enumerate(circuit.input or ""):
+        if bit == "1":
+            tab.apply("X", (w,))
     for op in circuit.ops:
         tab.apply(op.gate, op.wires)
     return tab

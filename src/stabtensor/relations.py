@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from stabtensor import generators as gen
 from stabtensor.circuits import (
+    Circuit,
+    GateApp,
+    circuit_unitary,
     cn_component_polynomial,
     cn_index_contraction,
     feynman_gate_network,
@@ -257,70 +260,46 @@ def verify_xor_in_hadamard_basis(tol: float = DEFAULT_TOL) -> RelationReport:
 
 
 def verify_xor_copies_plus_minus(tol: float = DEFAULT_TOL) -> RelationReport:
-    """XOR as a 1-in/2-out map copies |+> and |-> with one shared scalar."""
-    x = gen.xor_tensor()
+    """XOR as a 1-in/2-out map copies |+> and |-> with one shared scalar.
+
+    Leg k of both sides picks the basis vector H|k>, so the one scalar that
+    `compare` fits over the whole tensor serves |+> and |-> alike.
+    """
     h = gen.hadamard()
-    k0 = gen.ket_zero()
-    k1 = gen.ket_one()
-
-    def xor_applied(ket: Tensor) -> Tensor:
-        return _net(
-            {"x": x, "h": h, "k": ket},
-            [(("h", 1), ("k", 0)), (("x", 0), ("h", 0))],
-            [("x", 1), ("x", 2)],
-        )
-
-    def pair(ket: Tensor) -> Tensor:
-        return _net(
-            {"h1": h, "k1": ket, "h2": h, "k2": ket},
-            [(("h1", 1), ("k1", 0)), (("h2", 1), ("k2", 0))],
-            [("h1", 0), ("h2", 0)],
-        )
-
-    lhs_plus, rhs_plus = xor_applied(k0), pair(k0)
-    lhs_minus, rhs_minus = xor_applied(k1), pair(k1)
-    lam = equal_up_to_scalar(lhs_plus, rhs_plus, tol)
-    if lam is None or abs(lam) <= tol:
-        return RelationReport(
-            "xor-copies-plus-minus", RelationStatus.FAILS, None,
-            max_abs_diff(lhs_plus, rhs_plus),
-            "xor applied to |+>, |->", "|++>, |-->", False,
-        )
-    # The same scalar must serve both basis vectors.
-    dev = max(
-        max_scaled_diff(lhs_plus, lam, rhs_plus),
-        max_scaled_diff(lhs_minus, lam, rhs_minus),
+    lhs = _net(
+        {"x": gen.xor_tensor(), "h": h},
+        [(("x", 0), ("h", 0))],
+        [("x", 1), ("x", 2), ("h", 1)],
     )
-    status = (
-        RelationStatus.HOLDS_UP_TO_SCALAR if dev <= tol else RelationStatus.FAILS
+    rhs = _net(
+        {"d": gen.copy_tensor(), "h1": h, "h2": h},
+        [(("h1", 1), ("d", 1)), (("h2", 1), ("d", 2))],
+        [("h1", 0), ("h2", 0), ("d", 0)],
     )
-    return RelationReport(
-        "xor-copies-plus-minus", status, lam if status is not RelationStatus.FAILS else None,
-        dev, "xor applied to |+>, |->", "|++>, |-->", False,
+    return compare(
+        "xor-copies-plus-minus", lhs, rhs,
+        "xor applied to |+>, |->", "|++>, |-->", tol,
     )
 
 
 def verify_clifford_recovery(tol: float = DEFAULT_TOL) -> list[RelationReport]:
-    """Recover S, Z, X, Y from the generators and check CN unitarity."""
-    s = gen.lift_diagonal(gen.t_vector(1))
-    z = gen.lift_diagonal(gen.t_vector(2))
-    h = gen.hadamard()
-    x = gen.compose(gen.compose(h, z), h)
-    s3 = gen.compose(gen.compose(s, s), s)
-    y = gen.compose(gen.compose(s, x), s3)
-
+    """Check the networks `compile_circuit` builds for S, Z, X, Y against
+    their textbook matrices, and the compiled CN for unitarity."""
+    textbook = (
+        ("S", (1, 0, 0, 1j), "diagonal lift of (1,i)", "|0><0| + i|1><1|"),
+        ("Z", (1, 0, 0, -1), "diagonal lift of (1,-1)", "pauli Z"),
+        ("X", (0, 1, 1, 0), "H Z H", "pauli X"),
+        ("Y", (0, -1j, 1j, 0), "S X S^3", "pauli Y"),
+    )
     reports = [
-        compare("clifford-S", s, Tensor(2, (1, 0, 0, 1j)),
-                "diagonal lift of (1,i)", "|0><0| + i|1><1|", tol),
-        compare("clifford-Z", z, Tensor(2, (1, 0, 0, -1)),
-                "diagonal lift of (1,-1)", "pauli Z", tol),
-        compare("clifford-X", x, Tensor(2, (0, 1, 1, 0)), "H Z H", "pauli X", tol),
-        compare("clifford-Y", y, Tensor(2, (0, -1j, 1j, 0)), "S X S^3", "pauli Y", tol),
+        compare(f"clifford-{gate}",
+                circuit_unitary(Circuit(1, (GateApp(gate, (0,)),))),
+                Tensor(2, matrix), lhs_desc, rhs_desc, tol)
+        for gate, matrix, lhs_desc, rhs_desc in textbook
     ]
 
-    cn = feynman_gate_network().contract()
-    # (in-c, in-t, out-c, out-t) -> matrix legs (out-c, out-t, in-c, in-t)
-    cn_op = permute_legs(cn, (2, 3, 0, 1))
+    # legs (out-c, out-t, in-c, in-t)
+    cn_op = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
     cn_dag = tensor_from_fn(
         4, lambda i, j, q, r: cn_op[(q, r, i, j)].conjugate()
     )
@@ -331,9 +310,9 @@ def verify_clifford_recovery(tol: float = DEFAULT_TOL) -> list[RelationReport]:
                 "CN . CN^dagger", "identity on two wires", tol)
     )
 
-    hh = gen.compose(h, h)
+    h = gen.hadamard()
     reports.append(
-        compare("clifford-H-involution", hh, gen.identity_map(),
+        compare("clifford-H-involution", gen.compose(h, h), gen.identity_map(),
                 "H H", "identity", tol)
     )
     return reports

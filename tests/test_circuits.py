@@ -84,6 +84,13 @@ class TestFeynmanNetwork:
             want[(a << 1) | (a ^ b), (a << 1) | b] = 1
         np.testing.assert_array_equal(mat, want)
 
+    def test_compiled_cn_is_the_wired_network(self):
+        # compile_circuit wires its own copy/XOR pair for each CN; it must
+        # stay the same tensor as feynman_gate_network.
+        compiled = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
+        wired = permute_legs(feynman_gate_network().contract(), (2, 3, 0, 1))
+        assert np.array_equal(compiled.array, wired.array)
+
 
 class TestIndexContraction:
     def test_all_16_entries_match_polynomial_exactly(self):

@@ -135,6 +135,15 @@ class TestSimulate:
     def test_missing_file_exits_2(self):
         assert cli.main(["simulate", "/nonexistent/file.circ"]) == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.circ"
+        path.write_bytes(b"# \xff\xfe\nwires 1\nH 0\n")
+        assert cli.main(["--format", "records", "simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("fmt", ["records", "human"])
     def test_output_matches_line_loop(self, fmt, tmp_path, capsys):
         negative_zeros = 0
@@ -224,6 +233,15 @@ class TestEntropy:
         path = tmp_path / "short.tab"
         path.write_text("bits 2\n00 00\n01 01\n10 10\n")
         assert cli.main(["entropy", str(path)]) == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.tab"
+        path.write_bytes(b"# \xff\n" + CNOT_TABLE.encode())
+        assert cli.main(["--format", "records", "entropy", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_input_files_are_closed(tmp_path, bell_path):

@@ -4,8 +4,11 @@ import math
 
 import pytest
 
-from stabtensor import relations
-from stabtensor.generators import copy_tensor, lift_diagonal, compose, identity_map, t_vector
+from stabtensor import boolfn, relations
+from stabtensor import generators as gen
+from stabtensor.generators import (
+    compose, copy_tensor, identity_map, lift_diagonal, t_vector, xor_tensor,
+)
 from stabtensor.relations import RelationStatus
 from stabtensor.tensor import Tensor, max_abs_diff
 
@@ -70,6 +73,65 @@ def test_clifford_recovery_all_exact():
     for rep in reports:
         assert rep.status is RelationStatus.EXACT_HOLD, rep.record()
         assert rep.max_deviation <= 1e-12
+
+
+def _flipped(t, k):
+    data = list(t.data)
+    data[k] = 1 - data[k]
+    return Tensor(t.rank, data)
+
+
+def _patch_generator(monkeypatch, name, tensor):
+    real = gen.by_name
+    monkeypatch.setattr(gen, "by_name", lambda n: tensor if n == name else real(n))
+
+
+def _clifford(rid):
+    return next(r for r in relations.verify_clifford_recovery() if r.relation_id == rid)
+
+
+def test_clifford_checks_read_the_compiled_phase_vectors(monkeypatch):
+    # compile builds S^3 from t3; (1, i) there turns Y into S X S
+    _patch_generator(monkeypatch, "t3", Tensor(1, (1, 1j)))
+    assert _clifford("clifford-Y").status is RelationStatus.FAILS
+
+
+def test_clifford_checks_read_the_compiled_cn(monkeypatch):
+    _patch_generator(monkeypatch, "xor", _flipped(xor_tensor(), 0b000))
+    assert _clifford("clifford-CN-unitary").status is RelationStatus.FAILS
+
+
+def test_corrupted_xor_fails_copies_plus_minus(monkeypatch):
+    monkeypatch.setattr(gen, "xor_tensor", lambda: _flipped(xor_tensor(), 0b000))
+    rep = relations.verify_xor_copies_plus_minus()
+    assert rep.status is RelationStatus.FAILS
+    assert rep.scalar is None
+
+
+@pytest.mark.parametrize("flip", [
+    # A whole column negated fits lambda = -1 on its own; only a scalar
+    # shared by all columns rejects it.
+    lambda vec: vec.scale(-1),
+    lambda vec: Tensor(vec.rank, [-v if k == 5 else v for k, v in enumerate(vec.data)]),
+], ids=["vector", "entry"])
+def test_flipped_polarity_sign_fails_column_indexing(monkeypatch, flip):
+    real = boolfn.polarity_vector
+
+    def polarity_vector(form):
+        vec = real(form)
+        return flip(vec) if form.c == "101" else vec
+
+    monkeypatch.setattr(boolfn, "polarity_vector", polarity_vector)
+    rep = boolfn.verify_hadamard_column_indexing(3)
+    assert rep.relation_id == "hadamard-column-indexing-n3"
+    assert rep.status is RelationStatus.FAILS
+
+
+def test_xor_records_hold_exactly_at_coarse_tolerance():
+    # |1/sqrt2 - 1/2| and the conjugation's own gap are both below 0.5
+    for rep in (relations.verify_xor_in_hadamard_basis(tol=0.5),
+                relations.verify_xor_copies_plus_minus(tol=0.5)):
+        assert rep.status is RelationStatus.EXACT_HOLD, rep.record()
 
 
 def test_phase_gate_algebra():
