@@ -1,6 +1,8 @@
 """Gate-list circuits and their compilation to tensor networks.
 
-Gate decomposition into generator tensors is canonical and fixed:
+`compile_circuit` is the one place the gates are built from the generator
+tensors (single-wire gates by the table `SINGLE_WIRE_STEPS`), and the
+decomposition is canonical and fixed:
 
     H    native Hadamard tensor
     S    copy tensor with (1, i) contracted into one leg (diagonal lift)
@@ -19,7 +21,7 @@ verification suite reports the comparison instead of assuming either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from stabtensor import generators as gen
@@ -152,19 +154,12 @@ def cn_index_contraction() -> Tensor:
     return contract_pair(gen.copy_tensor(), (2,), gen.xor_tensor(), (0,))
 
 
-@dataclass
-class _WireState:
-    """Tracks the dangling output end of each wire during compilation."""
-
-    nodes: dict = field(default_factory=dict)
-    bonds: list = field(default_factory=list)
-    counter: int = 0
-
-    def add(self, tag: str, tensor: Tensor) -> str:
-        name = f"{self.counter}:{tag}"
-        self.counter += 1
-        self.nodes[name] = tensor
-        return name
+# Single-wire gates as the steps they take along their wire: "H" is a
+# Hadamard node, k a copy node with the phase vector t{k} on leg 0, which
+# is the diagonal lift diag(1, i**k).
+SINGLE_WIRE_STEPS = {
+    "H": ("H",), "S": (1,), "Z": (2,), "X": ("H", 2, "H"), "Y": (3, "H", 2, "H", 1),
+}
 
 
 def compile_circuit(circuit: Circuit) -> TensorNetwork:
@@ -174,72 +169,60 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     Without one the result is the circuit operator with open legs
     (out_0..out_{n-1}, in_0..in_{n-1}).
     """
-    st = _WireState()
+    nodes: dict[str, Tensor] = {}
+    bonds: list = []
+    # the dangling output end of each wire
     cur: list[tuple[str, int]] = []
     in_legs: list[tuple[str, int]] = []
     # Tensors are immutable, so every node of one kind can share one
     # instance; each is built on first use within this compile.
     generator = lru_cache(maxsize=None)(gen.by_name)
 
+    def add(tag: str, tensor: Tensor) -> str:
+        name = f"{len(nodes)}:{tag}"
+        nodes[name] = tensor
+        return name
+
+    def apply_map(w: int, name: str, in_leg: int, out_leg: int) -> None:
+        bonds.append((cur[w], (name, in_leg)))
+        cur[w] = (name, out_leg)
+
     if circuit.input is not None:
         for bit in circuit.input:
-            name = st.add(f"in{bit}", generator(f"ket{bit}"))
+            name = add(f"in{bit}", generator(f"ket{bit}"))
             cur.append((name, 0))
     else:
         # Anchor each open input on an identity node so inputs stay legs.
         identity = gen.identity_map()
         for w in range(circuit.width):
-            name = st.add("id", identity)
+            name = add("id", identity)
             cur.append((name, 0))
             in_legs.append((name, 1))
 
-    def apply_map(w: int, name: str, in_leg: int, out_leg: int) -> None:
-        st.bonds.append((cur[w], (name, in_leg)))
-        cur[w] = (name, out_leg)
-
-    def apply_lifted(w: int, k: int) -> None:
-        # copy tensor with (1, i**k) on its first leg is diag(1, i**k)
-        d = st.add("copy", generator("copy"))
-        t = st.add(f"t{k % 4}", generator(f"t{k % 4}"))
-        st.bonds.append(((t, 0), (d, 0)))
-        apply_map(w, d, 2, 1)
-
-    def apply_h(w: int) -> None:
-        h = st.add("H", generator("hadamard"))
-        apply_map(w, h, 1, 0)
-
     for op in circuit.ops:
-        if op.gate == "H":
-            apply_h(op.wires[0])
-        elif op.gate == "S":
-            apply_lifted(op.wires[0], 1)
-        elif op.gate == "Z":
-            apply_lifted(op.wires[0], 2)
-        elif op.gate == "X":
-            apply_h(op.wires[0])
-            apply_lifted(op.wires[0], 2)
-            apply_h(op.wires[0])
-        elif op.gate == "Y":
-            apply_lifted(op.wires[0], 3)  # S^3
-            apply_h(op.wires[0])
-            apply_lifted(op.wires[0], 2)
-            apply_h(op.wires[0])
-            apply_lifted(op.wires[0], 1)  # S
-        elif op.gate == "CN":
-            c, t = op.wires
-            d = st.add("copy", generator("copy"))
-            x = st.add("xor", generator("xor"))
-            st.bonds.append(((d, 2), (x, 2)))
-            apply_map(c, d, 0, 1)
-            apply_map(t, x, 1, 0)
+        w = op.wires[0]
+        if op.gate == "CN":
+            d = add("copy", generator("copy"))
+            x = add("xor", generator("xor"))
+            bonds.append(((d, 2), (x, 2)))
+            apply_map(w, d, 0, 1)  # control
+            apply_map(op.wires[1], x, 1, 0)  # target
         elif op.gate == "NOT":
-            x = st.add("xor", generator("xor"))
-            one = st.add("one", generator("ket1"))
-            st.bonds.append(((one, 0), (x, 2)))
-            apply_map(op.wires[0], x, 1, 0)
+            x = add("xor", generator("xor"))
+            one = add("one", generator("ket1"))
+            bonds.append(((one, 0), (x, 2)))
+            apply_map(w, x, 1, 0)
+        else:
+            for step in SINGLE_WIRE_STEPS[op.gate]:
+                if step == "H":
+                    apply_map(w, add("H", generator("hadamard")), 1, 0)
+                else:
+                    d = add("copy", generator("copy"))
+                    t = add(f"t{step}", generator(f"t{step}"))
+                    bonds.append(((t, 0), (d, 0)))
+                    apply_map(w, d, 2, 1)
 
-    open_legs = list(cur) + in_legs
-    return TensorNetwork(st.nodes, st.bonds, open_legs)
+    return TensorNetwork(nodes, bonds, list(cur) + in_legs)
 
 
 def circuit_state(circuit: Circuit) -> Tensor:

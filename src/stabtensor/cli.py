@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from typing import Iterator
@@ -32,16 +33,21 @@ EXIT_INPUT_ERROR = 2
 
 
 def _resolve_tol(arg_tol: float | None) -> float:
-    if arg_tol is not None:
-        return arg_tol
-    env = os.environ.get(ENV_TOL)
-    if env:
+    """--tol, else $STABTENSOR_TOL, else DEFAULT_TOL; must be finite and >= 0."""
+    tol, source = arg_tol, "--tol"
+    if tol is None:
+        env, source = os.environ.get(ENV_TOL), ENV_TOL
+        if not env:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             print(f"error: bad {ENV_TOL} value {env!r}", file=sys.stderr)
             raise SystemExit(EXIT_INPUT_ERROR) from None
-    return DEFAULT_TOL
+    if not 0 <= tol < math.inf:
+        print(f"error: {source} must be finite and >= 0, got {tol!r}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT_ERROR)
+    return tol
 
 
 def _corrupted_copy_tensor() -> Tensor:

@@ -1,9 +1,11 @@
-"""The primitive generator tensors and everything derived from them.
+"""The primitive generator tensors and the small maps built from them.
 
 Five primitives generate the whole gate set: the copy tensor, the XOR
 tensor, the Hadamard matrix, the phase vectors (1, i**k), and the
-all-ones covector.  Vectors are kept unnormalised exactly as defined, so
-identities built from them may hold only up to a recorded scalar.
+all-ones covector.  The gates themselves are built from these in one
+place, `circuits.compile_circuit`.  Vectors are kept unnormalised exactly
+as defined, so identities built from them may hold only up to a recorded
+scalar.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # i**k by quadrant; never computed through floating trig.
 I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
-
-_CHECK_TOL = 1e-12
 
 
 def copy_tensor() -> Tensor:
@@ -89,58 +89,6 @@ def pointwise_product(u: Tensor, v: Tensor) -> Tensor:
     built = contract_pair(half, (1,), v, (0,))
     direct = Tensor(1, (u.data[0] * v.data[0], u.data[1] * v.data[1]))
     _require(max_abs_diff(built, direct) == 0.0, "pointwise product via copy tensor")
-    return built
-
-
-def lift_diagonal(v: Tensor) -> Tensor:
-    """Lift a vector to the diagonal operator diag(v0, v1) via the copy tensor."""
-    if v.rank != 1:
-        raise ValueError(f"lift_diagonal needs a rank-1 input, got rank {v.rank}")
-    built = contract_pair(copy_tensor(), (0,), v, (0,))
-    direct = Tensor(2, (v.data[0], 0, 0, v.data[1]))
-    _require(max_abs_diff(built, direct) == 0.0, "diagonal lift via copy tensor")
-    return built
-
-
-def compose(outer_op: Tensor, inner_op: Tensor) -> Tensor:
-    """Operator product outer_op @ inner_op for rank-2 (out, in) tensors."""
-    if outer_op.rank != 2 or inner_op.rank != 2:
-        raise ValueError("compose needs rank-2 operators")
-    return contract_pair(outer_op, (1,), inner_op, (0,))
-
-
-def phase_gate() -> Tensor:
-    """S = diag(1, i), the diagonal lift of (1, i)."""
-    return lift_diagonal(t_vector(1))
-
-
-def pauli_z() -> Tensor:
-    z = lift_diagonal(t_vector(2))
-    _require(max_abs_diff(z, Tensor(2, (1, 0, 0, -1))) <= _CHECK_TOL, "Z from lift")
-    return z
-
-
-def pauli_x() -> Tensor:
-    """X recovered as H Z H."""
-    h = hadamard()
-    x = compose(compose(h, pauli_z()), h)
-    _require(max_abs_diff(x, Tensor(2, (0, 1, 1, 0))) <= _CHECK_TOL, "X = HZH")
-    return x
-
-
-def pauli_y() -> Tensor:
-    """Y recovered as S X S^3."""
-    s = phase_gate()
-    s3 = compose(compose(s, s), s)
-    y = compose(compose(s, pauli_x()), s3)
-    _require(max_abs_diff(y, Tensor(2, (0, -1j, 1j, 0))) <= _CHECK_TOL, "Y = S X S^3")
-    return y
-
-
-def not_from_constant() -> Tensor:
-    """NOT built by feeding the constant 1 into one input of the XOR tensor."""
-    built = contract_pair(xor_tensor(), (2,), ket_one(), (0,))
-    _require(max_abs_diff(built, Tensor(2, (0, 1, 1, 0))) == 0.0, "NOT from constant")
     return built
 
 

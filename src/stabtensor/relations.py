@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from stabtensor import generators as gen
 from stabtensor.circuits import (
     Circuit,
@@ -300,11 +302,9 @@ def verify_clifford_recovery(tol: float = DEFAULT_TOL) -> list[RelationReport]:
 
     # legs (out-c, out-t, in-c, in-t)
     cn_op = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
-    cn_dag = tensor_from_fn(
-        4, lambda i, j, q, r: cn_op[(q, r, i, j)].conjugate()
-    )
+    cn_dag = Tensor(4, cn_op.array.transpose(2, 3, 0, 1).conj())
     prod = contract_pair(cn_op, (2, 3), cn_dag, (0, 1))
-    ident4 = tensor_from_fn(4, lambda i, j, q, r: 1 if (i, j) == (q, r) else 0)
+    ident4 = Tensor(4, np.eye(4))
     reports.append(
         compare("clifford-CN-unitary", prod, ident4,
                 "CN . CN^dagger", "identity on two wires", tol)
@@ -312,8 +312,8 @@ def verify_clifford_recovery(tol: float = DEFAULT_TOL) -> list[RelationReport]:
 
     h = gen.hadamard()
     reports.append(
-        compare("clifford-H-involution", gen.compose(h, h), gen.identity_map(),
-                "H H", "identity", tol)
+        compare("clifford-H-involution", contract_pair(h, (1,), h, (0,)),
+                gen.identity_map(), "H H", "identity", tol)
     )
     return reports
 

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from stabtensor import generators as gen
 from stabtensor import oracles, tensor
 from stabtensor.circuits import (
     Circuit,
@@ -147,11 +148,24 @@ class TestCompile:
             np.testing.assert_allclose(u, want, atol=1e-12)
 
     def test_compiled_networks_use_generator_nodes_only(self):
-        circ = Circuit(2, (GateApp("Y", (0,)), GateApp("CN", (0, 1))), "01")
-        net = compile_circuit(circ)
-        allowed = {"copy", "xor", "H", "one", "id", "in0", "in1", "t0", "t1", "t2", "t3"}
-        for name in net.nodes:
-            assert name.split(":", 1)[1] in allowed
+        # each node tag and the generator its entries must equal
+        allowed = {
+            "copy": gen.copy_tensor(), "xor": gen.xor_tensor(), "H": gen.hadamard(),
+            "one": gen.ket_one(), "id": gen.identity_map(),
+            "in0": gen.ket_zero(), "in1": gen.ket_one(),
+            **{f"t{k}": gen.t_vector(k) for k in range(4)},
+        }
+        ops = (
+            GateApp("H", (0,)), GateApp("S", (1,)), GateApp("Z", (2,)),
+            GateApp("X", (0,)), GateApp("Y", (1,)), GateApp("CN", (2, 0)),
+            GateApp("NOT", (1,)),
+        )
+        for bits in ("011", None):
+            net = compile_circuit(Circuit(3, ops, bits))
+            for name, node in net.nodes.items():
+                tag = name.split(":", 1)[1]
+                assert tag in allowed
+                assert np.array_equal(node.array, allowed[tag].array), name
 
     def test_compiled_operator_is_unitary(self):
         rng = random.Random(31)

@@ -269,3 +269,36 @@ class TestPolarity:
     def test_out_of_range(self):
         assert cli.main(["polarity", "--n", "9"]) == 2
 
+
+
+class TestTolerance:
+    COMMANDS = {
+        "verify": ["verify"],
+        "polarity": ["polarity", "--n", "2"],
+        "crosscheck": ["simulate", "{bell}", "--crosscheck"],
+    }
+
+    @staticmethod
+    def _exits_2(argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        out, errtext = capsys.readouterr()
+        assert out == ""
+        assert errtext.count("\n") == 1 and errtext.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_invalid_option_exits_2(self, command, tol, bell_path, capsys):
+        argv = [a.format(bell=bell_path) for a in self.COMMANDS[command]]
+        self._exits_2(argv + ["--tol", tol], capsys)
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_invalid_environment_value_exits_2(self, tol, monkeypatch, capsys):
+        monkeypatch.setenv(cli.ENV_TOL, tol)
+        self._exits_2(["verify"], capsys)
+
+    def test_zero_is_valid(self, monkeypatch, capsys):
+        assert cli.main(["polarity", "--n", "2", "--tol", "0"]) == 0
+        monkeypatch.setenv(cli.ENV_TOL, "0")
+        assert cli.main(["polarity", "--n", "2"]) == 0

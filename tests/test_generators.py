@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabtensor import generators as gen
+from stabtensor.circuits import Circuit, GateApp, circuit_unitary
 from stabtensor.tensor import (
     Tensor,
     contract_pair,
@@ -123,54 +124,60 @@ class TestPointwiseProduct:
             gen.pointwise_product(gen.copy_tensor(), gen.ket_zero())
 
 
+def _gates(*names: str) -> Circuit:
+    return Circuit(1, tuple(GateApp(g, (0,)) for g in names))
+
+
 class TestLiftDiagonal:
     def test_phase_gate(self):
-        assert gen.lift_diagonal(gen.t_vector(1)).data == (1, 0, 0, 1j)
+        assert circuit_unitary(_gates("S")).data == (1, 0, 0, 1j)
 
     def test_pauli_z(self):
-        assert gen.lift_diagonal(gen.t_vector(2)).data == (1, 0, 0, -1)
+        assert circuit_unitary(_gates("Z")).data == (1, 0, 0, -1)
 
     def test_unit_diagonal(self):
-        assert gen.lift_diagonal(Tensor(1, (1, 1))).data == (1, 0, 0, 1)
+        # no gate lifts t0, so contract (1, 1) into copy leg 0 directly
+        lifted = contract_pair(gen.copy_tensor(), (0,), Tensor(1, (1, 1)), (0,))
+        assert lifted.data == (1, 0, 0, 1)
 
     def test_lifted_phase_vector_is_unitary(self):
-        s = gen.lift_diagonal(gen.t_vector(1))
+        s = circuit_unitary(_gates("S"))
         sdag = Tensor(2, (v.conjugate() for v in s.data))  # diagonal: dagger = conj
-        assert gen.compose(sdag, s).data == (1, 0, 0, 1)
+        assert contract_pair(sdag, (1,), s, (0,)).data == (1, 0, 0, 1)
 
     def test_fourth_power_is_identity(self):
-        for k in range(4):
-            m = gen.lift_diagonal(gen.t_vector(k))
-            acc = gen.identity_map()
-            for _ in range(4):
-                acc = gen.compose(acc, m)
+        # diag(1, i**k) for k = 0..3
+        for lift in ((), ("S",), ("Z",), ("Z", "S")):
+            acc = circuit_unitary(_gates(*lift * 4))
             assert max_abs_diff(acc, gen.identity_map()) <= 1e-12
 
 
 class TestPaulis:
     def test_pauli_x_from_hzh(self):
-        assert max_abs_diff(gen.pauli_x(), Tensor(2, (0, 1, 1, 0))) <= 1e-15
+        x = circuit_unitary(_gates("X"))
+        assert max_abs_diff(x, Tensor(2, (0, 1, 1, 0))) <= 1e-15
 
     def test_pauli_y_from_sxs3(self):
-        assert max_abs_diff(gen.pauli_y(), Tensor(2, (0, -1j, 1j, 0))) <= 1e-15
+        y = circuit_unitary(_gates("Y"))
+        assert max_abs_diff(y, Tensor(2, (0, -1j, 1j, 0))) <= 1e-15
 
     def test_squares_are_identity(self):
-        for p in (gen.pauli_x(), gen.pauli_y(), gen.pauli_z()):
-            assert max_abs_diff(gen.compose(p, p), gen.identity_map()) <= 1e-12
+        for p in ("X", "Y", "Z"):
+            squared = circuit_unitary(_gates(p, p))
+            assert max_abs_diff(squared, gen.identity_map()) <= 1e-12
 
 
 class TestNotFromConstant:
     def test_matrix(self):
-        assert gen.not_from_constant().data == (0, 1, 1, 0)
+        assert circuit_unitary(_gates("NOT")).data == (0, 1, 1, 0)
 
     def test_flips_basis_states(self):
-        n = gen.not_from_constant()
+        n = circuit_unitary(_gates("NOT"))
         assert contract_pair(n, (1,), gen.ket_zero(), (0,)).data == (0, 1)
         assert contract_pair(n, (1,), gen.ket_one(), (0,)).data == (1, 0)
 
     def test_involution(self):
-        n = gen.not_from_constant()
-        assert gen.compose(n, n).data == (1, 0, 0, 1)
+        assert circuit_unitary(_gates("NOT", "NOT")).data == (1, 0, 0, 1)
 
 
 def test_xor_copies_x_basis_with_shared_scalar():

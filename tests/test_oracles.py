@@ -7,6 +7,7 @@ import pytest
 
 from stabtensor.circuits import Circuit, GateApp
 from stabtensor.oracles import (
+    CLIFFORD_GATES,
     StabilizerTableau,
     crosscheck_circuit,
     dense_simulate,
@@ -135,10 +136,14 @@ class TestAgreement:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_triple_agreement_sample(self, seed):
-        # Every width from 1 to 7, from the zero input and from a nonzero one.
+        # The Clifford gates at every width from 1 to 7, and with NOT as well
+        # at every width from 1 to 12, each from the zero input and from a
+        # nonzero one.
         rng = random.Random(seed)
-        for width in range(1, 8):
-            circ = random_clifford_circuit(width, 30, seed=seed)
+        cases = [(width, CLIFFORD_GATES) for width in range(1, 8)]
+        cases += [(width, CLIFFORD_GATES + ("NOT",)) for width in range(1, 13)]
+        for width, gates in cases:
+            circ = random_clifford_circuit(width, 30, seed=seed, gates=gates)
             bits = format(rng.randrange(1, 1 << width), f"0{width}b")
             for start in (circ, Circuit(width, circ.ops, bits)):
                 result = crosscheck_circuit(start, seed=seed)

@@ -6,9 +6,8 @@ import pytest
 
 from stabtensor import boolfn, relations
 from stabtensor import generators as gen
-from stabtensor.generators import (
-    compose, copy_tensor, identity_map, lift_diagonal, t_vector, xor_tensor,
-)
+from stabtensor.circuits import Circuit, GateApp, circuit_unitary
+from stabtensor.generators import copy_tensor, identity_map, xor_tensor
 from stabtensor.relations import RelationStatus
 from stabtensor.tensor import Tensor, max_abs_diff
 
@@ -135,10 +134,10 @@ def test_xor_records_hold_exactly_at_coarse_tolerance():
 
 
 def test_phase_gate_algebra():
-    s = lift_diagonal(t_vector(1))
-    s2 = compose(s, s)
-    assert max_abs_diff(s2, lift_diagonal(t_vector(2))) == 0  # S^2 = Z
-    s4 = compose(s2, s2)
+    s, z = (GateApp(g, (0,)) for g in "SZ")
+    s2 = circuit_unitary(Circuit(1, (s, s)))
+    assert max_abs_diff(s2, circuit_unitary(Circuit(1, (z,)))) == 0  # S^2 = Z
+    s4 = circuit_unitary(Circuit(1, (s,) * 4))
     assert max_abs_diff(s4, identity_map()) == 0  # S^4 = 1
 
 
