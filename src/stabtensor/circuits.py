@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from stabtensor import generators as gen
-from stabtensor.tensor import Tensor, TensorNetwork, contract_pair
+from stabtensor.tensor import Tensor, TensorNetwork, check_rank, contract_pair
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
 
@@ -226,13 +226,23 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
 
 def circuit_state(circuit: Circuit) -> Tensor:
-    """Contract the compiled network to the output state (rank = width)."""
+    """Contract the compiled network to the output state (rank = width).
+
+    A result above the rank budget is refused (RankBudgetError) before the
+    network, or its all-zero input, is built; so is a network whose
+    contraction plan exceeds the budget, before any merge.
+    """
+    check_rank(circuit.width, f"a {circuit.width}-wire state")
     if circuit.input is None:
         circuit = Circuit(circuit.width, circuit.ops, "0" * circuit.width)
     return compile_circuit(circuit).contract()
 
 
 def circuit_unitary(circuit: Circuit) -> Tensor:
-    """Contract the compiled network to the circuit operator (rank = 2*width)."""
+    """Contract the compiled network to the circuit operator (rank = 2*width).
+
+    Refused as `circuit_state` is, the result having two legs per wire.
+    """
+    check_rank(2 * circuit.width, f"a {circuit.width}-wire operator")
     stripped = Circuit(circuit.width, circuit.ops, None)
     return compile_circuit(stripped).contract()

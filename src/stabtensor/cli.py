@@ -17,9 +17,9 @@ from typing import Iterator
 import numpy as np
 
 from stabtensor import boolfn, oracles, relations
-from stabtensor.circuits import CircuitParseError, circuit_state, parse_circuit
+from stabtensor.circuits import circuit_state, parse_circuit
 from stabtensor.generators import copy_tensor
-from stabtensor.tensor import DEFAULT_TOL, MAX_RANK, Tensor
+from stabtensor.tensor import DEFAULT_TOL, RankBudgetError, Tensor
 
 ENV_TOL = "STABTENSOR_TOL"
 
@@ -124,30 +124,36 @@ def _write_lines(head: str, lines: Iterator[str]) -> None:
         text = "".join(itertools.islice(lines, WRITE_BLOCK))
 
 
-def cmd_simulate(args) -> int:
-    tol = _resolve_tol(args.tol)
+def _load(path: str, parse):
+    """parse(the UTF-8 text of `path`), or None after one error line on stderr."""
     try:
-        with open(args.circuit, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return None
     try:
-        circuit = parse_circuit(text)
-    except CircuitParseError as exc:
+        return parse(text)
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if circuit.width + 1 > MAX_RANK:
-        print(f"error: simulating {circuit.width} wires needs a rank-"
-              f"{circuit.width + 1} intermediate; the rank budget is "
-              f"{MAX_RANK}", file=sys.stderr)
+        return None
+
+
+def cmd_simulate(args) -> int:
+    tol = _resolve_tol(args.tol)
+    circuit = _load(args.circuit, parse_circuit)
+    if circuit is None:
         return EXIT_INPUT_ERROR
     if args.crosscheck and circuit.width > oracles.MAX_DENSE_WIDTH:
         print(f"error: --crosscheck needs the dense oracle, which is limited "
               f"to {oracles.MAX_DENSE_WIDTH} wires; the circuit has "
               f"{circuit.width}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    state = circuit_state(circuit)
+    try:
+        state = circuit_state(circuit)
+    except RankBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     n = circuit.width
     if args.format == "records":
         _write_lines(f"state wires={n}\n", (
@@ -181,16 +187,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    try:
-        with open(args.table, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        table = boolfn.parse_truth_table(text)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    table = _load(args.table, boolfn.parse_truth_table)
+    if table is None:
         return EXIT_INPUT_ERROR
     ds = boolfn.delta_entropy(table)
     gap = boolfn.output_entropy_gap(table)

@@ -30,6 +30,12 @@ class RankBudgetError(ValueError):
     """A contraction would build a tensor of rank above MAX_RANK."""
 
 
+def check_rank(rank: int, what: str) -> None:
+    """Raise RankBudgetError if `what`, of rank `rank`, exceeds MAX_RANK."""
+    if rank > MAX_RANK:
+        raise RankBudgetError(f"{what} has rank {rank}; the rank budget is {MAX_RANK}")
+
+
 class Tensor:
     """Immutable dense tensor; every leg has dimension 2."""
 
@@ -139,10 +145,7 @@ def contract_pair(
     free_a = [p for p in range(a.rank) if p not in legs_a]
     free_b = [p for p in range(b.rank) if p not in legs_b]
     out_rank = len(free_a) + len(free_b)
-    if out_rank > MAX_RANK:
-        raise RankBudgetError(
-            f"contraction result has rank {out_rank}, above the budget {MAX_RANK}"
-        )
+    check_rank(out_rank, "contraction result")
     # np.tensordot's own steps, without its generic argument handling:
     # summed legs last in a and first in b, both flattened to 2-D, one dot.
     summed = 1 << len(legs_a)
@@ -206,6 +209,24 @@ class LegBinding(NamedTuple):
     leg_b: int
 
 
+class PlanStep(NamedTuple):
+    """One step of a contraction plan; cluster k starts as the k-th node.
+
+    merge: contract legs_a of cluster a with legs_b of cluster b (no legs
+    for an outer product) into cluster min(a, b).  trace: sum leg legs_a[0]
+    of cluster a against its leg legs_a[1].  permute: move leg k of
+    cluster a to position legs_a[k], giving the result.  unit: the scalar
+    1, the result of a network without nodes.  rank is the result's rank.
+    """
+
+    kind: str
+    rank: int
+    a: int = -1
+    b: int = -1
+    legs_a: tuple[int, ...] = ()
+    legs_b: tuple[int, ...] = ()
+
+
 def _as_binding(bond) -> LegBinding:
     if isinstance(bond, LegBinding):
         return bond
@@ -260,23 +281,29 @@ class TensorNetwork:
                 if (node, leg) not in seen:
                     raise ValueError(f"dangling leg ({node!r}, {leg})")
 
-    def contract(self, order: Sequence[int] | None = None) -> Tensor:
-        """Contract every bond and return the open legs in declared order.
+    def plan(self, order: Sequence[int] | None = None) -> list[PlanStep]:
+        """The steps `contract` runs, decided on leg positions alone.
 
         Bonds are taken in declared order, or in `order` (a permutation of
         bond indices) when given.  A bond between two clusters merges them
-        over every bond they share in one `contract_pair` call, so a bond
-        left inside one cluster is a node bonded to itself, and is traced.
-        Compiled circuits declare their bonds in gate order, which bounds
-        the peak intermediate rank by the circuit width n: at most
-        max(n + 1, 4) for a state and 2n for an operator.  The result is
-        order-independent up to floating-point rounding.
+        over every bond they share in one step, so a bond left inside one
+        cluster is a node bonded to itself, and is traced.  Clusters still
+        apart at the end are outer-producted in first-seen node order, and
+        the last step puts the open legs in declared order.  Raises
+        RankBudgetError at the first step whose result rank would exceed
+        MAX_RANK, before any tensor is touched.  Compiled circuits declare
+        their bonds in gate order, which keeps the peak within
+        max(n + 1, 4) for an n-wire state and 2n for an operator.
         """
         if order is None:
             order = range(len(self.bonds))
         elif sorted(order) != list(range(len(self.bonds))):
             raise ValueError("order must be a permutation of the bond indices")
+        # The result has one leg per open leg, and so does the widest outer
+        # product; a trace only shrinks its cluster.  Merges are checked below.
+        check_rank(len(self.open_legs), "the network's result")
 
+        steps: list[PlanStep] = []
         # Every live leg -> the leg it is bonded to (None for an open leg).
         # Summed legs are dropped.
         partner: dict[tuple[Hashable, int], tuple[Hashable, int] | None]
@@ -285,14 +312,12 @@ class TensorNetwork:
             partner[bond.node_a, bond.leg_a] = (bond.node_b, bond.leg_b)
             partner[bond.node_b, bond.leg_b] = (bond.node_a, bond.leg_a)
 
-        # cluster id -> (tensor, provenance of each leg as (node, leg)).  A
-        # merged cluster keeps the smaller id, so ids ascend in first-seen
-        # node order.  owner stays current only for nodes with live legs.
-        tensors: dict[int, Tensor] = {}
+        # cluster id -> provenance of each leg as (node, leg).  A merged
+        # cluster keeps the smaller id, so ids ascend in first-seen node
+        # order.  owner stays current only for nodes with live legs.
         legmaps: dict[int, list[tuple[Hashable, int]]] = {}
         owner: dict[Hashable, int] = {}
         for cid, (node, tensor) in enumerate(self.nodes.items()):
-            tensors[cid] = tensor
             legmaps[cid] = [(node, leg) for leg in range(tensor.rank)]
             owner[node] = cid
 
@@ -304,39 +329,56 @@ class TensorNetwork:
             ca, cb = owner[bond.node_a], owner[bond.node_b]
             legs_a = legmaps[ca]
             if ca == cb:
-                traced = np.trace(
-                    tensors[ca].array,
-                    axis1=legs_a.index(ref_a),
-                    axis2=legs_a.index(ref_b),
-                )
                 del partner[ref_a], partner[ref_b]
-                tensors[ca] = Tensor(tensors[ca].rank - 2, traced)
                 legmaps[ca] = [ref for ref in legs_a if ref in partner]
+                axes = (legs_a.index(ref_a), legs_a.index(ref_b))
+                steps.append(PlanStep("trace", len(legmaps[ca]), ca, legs_a=axes))
                 continue
-            pos_b = {ref: k for k, ref in enumerate(legmaps[cb])}
-            shared_a, shared_b = zip(*(
-                (k, pos_b[partner[ref]])
-                for k, ref in enumerate(legs_a)
-                if partner[ref] in pos_b
+            # Every leg of cb bonded into ca, ordered by its partner's
+            # position in ca.
+            shared_a, shared_b = zip(*sorted(
+                (legs_a.index(partner[ref]), k)
+                for k, ref in enumerate(legmaps[cb])
+                if partner[ref] is not None and owner[partner[ref][0]] == ca
             ))
             for k in shared_a:
                 del partner[partner.pop(legs_a[k])]
-            merged = contract_pair(tensors[ca], shared_a, tensors[cb], shared_b)
             keep, gone = min(ca, cb), max(ca, cb)
             for node, _ in legmaps[gone]:
                 owner[node] = keep
-            legmaps[keep] = [ref for ref in legs_a + legmaps[cb] if ref in partner]
-            tensors[keep] = merged
-            del tensors[gone], legmaps[gone]
+            merged = [ref for ref in legs_a + legmaps[cb] if ref in partner]
+            check_rank(len(merged), "a merge in the contraction plan")
+            del legmaps[gone]
+            legmaps[keep] = merged
+            steps.append(PlanStep("merge", len(merged), ca, cb, shared_a, shared_b))
 
-        # Outer-product the disconnected clusters in first-seen node order.
-        result: Tensor | None = None
-        result_legs: list[tuple[Hashable, int]] = []
-        for cid, tensor in tensors.items():
-            result = tensor if result is None else contract_pair(result, (), tensor, ())
+        if not legmaps:
+            return [PlanStep("unit", 0)]
+        first, *rest = legmaps
+        result_legs = legmaps[first]
+        for cid in rest:
             result_legs += legmaps[cid]
-        if result is None:
-            return Tensor(0, (1,))
+            steps.append(PlanStep("merge", len(result_legs), first, cid))
+        perm = tuple(self.open_legs.index(ref) for ref in result_legs)
+        steps.append(PlanStep("permute", len(perm), first, legs_a=perm))
+        return steps
 
-        perm = [self.open_legs.index(ref) for ref in result_legs]
-        return permute_legs(result, perm)
+    def contract(self, order: Sequence[int] | None = None) -> Tensor:
+        """Run `plan(order)` and return the open legs in declared order.
+
+        Nothing is contracted if the plan exceeds the rank budget.  The
+        result is order-independent up to floating-point rounding.
+        """
+        *body, last = self.plan(order)
+        tensors: list[Tensor | None] = list(self.nodes.values())
+        for kind, rank, a, b, legs_a, legs_b in body:
+            if kind == "merge":
+                merged = contract_pair(tensors[a], legs_a, tensors[b], legs_b)
+                tensors[max(a, b)] = None  # absorbed: released right away
+                tensors[min(a, b)] = merged
+            else:  # "trace"
+                traced = np.trace(tensors[a].array, axis1=legs_a[0], axis2=legs_a[1])
+                tensors[a] = Tensor(rank, traced)
+        if last.kind == "unit":
+            return Tensor(0, (1,))
+        return permute_legs(tensors[last.a], last.legs_a)

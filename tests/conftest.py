@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from stabtensor import tensor
 from stabtensor.tensor import Tensor
 
 
@@ -10,3 +12,34 @@ def to_np(t: Tensor) -> np.ndarray:
 def random_tensor(rng, rank: int) -> Tensor:
     data = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1 << rank)]
     return Tensor(rank, data)
+
+
+def observed_ranks(net, order=None) -> tuple[list[int], list[int]]:
+    """Contract `net`; return the rank of each contract_pair result and the
+    rank of every tensor the contraction built, both in the order built."""
+    merged, built = [], []
+    pair, init = tensor.contract_pair, Tensor.__init__
+
+    def recording_pair(*args):
+        out = pair(*args)
+        merged.append(out.rank)
+        return out
+
+    def recording_init(self, rank, data):
+        built.append(rank)
+        init(self, rank, data)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "contract_pair", recording_pair)
+        mp.setattr(Tensor, "__init__", recording_init)
+        net.contract(order)
+    return merged, built
+
+
+def assert_plan_is_observed(net, order=None) -> None:
+    """Each plan step builds one tensor of the step's rank, in plan order,
+    so the plan's peak is the largest rank the contraction builds."""
+    steps = net.plan(order)
+    merged, built = observed_ranks(net, order)
+    assert built == [s.rank for s in steps]
+    assert merged == [s.rank for s in steps if s.kind == "merge"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stabtensor import generators as gen
-from stabtensor import oracles, tensor
+from stabtensor import circuits, oracles, tensor
 from stabtensor.circuits import (
     Circuit,
     CircuitParseError,
@@ -20,8 +20,8 @@ from stabtensor.circuits import (
     feynman_gate_network,
     parse_circuit,
 )
-from stabtensor.tensor import max_abs_diff, permute_legs
-from tests.conftest import to_np
+from stabtensor.tensor import RankBudgetError, max_abs_diff, permute_legs
+from tests.conftest import assert_plan_is_observed, to_np
 
 
 class TestParsing:
@@ -221,6 +221,17 @@ class TestContractionWidth:
         assert delta <= 1e-10 and scale > 0
 
     @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("width,depth,state", [
+        (8, 100, True), (10, 100, True), (12, 400, True),
+        (4, 60, False), (5, 60, False), (6, 60, False),
+    ])
+    def test_plan_is_what_contract_builds(self, width, depth, state, seed):
+        """The state and operator grids above, planned and then contracted."""
+        circ = oracles.random_clifford_circuit(width, depth, seed)
+        inputs = "0" * width if state else None
+        assert_plan_is_observed(compile_circuit(Circuit(width, circ.ops, inputs)))
+
+    @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("width", [4, 5, 6])
     def test_operator_peak_rank_and_dense_agreement(self, peak_rank, width, seed):
         circ = oracles.random_clifford_circuit(width, 60, seed)
@@ -230,3 +241,53 @@ class TestContractionWidth:
             basis = Circuit(width, circ.ops, format(col, f"0{width}b"))
             want = oracles.dense_simulate(basis).amplitudes
             np.testing.assert_allclose(u[:, col], want, atol=1e-10)
+
+
+@pytest.fixture()
+def pair_calls(monkeypatch):
+    """Count contract_pair calls in the test."""
+    calls = []
+    original = tensor.contract_pair
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tensor, "contract_pair", counting)
+    return calls
+
+
+def _all_h(width, ops=()):
+    return Circuit(width, tuple(GateApp("H", (w,)) for w in range(width)) + ops, "0" * width)
+
+
+class TestRankBudget:
+    """A contraction over the rank budget fails before its first merge."""
+
+    def test_wide_operator_is_refused(self, pair_calls):
+        circ = Circuit(13, oracles.random_clifford_circuit(13, 20, 0).ops)
+        with pytest.raises(RankBudgetError, match="rank 26; the rank budget is 24"):
+            compile_circuit(circ).plan()
+        with pytest.raises(RankBudgetError, match="the rank budget is 24"):
+            circuit_unitary(circ)
+        assert pair_calls == []
+
+    def test_result_over_budget_is_refused_before_compiling(self, pair_calls, monkeypatch):
+        monkeypatch.setattr(circuits, "compile_circuit", None)
+        with pytest.raises(RankBudgetError, match="25-wire state has rank 25"):
+            circuit_state(Circuit(25, (GateApp("H", (0,)),)))
+        with pytest.raises(RankBudgetError, match="13-wire operator has rank 26"):
+            circuit_unitary(Circuit(13))
+        assert pair_calls == []
+
+    def test_cn_ladder_peaking_above_budget_is_refused(self, pair_calls):
+        ladder = _all_h(24, tuple(GateApp("CN", (w, w + 1)) for w in range(23)))
+        with pytest.raises(RankBudgetError, match="rank 25; the rank budget is 24"):
+            compile_circuit(ladder).plan()
+        with pytest.raises(RankBudgetError, match="the rank budget is 24"):
+            circuit_state(ladder)
+        assert pair_calls == []
+
+    def test_all_h_state_at_the_budget_is_planned(self):
+        steps = compile_circuit(_all_h(24)).plan()
+        assert max(step.rank for step in steps) == 24

@@ -5,11 +5,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from stabtensor import cli, oracles
+from stabtensor import circuits, cli, oracles
 from stabtensor.circuits import Circuit, circuit_state
 from stabtensor.tensor import MAX_RANK, Tensor
 
@@ -191,6 +192,31 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert f"rank budget is {MAX_RANK}" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_huge_width_is_refused_at_once(self, tmp_path, capsys, monkeypatch):
+        # Compiling 10**8 wires would exhaust memory: fail the test instead.
+        monkeypatch.setattr(circuits, "compile_circuit", lambda circuit: pytest.fail("compiled"))
+        path = tmp_path / "huge.circ"
+        path.write_text("wires 100000000\nH 0\n")
+        start = time.perf_counter()
+        assert cli.main(["--format", "records", "simulate", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_plan_over_budget_exits_2(self, tmp_path, capsys):
+        # 24 wires fit as a result; the CN ladder's plan peaks at rank 25.
+        ops = [f"H {w}" for w in range(24)] + [f"CN {w} {w + 1}" for w in range(23)]
+        path = tmp_path / "ladder.circ"
+        path.write_text("\n".join(["wires 24", *ops]) + "\n")
+        assert cli.main(["--format", "records", "simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "rank 25; the rank budget is 24" in captured.err
         assert len(captured.err.splitlines()) == 1
 
     def test_crosscheck_beyond_dense_limit_exits_2(self, tmp_path, capsys):

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabtensor import generators as gen
+from stabtensor import tensor
 from stabtensor.circuits import Circuit, GateApp, compile_circuit, feynman_gate_network
 from stabtensor.tensor import (
     MAX_RANK,
+    PlanStep,
     RankBudgetError,
     Tensor,
     TensorNetwork,
@@ -23,7 +25,7 @@ from stabtensor.tensor import (
     permute_legs,
     tensor_from_fn,
 )
-from tests.conftest import random_tensor, to_np
+from tests.conftest import assert_plan_is_observed, random_tensor, to_np
 
 
 class TestConstruction:
@@ -356,3 +358,60 @@ def test_contraction_order_independence(name):
         rng.shuffle(order)
         shuffled = net.contract(order=order)
         assert max_abs_diff(shuffled, reference) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["feynman", "bell", "ghz", "hopf", "loop"])
+def test_plan_is_what_contract_builds_under_every_order(name):
+    net = _corpus()[name]
+    for order in itertools.permutations(range(len(net.bonds))):
+        assert_plan_is_observed(net, order)
+
+
+def _chain_network(length):
+    """Copy tensors in a chain, each with a |0> on its middle leg; the chain
+    bonds are declared first, the |0> bonds last.  Open legs: the ends."""
+    nodes, bonds = {}, []
+    for k in range(length):
+        nodes[f"m{k}"], nodes[f"e{k}"] = gen.copy_tensor(), gen.ket_zero()
+        if k:
+            bonds.append(((f"m{k - 1}", 2), (f"m{k}", 0)))
+    bonds += [((f"m{k}", 1), (f"e{k}", 0)) for k in range(length)]
+    return TensorNetwork(nodes, bonds, [("m0", 0), (f"m{length - 1}", 2)])
+
+
+class TestPlan:
+    def test_steps_of_the_feynman_network(self):
+        assert feynman_gate_network().plan() == [
+            PlanStep("merge", 4, 0, 1, (2,), (2,)),
+            PlanStep("permute", 4, 0, legs_a=(0, 2, 3, 1)),
+        ]
+
+    def test_network_without_nodes_is_the_unit(self):
+        net = TensorNetwork({}, [], [])
+        assert net.plan() == [PlanStep("unit", 0)]
+        assert net.contract().data == (1,)
+
+    def test_bad_order_rejected(self):
+        with pytest.raises(ValueError, match="permutation"):
+            feynman_gate_network().plan(order=[0, 0])
+
+    @pytest.mark.parametrize("net,message", [
+        # The chain first holds both ends and all 23 middle legs.
+        (_chain_network(23), "merge in the contraction plan has rank 25"),
+        (TensorNetwork({k: gen.ket_zero() for k in range(25)}, [], [(k, 0) for k in range(25)]),
+         "the network's result has rank 25"),
+    ], ids=["chain", "25-kets"])
+    def test_plan_over_budget_is_refused_before_any_merge(self, net, message, monkeypatch):
+        with pytest.raises(RankBudgetError, match=f"{message}; the rank budget is 24"):
+            net.plan()
+        calls = []
+        monkeypatch.setattr(tensor, "contract_pair", lambda *args: calls.append(args))
+        with pytest.raises(RankBudgetError, match="the rank budget is 24"):
+            net.contract()
+        assert calls == []
+
+    def test_same_network_fits_with_the_kets_first(self):
+        net = _chain_network(23)
+        kets_first = list(range(22, 45)) + list(range(22))
+        assert max(step.rank for step in net.plan(kets_first)) == 2
+        assert net.contract(kets_first).data == (1, 0, 0, 0)
