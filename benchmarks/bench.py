@@ -1,0 +1,160 @@
+"""Fixed-grid benchmark of the contraction engine, written as one JSON file.
+
+    python3 benchmarks/bench.py OUT.json
+
+Run from the root of a checkout; stabtensor is imported from its ``src``.
+Uses the standard library and numpy only, and one BLAS thread.
+
+Each circuit row times ``compile_circuit``, ``TensorNetwork.plan`` and
+``TensorNetwork.contract`` (which runs its own plan) separately, each the
+fastest of ``REPEATS`` runs, and reads from the plan its merges, its peak
+rank and its FLOPs.  A merge of ranks ra and rb over k leg pairs costs
+2**(ra + rb - k) complex multiply-adds, the figure perfbench reports as
+``tensor.contract_pair.flops``; traces and the final permutation are not
+counted.  The relation-suite row times ``stabtensor verify``'s reports and
+sums the same plan figures over every network the suite contracts.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+if __name__ == "__main__":  # before numpy loads its BLAS
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from stabtensor import cli, oracles  # noqa: E402
+from stabtensor.circuits import Circuit, GateApp, compile_circuit  # noqa: E402
+from stabtensor.tensor import DEFAULT_TOL, TensorNetwork  # noqa: E402
+
+REPEATS = 3
+
+# (width, depth, seeds) of the random Clifford circuits, all from |0...0>.
+RANDOM_GRID = (
+    (6, 50, (0, 1, 2)),
+    (8, 100, (0, 1, 2)),
+    (12, 400, (0, 1, 2)),
+    (16, 400, (0, 1, 2)),
+    (20, 400, (0,)),
+)
+LADDER_WIDTH = 14
+
+
+def plan_figures(net: TensorNetwork, steps) -> dict:
+    """Merges, peak rank and merge FLOPs of `steps`, a plan of `net`."""
+    ranks = [t.rank for t in net.nodes.values()]
+    merges = flops = 0
+    for step in steps:
+        if step.kind == "merge":
+            merges += 1
+            flops += 1 << (ranks[step.a] + ranks[step.b] - len(step.legs_a))
+            ranks[min(step.a, step.b)] = step.rank
+        elif step.kind == "trace":
+            ranks[step.a] = step.rank
+    return {"merges": merges, "peak_rank": max(s.rank for s in steps), "flops": flops}
+
+
+def fastest(fn) -> tuple[float, object]:
+    """The shortest of REPEATS timed calls of fn, and fn's last result."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def circuit_row(name: str, circuit: Circuit) -> dict:
+    compile_s, net = fastest(lambda: compile_circuit(circuit))
+    plan_s, steps = fastest(net.plan)
+    contract_s, _ = fastest(net.contract)
+    return {
+        "name": name,
+        "width": circuit.width,
+        "depth": len(circuit.ops),
+        "compile_s": compile_s,
+        "plan_s": plan_s,
+        "contract_s": contract_s,
+        **plan_figures(net, steps),
+    }
+
+
+def cn_ladder(width: int) -> Circuit:
+    """H on every wire, then CN from each wire to the next."""
+    ops = [GateApp("H", (w,)) for w in range(width)]
+    ops += [GateApp("CN", (w, w + 1)) for w in range(width - 1)]
+    return Circuit(width, tuple(ops), "0" * width)
+
+
+def relation_suite_row() -> dict:
+    suite_s, reports = fastest(lambda: cli.verification_reports(DEFAULT_TOL))
+    figures = {"merges": 0, "peak_rank": 0, "flops": 0}
+    networks = 0
+    plan = TensorNetwork.plan
+
+    def recording_plan(self, order=None):
+        nonlocal networks
+        steps = plan(self, order)
+        networks += 1
+        one = plan_figures(self, steps)
+        figures["merges"] += one["merges"]
+        figures["flops"] += one["flops"]
+        figures["peak_rank"] = max(figures["peak_rank"], one["peak_rank"])
+        return steps
+
+    TensorNetwork.plan = recording_plan
+    try:
+        cli.verification_reports(DEFAULT_TOL)
+    finally:
+        TensorNetwork.plan = plan
+    return {"name": "relation-suite", "suite_s": suite_s, "reports": len(reports),
+            "networks": networks, **figures}
+
+
+def environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "repeats": REPEATS,
+    }
+
+
+def rows():
+    for width, depth, seeds in RANDOM_GRID:
+        for seed in seeds:
+            circuit = oracles.random_clifford_circuit(width, depth, seed)
+            yield circuit_row(f"random-{width}x{depth}-s{seed}", circuit)
+    yield circuit_row(f"cn-ladder-{LADDER_WIDTH}", cn_ladder(LADDER_WIDTH))
+    yield relation_suite_row()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python3 benchmarks/bench.py OUT.json", file=sys.stderr)
+        return 2
+    result = {"env": environment(), "rows": []}
+    for row in rows():
+        result["rows"].append(row)
+        print(" ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
+                       for k, v in row.items()), flush=True)
+    Path(argv[0]).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from stabtensor import generators as gen
-from stabtensor.tensor import Tensor, TensorNetwork, check_rank, contract_pair
+from stabtensor.tensor import LegBinding, Tensor, TensorNetwork, check_rank, contract_pair
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
 
@@ -170,7 +170,7 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     (out_0..out_{n-1}, in_0..in_{n-1}).
     """
     nodes: dict[str, Tensor] = {}
-    bonds: list = []
+    bonds: list[LegBinding] = []
     # the dangling output end of each wire
     cur: list[tuple[str, int]] = []
     in_legs: list[tuple[str, int]] = []
@@ -184,7 +184,7 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
         return name
 
     def apply_map(w: int, name: str, in_leg: int, out_leg: int) -> None:
-        bonds.append((cur[w], (name, in_leg)))
+        bonds.append(LegBinding(*cur[w], name, in_leg))
         cur[w] = (name, out_leg)
 
     if circuit.input is not None:
@@ -204,13 +204,13 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
         if op.gate == "CN":
             d = add("copy", generator("copy"))
             x = add("xor", generator("xor"))
-            bonds.append(((d, 2), (x, 2)))
+            bonds.append(LegBinding(d, 2, x, 2))
             apply_map(w, d, 0, 1)  # control
             apply_map(op.wires[1], x, 1, 0)  # target
         elif op.gate == "NOT":
             x = add("xor", generator("xor"))
             one = add("one", generator("ket1"))
-            bonds.append(((one, 0), (x, 2)))
+            bonds.append(LegBinding(one, 0, x, 2))
             apply_map(w, x, 1, 0)
         else:
             for step in SINGLE_WIRE_STEPS[op.gate]:
@@ -219,7 +219,7 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
                 else:
                     d = add("copy", generator("copy"))
                     t = add(f"t{step}", generator(f"t{step}"))
-                    bonds.append(((t, 0), (d, 0)))
+                    bonds.append(LegBinding(t, 0, d, 0))
                     apply_map(w, d, 2, 1)
 
     return TensorNetwork(nodes, bonds, list(cur) + in_legs)

@@ -13,6 +13,7 @@ disjoint networks may be contracted in parallel.
 from __future__ import annotations
 
 import operator
+from functools import partial
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +38,13 @@ def check_rank(rank: int, what: str) -> None:
 
 
 class Tensor:
-    """Immutable dense tensor; every leg has dimension 2."""
+    """Immutable dense tensor; every leg has dimension 2.
+
+    The constructor copies `data` into a new array, so later writes by the
+    caller cannot reach the tensor.  Results of `contract_pair` skip that
+    copy: the kernel's fresh output array is wrapped as it is, with the
+    same finiteness check and read-only flag.
+    """
 
     __slots__ = ("_rank", "_array")
 
@@ -52,12 +59,7 @@ class Tensor:
             raise ValueError(
                 f"rank-{rank} tensor needs {1 << rank} entries, got {arr.size}"
             )
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise ValueError(f"non-finite amplitude {arr[~finite][0].item()!r}")
-        arr.flags.writeable = False
-        self._rank = rank
-        self._array = arr.reshape((2,) * rank)
+        _own(self, rank, arr)
 
     @property
     def rank(self) -> int:
@@ -105,6 +107,27 @@ class Tensor:
         return f"Tensor(rank={self._rank}, <{self._array.size} entries>)"
 
 
+def _own(t: Tensor, rank: int, arr: np.ndarray) -> None:
+    """Make `arr`, a C-ordered complex128 array of 2**rank entries, t's storage.
+
+    Rejects non-finite entries, then marks `arr` read-only.  `arr` must be
+    new: no other reference may write to it later.
+    """
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) != arr.size:
+        raise ValueError(f"non-finite amplitude {arr[~finite][0].item()!r}")
+    arr.flags.writeable = False
+    t._rank = rank
+    t._array = arr.reshape((2,) * rank)
+
+
+def _wrap_result(rank: int, arr: np.ndarray) -> Tensor:
+    """The tensor over a kernel's fresh output `arr`, without a copy."""
+    t = object.__new__(Tensor)
+    _own(t, rank, arr)
+    return t
+
+
 def tensor_from_fn(rank: int, fn: Callable[..., complex]) -> Tensor:
     """Build a tensor by evaluating fn on every index tuple over {0,1}."""
     if rank < 0:
@@ -134,24 +157,28 @@ def contract_pair(
     Surviving legs of a precede surviving legs of b, each group keeping its
     original order.  Zero pairs gives the outer product.  Raises
     RankBudgetError, before allocating, if the result's rank exceeds
-    MAX_RANK.
+    MAX_RANK.  The result wraps the kernel's own output array, uncopied.
     """
     if len(legs_a) != len(legs_b):
         raise ValueError(
             f"leg lists differ in length: {len(legs_a)} vs {len(legs_b)}"
         )
-    _check_legs(legs_a, a.rank, "first")
-    _check_legs(legs_b, b.rank, "second")
-    free_a = [p for p in range(a.rank) if p not in legs_a]
-    free_b = [p for p in range(b.rank) if p not in legs_b]
+    rank_a, rank_b = a._rank, b._rank
+    free_a = [p for p in range(rank_a) if p not in legs_a]
+    free_b = [p for p in range(rank_b) if p not in legs_b]
+    # Each side's legs are distinct and in range exactly when they and its
+    # free legs add up to its rank; otherwise find the offending leg.
+    if len(free_a) + len(legs_a) != rank_a or len(free_b) + len(legs_b) != rank_b:
+        _check_legs(legs_a, rank_a, "first")
+        _check_legs(legs_b, rank_b, "second")
     out_rank = len(free_a) + len(free_b)
     check_rank(out_rank, "contraction result")
     # np.tensordot's own steps, without its generic argument handling:
     # summed legs last in a and first in b, both flattened to 2-D, one dot.
     summed = 1 << len(legs_a)
-    mat_a = a.array.transpose(free_a + list(legs_a)).reshape(-1, summed)
-    mat_b = b.array.transpose(list(legs_b) + free_b).reshape(summed, -1)
-    return Tensor(out_rank, np.dot(mat_a, mat_b))
+    mat_a = a._array.transpose((*free_a, *legs_a)).reshape(-1, summed)
+    mat_b = b._array.transpose((*legs_b, *free_b)).reshape(summed, -1)
+    return _wrap_result(out_rank, np.dot(mat_a, mat_b))
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
@@ -227,6 +254,14 @@ class PlanStep(NamedTuple):
     legs_b: tuple[int, ...] = ()
 
 
+# A PlanStep from a tuple of all six fields, without NamedTuple's
+# per-call argument handling.
+_new_step = partial(tuple.__new__, PlanStep)
+
+# Partner markers in TensorNetwork.plan; real partners are leg ids >= 0.
+_OPEN, _SUMMED = -1, -2
+
+
 def _as_binding(bond) -> LegBinding:
     if isinstance(bond, LegBinding):
         return bond
@@ -251,11 +286,18 @@ class TensorNetwork:
         open_legs: Sequence[tuple[Hashable, int]],
     ):
         self.nodes = dict(nodes)
-        self.bonds = tuple(_as_binding(b) for b in bonds)
+        self.bonds = tuple(map(_as_binding, bonds))
         self.open_legs = tuple((n, int(l)) for n, l in open_legs)
         self._validate()
 
     def _validate(self) -> None:
+        claims = [(bond.node_a, bond.leg_a) for bond in self.bonds]
+        claims += [(bond.node_b, bond.leg_b) for bond in self.bonds]
+        claims += self.open_legs
+        legs = {(node, leg) for node, t in self.nodes.items() for leg in range(t._rank)}
+        # As many claims as legs, covering every leg: each is claimed once.
+        if len(claims) == len(legs) and legs == set(claims):
+            return
         seen: set[tuple[Hashable, int]] = set()
 
         def claim(node, leg, what):
@@ -294,6 +336,10 @@ class TensorNetwork:
         MAX_RANK, before any tensor is touched.  Compiled circuits declare
         their bonds in gate order, which keeps the peak within
         max(n + 1, 4) for an n-wire state and 2n for an operator.
+
+        Legs are numbered node by node (leg k of the i-th node is the sum
+        of the earlier nodes' ranks plus k), so the walk runs on lists of
+        ints.
         """
         if order is None:
             order = range(len(self.bonds))
@@ -303,64 +349,70 @@ class TensorNetwork:
         # product; a trace only shrinks its cluster.  Merges are checked below.
         check_rank(len(self.open_legs), "the network's result")
 
-        steps: list[PlanStep] = []
-        # Every live leg -> the leg it is bonded to (None for an open leg).
-        # Summed legs are dropped.
-        partner: dict[tuple[Hashable, int], tuple[Hashable, int] | None]
-        partner = dict.fromkeys(self.open_legs)
-        for bond in self.bonds:
-            partner[bond.node_a, bond.leg_a] = (bond.node_b, bond.leg_b)
-            partner[bond.node_b, bond.leg_b] = (bond.node_a, bond.leg_a)
-
-        # cluster id -> provenance of each leg as (node, leg).  A merged
-        # cluster keeps the smaller id, so ids ascend in first-seen node
-        # order.  owner stays current only for nodes with live legs.
-        legmaps: dict[int, list[tuple[Hashable, int]]] = {}
-        owner: dict[Hashable, int] = {}
+        # Cluster k starts as node k with its legs; a merged cluster keeps
+        # the smaller id, so ids ascend in first-seen node order.  owner
+        # maps each leg to its cluster and stays current for live legs.
+        first_leg: dict[Hashable, int] = {}
+        clusters: list[list[int] | None] = []
+        owner: list[int] = []
         for cid, (node, tensor) in enumerate(self.nodes.items()):
-            legmaps[cid] = [(node, leg) for leg in range(tensor.rank)]
-            owner[node] = cid
+            first_leg[node] = len(owner)
+            clusters.append(list(range(len(owner), len(owner) + tensor._rank)))
+            owner += [cid] * tensor._rank
+        # Each leg's partner: the leg it is bonded to, _OPEN, or _SUMMED
+        # once its bond has been contracted.
+        partner = [_OPEN] * len(owner)
+        ends = []
+        for bond in self.bonds:
+            x = first_leg[bond.node_a] + bond.leg_a
+            y = first_leg[bond.node_b] + bond.leg_b
+            partner[x], partner[y] = y, x
+            ends.append((x, y))
 
+        steps: list[PlanStep] = []
         for idx in order:
-            bond = self.bonds[idx]
-            ref_a, ref_b = (bond.node_a, bond.leg_a), (bond.node_b, bond.leg_b)
-            if ref_a not in partner:
+            x, y = ends[idx]
+            if partner[x] == _SUMMED:
                 continue  # summed when its two clusters merged
-            ca, cb = owner[bond.node_a], owner[bond.node_b]
-            legs_a = legmaps[ca]
+            ca, cb = owner[x], owner[y]
+            legs_a = clusters[ca]
             if ca == cb:
-                del partner[ref_a], partner[ref_b]
-                legmaps[ca] = [ref for ref in legs_a if ref in partner]
-                axes = (legs_a.index(ref_a), legs_a.index(ref_b))
-                steps.append(PlanStep("trace", len(legmaps[ca]), ca, legs_a=axes))
+                partner[x] = partner[y] = _SUMMED
+                axes = (legs_a.index(x), legs_a.index(y))
+                legs_a = clusters[ca] = [z for z in legs_a if z != x and z != y]
+                steps.append(_new_step(("trace", len(legs_a), ca, -1, axes, ())))
                 continue
+            legs_b = clusters[cb]
             # Every leg of cb bonded into ca, ordered by its partner's
             # position in ca.
-            shared_a, shared_b = zip(*sorted(
-                (legs_a.index(partner[ref]), k)
-                for k, ref in enumerate(legmaps[cb])
-                if partner[ref] is not None and owner[partner[ref][0]] == ca
-            ))
-            for k in shared_a:
-                del partner[partner.pop(legs_a[k])]
-            keep, gone = min(ca, cb), max(ca, cb)
-            for node, _ in legmaps[gone]:
-                owner[node] = keep
-            merged = [ref for ref in legs_a + legmaps[cb] if ref in partner]
+            shared_a, shared_b = zip(*sorted([
+                (legs_a.index(p), k)
+                for k, z in enumerate(legs_b)
+                if (p := partner[z]) >= 0 and owner[p] == ca
+            ]))
+            for k in shared_b:
+                z = legs_b[k]
+                partner[partner[z]] = partner[z] = _SUMMED
+            keep, gone = (ca, cb) if ca < cb else (cb, ca)
+            for z in clusters[gone]:
+                owner[z] = keep
+            merged = [z for z in legs_a + legs_b if partner[z] != _SUMMED]
             check_rank(len(merged), "a merge in the contraction plan")
-            del legmaps[gone]
-            legmaps[keep] = merged
-            steps.append(PlanStep("merge", len(merged), ca, cb, shared_a, shared_b))
+            clusters[gone] = None
+            clusters[keep] = merged
+            steps.append(_new_step(("merge", len(merged), ca, cb, shared_a, shared_b)))
 
-        if not legmaps:
+        live = [cid for cid, legs in enumerate(clusters) if legs is not None]
+        if not live:
             return [PlanStep("unit", 0)]
-        first, *rest = legmaps
-        result_legs = legmaps[first]
+        first, *rest = live
+        result_legs = clusters[first]
         for cid in rest:
-            result_legs += legmaps[cid]
-            steps.append(PlanStep("merge", len(result_legs), first, cid))
-        perm = tuple(self.open_legs.index(ref) for ref in result_legs)
-        steps.append(PlanStep("permute", len(perm), first, legs_a=perm))
+            result_legs += clusters[cid]
+            steps.append(_new_step(("merge", len(result_legs), first, cid, (), ())))
+        slot = {first_leg[node] + leg: k for k, (node, leg) in enumerate(self.open_legs)}
+        perm = tuple(slot[z] for z in result_legs)
+        steps.append(_new_step(("permute", len(perm), first, -1, perm, ())))
         return steps
 
     def contract(self, order: Sequence[int] | None = None) -> Tensor:

@@ -16,9 +16,11 @@ def random_tensor(rng, rank: int) -> Tensor:
 
 def observed_ranks(net, order=None) -> tuple[list[int], list[int]]:
     """Contract `net`; return the rank of each contract_pair result and the
-    rank of every tensor the contraction built, both in the order built."""
+    rank of every tensor the contraction built, both in the order built.
+    A tensor is built by the public constructor or, for a contract_pair
+    result, by the private one that wraps the kernel's output."""
     merged, built = [], []
-    pair, init = tensor.contract_pair, Tensor.__init__
+    pair, init, wrap = tensor.contract_pair, Tensor.__init__, tensor._wrap_result
 
     def recording_pair(*args):
         out = pair(*args)
@@ -29,9 +31,14 @@ def observed_ranks(net, order=None) -> tuple[list[int], list[int]]:
         built.append(rank)
         init(self, rank, data)
 
+    def recording_wrap(rank, arr):
+        built.append(rank)
+        return wrap(rank, arr)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "contract_pair", recording_pair)
         mp.setattr(Tensor, "__init__", recording_init)
+        mp.setattr(tensor, "_wrap_result", recording_wrap)
         net.contract(order)
     return merged, built
 

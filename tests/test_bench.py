@@ -1,0 +1,44 @@
+"""benchmarks/bench.py: the plan figures it reports are the kernel's work."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from stabtensor import oracles, tensor
+from stabtensor.circuits import compile_circuit
+from stabtensor.tensor import TensorNetwork
+
+_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench", _PATH)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+@pytest.mark.parametrize("circuit", [
+    oracles.random_clifford_circuit(5, 40, 3),
+    bench.cn_ladder(6),
+], ids=["random-5x40", "cn-ladder-6"])
+def test_plan_figures_count_the_merges_contract_runs(circuit, monkeypatch):
+    net = compile_circuit(circuit)
+    calls = []
+    pair = tensor.contract_pair
+
+    def recording_pair(a, legs_a, b, legs_b):
+        out = pair(a, legs_a, b, legs_b)
+        calls.append((1 << (a.rank + b.rank - len(legs_a)), max(a.rank, b.rank, out.rank)))
+        return out
+
+    monkeypatch.setattr(tensor, "contract_pair", recording_pair)
+    net.contract()
+    figures = bench.plan_figures(net, net.plan())
+    assert figures["merges"] == len(calls)
+    assert figures["flops"] == sum(flops for flops, _ in calls)
+    assert figures["peak_rank"] == max(rank for _, rank in calls)
+
+
+def test_relation_suite_row_restores_plan():
+    plan = TensorNetwork.plan
+    row = bench.relation_suite_row()
+    assert TensorNetwork.plan is plan
+    assert row["reports"] == 21 and row["networks"] > 0 and row["merges"] > 0

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import string
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ class TestConstruction:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             Tensor(1, (float("nan"), 0))
+
+    @pytest.mark.parametrize("bad", [
+        float("inf"), float("-inf"), complex(0, float("nan")), complex(1, float("-inf")),
+    ], ids=["inf", "-inf", "nan-imag", "-inf-imag"])
+    def test_rejects_every_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="non-finite amplitude"):
+            Tensor(2, (1, 0, bad, 0))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -115,16 +123,40 @@ class TestContractPair:
         assert out.data == (1, 0)
 
     def test_leg_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^first leg 1 out of range for rank 1$"):
             contract_pair(gen.ket_zero(), (1,), gen.ket_zero(), (0,))
+        with pytest.raises(ValueError, match="^second leg -1 out of range for rank 3$"):
+            contract_pair(gen.ket_zero(), (0,), gen.copy_tensor(), (-1,))
+        # The first operand's legs are reported before the second's.
+        with pytest.raises(ValueError, match="^first leg 3 out of range for rank 3$"):
+            contract_pair(gen.copy_tensor(), (0, 3), gen.copy_tensor(), (0, 0))
 
     def test_duplicate_legs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^duplicate first leg 0$"):
             contract_pair(gen.copy_tensor(), (0, 0), Tensor(2, (1, 0, 0, 1)), (0, 1))
+        with pytest.raises(ValueError, match="^duplicate second leg 1$"):
+            contract_pair(gen.copy_tensor(), (0, 2), gen.copy_tensor(), (1, 1))
 
     def test_mismatched_leg_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^leg lists differ in length: 2 vs 1$"):
             contract_pair(gen.copy_tensor(), (0, 1), gen.ket_zero(), (0,))
+
+    def test_overflowing_result_is_rejected(self):
+        big = Tensor(1, (1e308, 1e308))
+        # Finite operands whose sum of products overflows to inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite amplitude"):
+                contract_pair(big, (0,), big, (0,))
+            with pytest.raises(ValueError, match="non-finite amplitude"):
+                contract_pair(big, (), big, ())
+
+    def test_result_is_read_only_and_unshared(self):
+        a, b = gen.hadamard(), gen.copy_tensor()
+        out = contract_pair(a, (1,), b, (0,))
+        with pytest.raises(ValueError):
+            out.array[0, 0, 0] = 5
+        assert not np.shares_memory(out.array, a.array)
+        assert not np.shares_memory(out.array, b.array)
 
     def test_result_above_rank_budget_is_refused(self):
         assert MAX_RANK == 24
@@ -291,20 +323,38 @@ class TestNetworks:
         assert abs(net.contract().item() - (t.data[0] + t.data[3])) < 1e-14
 
     def test_dangling_leg_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dangling leg \('n', 0\)$"):
             TensorNetwork({"n": gen.ket_zero()}, [], [])
+        with pytest.raises(ValueError, match=r"^dangling leg \('n', 2\)$"):
+            TensorNetwork({"n": gen.copy_tensor()}, [], [("n", 1), ("n", 0)])
 
     def test_duplicated_leg_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^leg \('n', 0\) used more than once$"):
             TensorNetwork(
                 {"n": gen.copy_tensor(), "m": gen.ket_zero()},
                 [(("n", 0), ("m", 0))],
                 [("n", 0), ("n", 1), ("n", 2)],
             )
+        # As many claims as legs, one leg claimed twice and one left over.
+        with pytest.raises(ValueError, match=r"^leg \('n', 1\) used more than once$"):
+            TensorNetwork({"n": gen.copy_tensor()}, [], [("n", 0), ("n", 1), ("n", 1)])
 
     def test_unknown_node_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^open leg references unknown node 'm'$"):
             TensorNetwork({"n": gen.ket_zero()}, [], [("m", 0)])
+        with pytest.raises(ValueError, match="^bond references unknown node 'm'$"):
+            TensorNetwork({"n": gen.ket_zero()}, [(("n", 0), ("m", 0))], [])
+
+    def test_leg_out_of_range_rejected(self):
+        with pytest.raises(
+            ValueError, match=r"^bond references leg 1 of node 'n' \(rank 1\)$"
+        ):
+            TensorNetwork({"n": gen.ket_zero(), "m": gen.ket_zero()},
+                          [(("m", 0), ("n", 1))], [("n", 0)])
+        with pytest.raises(
+            ValueError, match=r"^open leg references leg -1 of node 'n' \(rank 1\)$"
+        ):
+            TensorNetwork({"n": gen.ket_zero()}, [], [("n", -1)])
 
     def test_bad_order_rejected(self):
         net = feynman_gate_network()
@@ -365,6 +415,54 @@ def test_plan_is_what_contract_builds_under_every_order(name):
     net = _corpus()[name]
     for order in itertools.permutations(range(len(net.bonds))):
         assert_plan_is_observed(net, order)
+
+
+def _random_network(rng):
+    """2-7 random tensors with at most 12 legs in all, their legs paired at
+    random (a node may bond to itself, and a pair of nodes more than once)
+    and the rest open in random order.  Also returns the einsum spec."""
+    ranks = [rng.randint(0, 4) for _ in range(rng.randint(2, 7))]
+    while sum(ranks) > 12:
+        ranks[rng.choice([k for k, r in enumerate(ranks) if r])] -= 1
+    names = [f"t{k}" for k in range(len(ranks))]
+    rng.shuffle(names)  # declared node order differs from name order
+    nodes = {name: random_tensor(rng, r) for name, r in zip(names, ranks)}
+    refs = [(name, leg) for name, r in zip(names, ranks) for leg in range(r)]
+    rng.shuffle(refs)
+    n_open = rng.randint(0, min(len(refs), 6))
+    n_open += (len(refs) - n_open) % 2
+    open_legs, paired = refs[:n_open], refs[n_open:]
+    bonds = list(zip(paired[0::2], paired[1::2]))
+    letter = {}
+    for k, (ref_a, ref_b) in enumerate(bonds):
+        letter[ref_a] = letter[ref_b] = string.ascii_letters[k]
+    for k, ref in enumerate(open_legs):
+        letter[ref] = string.ascii_letters[len(bonds) + k]
+    inputs = ",".join(
+        "".join(letter[name, leg] for leg in range(t.rank)) for name, t in nodes.items()
+    )
+    spec = f"{inputs}->{''.join(letter[ref] for ref in open_legs)}"
+    return TensorNetwork(nodes, bonds, open_legs), spec
+
+
+def test_random_networks_match_einsum_under_every_order_tried():
+    rng = random.Random(2017)
+    self_loops = repeated_pairs = 0
+    for _ in range(60):
+        net, spec = _random_network(rng)
+        pairs = [frozenset((b.node_a, b.node_b)) for b in net.bonds]
+        self_loops += any(len(pair) == 1 for pair in pairs)
+        repeated_pairs += len(set(pairs)) < len(pairs)
+        want = np.einsum(spec, *(t.array for t in net.nodes.values()))
+        orders = [None]
+        for _ in range(3):
+            orders.append(rng.sample(range(len(net.bonds)), len(net.bonds)))
+        for order in orders:
+            got = net.contract(order)
+            np.testing.assert_allclose(got.array, want, rtol=1e-12, atol=1e-12)
+            assert_plan_is_observed(net, order)
+    # The sample covers the cases the plan handles specially.
+    assert self_loops >= 5 and repeated_pairs >= 5
 
 
 def _chain_network(length):
