@@ -12,11 +12,16 @@ rank and its FLOPs.  A merge of ranks ra and rb over k leg pairs costs
 2**(ra + rb - k) complex multiply-adds, the figure perfbench reports as
 ``tensor.contract_pair.flops``; traces and the final permutation are not
 counted.  The relation-suite row times ``stabtensor verify``'s reports and
-sums the same plan figures over every network the suite contracts.
+sums the same plan figures over every network the suite contracts.  The
+two CLI rows time one whole ``cli.main`` call, records format, on
+``samples/bell.circ`` and on ``verify``, the fastest of ``REPEATS`` with
+stdout captured.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import platform
@@ -122,6 +127,18 @@ def relation_suite_row() -> dict:
             "networks": networks, **figures}
 
 
+def cli_row(name: str, argv: list[str]) -> dict:
+    """Seconds per `cli.main(argv)` call, its output captured unprinted."""
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+
+    call_s, code = fastest(call)
+    if code != 0:
+        raise RuntimeError(f"cli.main({argv}) exited {code}")
+    return {"name": name, "call_s": call_s}
+
+
 def environment() -> dict:
     return {
         "python": platform.python_version(),
@@ -141,6 +158,9 @@ def rows():
             yield circuit_row(f"random-{width}x{depth}-s{seed}", circuit)
     yield circuit_row(f"cn-ladder-{LADDER_WIDTH}", cn_ladder(LADDER_WIDTH))
     yield relation_suite_row()
+    bell = str(ROOT / "samples" / "bell.circ")
+    yield cli_row("cli-simulate-bell", ["--format", "records", "simulate", bell])
+    yield cli_row("cli-verify", ["--format", "records", "verify"])
 
 
 def main(argv) -> int:

@@ -18,7 +18,17 @@ import numpy as np
 
 from stabtensor import generators as gen
 from stabtensor.relations import RelationReport, compare
-from stabtensor.tensor import DEFAULT_TOL, Tensor, outer, permute_legs, tensor_from_fn
+from stabtensor.tensor import DEFAULT_TOL, Tensor, outer, permute_legs
+
+
+def _is_table_size(count: int, n: int) -> bool:
+    """count == 2**n, without building 2**n when n exceeds count's width."""
+    return n < count.bit_length() and count == 1 << n
+
+
+def _table_size_text(n: int) -> str:
+    """2**n in decimal while it is short, else as the power itself."""
+    return str(1 << n) if n < 64 else f"2**{n}"
 
 
 @dataclass(frozen=True)
@@ -32,9 +42,9 @@ class TruthTable:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("truth table needs n >= 1")
-        if len(self.outputs) != 1 << self.n:
+        if not _is_table_size(len(self.outputs), self.n):
             raise ValueError(
-                f"expected {1 << self.n} outputs, got {len(self.outputs)}"
+                f"expected {_table_size_text(self.n)} outputs, got {len(self.outputs)}"
             )
         for v in self.outputs:
             if not 0 <= v < 1 << self.n:
@@ -78,8 +88,8 @@ def parse_truth_table(text: str) -> TruthTable:
         rows.append(int(out, 2))
     if n is None:
         raise ValueError("missing `bits n` header")
-    if len(rows) != 1 << n:
-        raise ValueError(f"expected {1 << n} rows, got {len(rows)}")
+    if not _is_table_size(len(rows), n):
+        raise ValueError(f"expected {_table_size_text(n)} rows, got {len(rows)}")
     return TruthTable(n, tuple(rows))
 
 
@@ -158,11 +168,16 @@ def eval_linear(form: BooleanLinearForm, x: str) -> int:
 
 
 def polarity_vector(form: BooleanLinearForm) -> Tensor:
-    """Rank-n tensor with entry (-1)**f(x) at each point x."""
+    """Rank-n tensor with entry (-1)**f(x) at each point x.
+
+    All 2**n points at once: row x of `bits` is x's bits, most significant
+    first, so `bits @ c` is c . x over the integers and its low bit, xored
+    with c0, is f(x) (`eval_linear` is the pointwise reference).
+    """
     n = form.n
-    return tensor_from_fn(
-        n, lambda *bits: (-1) ** eval_linear(form, "".join(map(str, bits)))
-    )
+    c = np.array([int(ci) for ci in form.c])
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return Tensor(n, 1 - 2 * ((bits @ c + form.c0) & 1))
 
 
 def hadamard_power(n: int) -> Tensor:

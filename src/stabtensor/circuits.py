@@ -22,7 +22,6 @@ verification suite reports the comparison instead of assuming either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from stabtensor import generators as gen
 from stabtensor.tensor import LegBinding, Tensor, TensorNetwork, check_rank, contract_pair
@@ -174,9 +173,6 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     # the dangling output end of each wire
     cur: list[tuple[str, int]] = []
     in_legs: list[tuple[str, int]] = []
-    # Tensors are immutable, so every node of one kind can share one
-    # instance; each is built on first use within this compile.
-    generator = lru_cache(maxsize=None)(gen.by_name)
 
     def add(tag: str, tensor: Tensor) -> str:
         name = f"{len(nodes)}:{tag}"
@@ -189,7 +185,7 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
     if circuit.input is not None:
         for bit in circuit.input:
-            name = add(f"in{bit}", generator(f"ket{bit}"))
+            name = add(f"in{bit}", gen.by_name(f"ket{bit}"))
             cur.append((name, 0))
     else:
         # Anchor each open input on an identity node so inputs stay legs.
@@ -202,23 +198,23 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     for op in circuit.ops:
         w = op.wires[0]
         if op.gate == "CN":
-            d = add("copy", generator("copy"))
-            x = add("xor", generator("xor"))
+            d = add("copy", gen.by_name("copy"))
+            x = add("xor", gen.by_name("xor"))
             bonds.append(LegBinding(d, 2, x, 2))
             apply_map(w, d, 0, 1)  # control
             apply_map(op.wires[1], x, 1, 0)  # target
         elif op.gate == "NOT":
-            x = add("xor", generator("xor"))
-            one = add("one", generator("ket1"))
+            x = add("xor", gen.by_name("xor"))
+            one = add("one", gen.by_name("ket1"))
             bonds.append(LegBinding(one, 0, x, 2))
             apply_map(w, x, 1, 0)
         else:
             for step in SINGLE_WIRE_STEPS[op.gate]:
                 if step == "H":
-                    apply_map(w, add("H", generator("hadamard")), 1, 0)
+                    apply_map(w, add("H", gen.by_name("hadamard")), 1, 0)
                 else:
-                    d = add("copy", generator("copy"))
-                    t = add(f"t{step}", generator(f"t{step}"))
+                    d = add("copy", gen.by_name("copy"))
+                    t = add(f"t{step}", gen.by_name(f"t{step}"))
                     bonds.append(LegBinding(t, 0, d, 0))
                     apply_map(w, d, 2, 1)
 

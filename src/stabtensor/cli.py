@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 input error.  Structured
 output (`--format records`) is line-delimited with stable field order so
 runs can be diffed byte-for-byte.
+
+The argument parser is built once, at import, and every `main` call parses
+with it; `parse_args` keeps no state between calls, so each call starts
+from the defaults.
 """
 
 from __future__ import annotations
@@ -277,8 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -6,6 +6,12 @@ all-ones covector.  The gates themselves are built from these in one
 place, `circuits.compile_circuit`.  Vectors are kept unnormalised exactly
 as defined, so identities built from them may hold only up to a recorded
 scalar.
+
+Each generator, and the identity map, is built once at import; the
+functions below and `by_name` return those shared instances.  Sharing is
+safe because a `Tensor` is immutable and its array is read-only.  Callers
+look generators up through these functions at call time, so a test can
+substitute one by patching the function.
 """
 
 from __future__ import annotations
@@ -20,38 +26,47 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
+_COPY = tensor_from_fn(3, lambda i, j, k: 1 - (i + j + k) + i * j + i * k + j * k)
+_XOR = tensor_from_fn(
+    3, lambda q, r, s: 1 - (q + r + s) + 2 * (q * r + q * s + s * r) - 4 * q * r * s,
+)
+_HADAMARD = tensor_from_fn(2, lambda i, j: SQRT_HALF * (-1) ** (i * j))
+_T_VECTORS = tuple(Tensor(1, (1, power)) for power in I_POWERS)
+_PLUS = Tensor(1, (1, 1))
+_KET_ZERO = Tensor(1, (1, 0))
+_KET_ONE = Tensor(1, (0, 1))
+_IDENTITY = Tensor(2, (1, 0, 0, 1))
+
+
 def copy_tensor() -> Tensor:
     """Rank-3 copy tensor: 1 exactly when all three legs agree."""
-    return tensor_from_fn(3, lambda i, j, k: 1 - (i + j + k) + i * j + i * k + j * k)
+    return _COPY
 
 
 def xor_tensor() -> Tensor:
     """Rank-3 parity tensor: 1 exactly when one leg is the XOR of the others."""
-    return tensor_from_fn(
-        3,
-        lambda q, r, s: 1 - (q + r + s) + 2 * (q * r + q * s + s * r) - 4 * q * r * s,
-    )
+    return _XOR
 
 
 def hadamard() -> Tensor:
-    return tensor_from_fn(2, lambda i, j: SQRT_HALF * (-1) ** (i * j))
+    return _HADAMARD
 
 
 def t_vector(k: int) -> Tensor:
     """The unnormalised vector (1, i**k); period 4 in k."""
-    return Tensor(1, (1, I_POWERS[k % 4]))
+    return _T_VECTORS[k % 4]
 
 
 def plus_covector() -> Tensor:
-    return Tensor(1, (1, 1))
+    return _PLUS
 
 
 def ket_zero() -> Tensor:
-    return Tensor(1, (1, 0))
+    return _KET_ZERO
 
 
 def ket_one() -> Tensor:
-    return Tensor(1, (0, 1))
+    return _KET_ONE
 
 
 def _require(cond: bool, what: str) -> None:
@@ -65,9 +80,8 @@ def cup() -> Tensor:
     Built from the generators: the copy tensor with the all-ones vector
     contracted into its input leg, checked against the direct definition.
     """
-    built = contract_pair(copy_tensor(), (0,), Tensor(1, (1, 1)), (0,))
-    direct = Tensor(2, (1, 0, 0, 1))
-    _require(max_abs_diff(built, direct) == 0.0, "cup from copy tensor")
+    built = contract_pair(copy_tensor(), (0,), plus_covector(), (0,))
+    _require(max_abs_diff(built, identity_map()) == 0.0, "cup from copy tensor")
     return built
 
 
@@ -78,7 +92,7 @@ def cap() -> Tensor:
 
 def identity_map() -> Tensor:
     """The identity operator, legs ordered (out, in)."""
-    return Tensor(2, (1, 0, 0, 1))
+    return _IDENTITY
 
 
 def pointwise_product(u: Tensor, v: Tensor) -> Tensor:

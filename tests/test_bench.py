@@ -42,3 +42,11 @@ def test_relation_suite_row_restores_plan():
     row = bench.relation_suite_row()
     assert TensorNetwork.plan is plan
     assert row["reports"] == 21 and row["networks"] > 0 and row["merges"] > 0
+
+
+def test_cli_row_captures_the_output(capsys):
+    row = bench.cli_row("cli-polarity", ["polarity", "--n", "2"])
+    assert row["name"] == "cli-polarity" and row["call_s"] > 0
+    assert capsys.readouterr().out == ""
+    with pytest.raises(RuntimeError, match="exited 2"):
+        bench.cli_row("cli-bad", ["polarity", "--n", "9"])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ class TestTableParsing:
         with pytest.raises(ValueError):
             parse_truth_table("bits 2\n00 0\n01 00\n10 00\n11 00\n")
 
+    # 2**n is spelt out while short; 2**100000 has over 30000 digits.
+    # (bits 40000000000 runs in tests/test_cli.py, under a memory cap.)
+    @pytest.mark.parametrize("n,size", [
+        (63, "9223372036854775808"), (64, "2**64"), (100000, "2**100000"),
+    ])
+    def test_huge_header_is_rejected_without_building_2_pow_n(self, n, size):
+        with pytest.raises(ValueError, match=rf"^expected {re.escape(size)} rows, got 0$"):
+            parse_truth_table(f"bits {n}\n")
+        with pytest.raises(ValueError, match=rf"^expected {re.escape(size)} outputs, got 0$"):
+            TruthTable(n, ())
+
     def test_rejects_missing_header(self):
         with pytest.raises(ValueError):
             parse_truth_table("00 00\n")
@@ -173,6 +185,16 @@ class TestLinearForms:
             forms = linear_forms(n)
             assert len(forms) == 1 << n
             assert len({polarity_vector(f).data for f in forms}) == 1 << n
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_polarity_matches_pointwise_reference(self, n):
+        for c in range(1 << n):
+            for c0 in (0, 1):
+                form = BooleanLinearForm(f"{c:0{n}b}", c0)
+                want = tuple(
+                    complex((-1) ** eval_linear(form, f"{x:0{n}b}")) for x in range(1 << n)
+                )
+                assert polarity_vector(form).data == want
 
     def test_polarity_vectors_orthogonal(self):
         n = 3

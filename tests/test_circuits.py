@@ -167,6 +167,28 @@ class TestCompile:
                 assert tag in allowed
                 assert np.array_equal(node.array, allowed[tag].array), name
 
+    def test_compile_builds_no_tensor(self, monkeypatch):
+        # Every node is a shared generator instance built at import.
+        built = []
+        init, wrap = tensor.Tensor.__init__, tensor._wrap_result
+
+        def recording_init(self, rank, data):
+            built.append(rank)
+            init(self, rank, data)
+
+        def recording_wrap(rank, arr):
+            built.append(rank)
+            return wrap(rank, arr)
+
+        monkeypatch.setattr(tensor.Tensor, "__init__", recording_init)
+        monkeypatch.setattr(tensor, "_wrap_result", recording_wrap)
+        ops = tuple(GateApp(g, (0,)) for g in ("H", "S", "Z", "X", "Y", "NOT"))
+        ops += (GateApp("CN", (0, 1)),)
+        for bits in ("01", None):
+            net = compile_circuit(Circuit(2, ops, bits))
+            assert len(net.nodes) == 23
+        assert built == []
+
     def test_compiled_operator_is_unitary(self):
         rng = random.Random(31)
         for seed in range(6):

@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, exit codes, deterministic records."""
 
+import argparse
 import io
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from stabtensor import circuits, cli, oracles
 from stabtensor.circuits import Circuit, circuit_state
-from stabtensor.tensor import MAX_RANK, Tensor
+from stabtensor.tensor import DEFAULT_TOL, MAX_RANK, Tensor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,6 +35,13 @@ def _line_loop_output(fmt, state):
         for k, amp in enumerate(state.data):
             lines.append(f"  |{k:0{n}b}>  {amp.real:+.10f}{amp.imag:+.10f}j")
     return "".join(line + "\n" for line in lines)
+
+
+def _child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def _circuit_file(path, circuit):
@@ -269,12 +277,41 @@ class TestEntropy:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
+    def test_huge_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.tab"
+        path.write_text("bits 100000\n")
+        assert cli.main(["entropy", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: expected 2**100000 rows, got 0\n"
+
+    def test_huge_header_under_memory_cap_exits_2(self, tmp_path):
+        # 2**40000000000 would take 5 GB: the child caps its own address
+        # space, so building it fails at once instead of filling memory.
+        path = tmp_path / "huge.tab"
+        path.write_text("bits 40000000000\n")
+        code = (
+            "import resource, sys\n"
+            "from stabtensor import cli\n"
+            "cap = 2 << 30\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    cap = min(cap, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "sys.exit(cli.main(['entropy', sys.argv[1]]))\n"
+        )
+        env = _child_env()
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == "parse error: expected 2**40000000000 rows, got 0\n"
+
 
 def test_input_files_are_closed(tmp_path, bell_path):
     table = tmp_path / "cnot.tab"
     table.write_text(CNOT_TABLE)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = _child_env()
     for argv in (["simulate", bell_path], ["entropy", str(table)]):
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
@@ -328,3 +365,58 @@ class TestTolerance:
         assert cli.main(["polarity", "--n", "2", "--tol", "0"]) == 0
         monkeypatch.setenv(cli.ENV_TOL, "0")
         assert cli.main(["polarity", "--n", "2"]) == 0
+
+
+class TestParserReuse:
+    """main parses every call with one parser; no call leaks into the next."""
+
+    def test_crosscheck_does_not_carry_over(self, bell_path, capsys):
+        assert cli.main(["simulate", bell_path, "--crosscheck", "--seed", "5"]) == 0
+        assert "crosscheck status: ok" in capsys.readouterr().out
+        assert cli.main(["simulate", bell_path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("output state on 2 wire(s):\n")
+        assert "crosscheck" not in out
+
+    def test_format_and_tolerance_do_not_carry_over(self, monkeypatch, capsys):
+        monkeypatch.delenv(cli.ENV_TOL, raising=False)
+        tols = []
+        reports = cli.verification_reports
+
+        def recording_reports(tol, inject_fault=False):
+            tols.append(tol)
+            return reports(tol, inject_fault)
+
+        monkeypatch.setattr(cli, "verification_reports", recording_reports)
+        assert cli.main(["--format", "records", "verify", "--tol", "1e-3"]) == 0
+        assert capsys.readouterr().out.startswith("check=")
+        assert cli.main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert "check=" not in out and out.startswith("associativity ")
+        assert tols == [1e-3, DEFAULT_TOL]
+
+    @pytest.mark.parametrize("bad", [
+        ["simulate"], ["verify", "--tol", "x"], ["--format", "json", "verify"], [],
+    ], ids=["missing-file", "bad-tol", "bad-format", "no-command"])
+    def test_usage_error_then_success(self, bad, bell_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(bad)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert cli.main(["--format", "records", "simulate", bell_path]) == 0
+        assert capsys.readouterr().out.startswith("state wires=2\namp index=00 ")
+
+    def test_main_builds_no_parser(self, bell_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+        assert cli.main(["simulate", bell_path]) == 0
+        assert cli.main(["polarity", "--n", "1"]) == 0
+        assert cli.main(["--format", "records", "simulate", bell_path]) == 0
+        capsys.readouterr()
+        assert built == []

@@ -204,6 +204,36 @@ def test_t_vector_period_four(k):
     assert gen.t_vector(k).data == gen.t_vector(k % 4).data
 
 
+GENERATORS = {
+    "copy": gen.copy_tensor, "xor": gen.xor_tensor, "hadamard": gen.hadamard,
+    "plus_covector": gen.plus_covector, "ket0": gen.ket_zero, "ket1": gen.ket_one,
+    **{f"t{k}": lambda k=k: gen.t_vector(k) for k in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generators_are_shared(name):
+    assert GENERATORS[name]() is GENERATORS[name]()
+    assert gen.by_name(name) is GENERATORS[name]()
+
+
+def test_phase_vectors_and_identity_are_shared():
+    assert gen.t_vector(1) is gen.t_vector(5)
+    assert gen.t_vector(-1) is gen.t_vector(3)
+    assert gen.identity_map() is gen.identity_map()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_shared_generators_are_read_only(name):
+    t = GENERATORS[name]()
+    before = t.data
+    with pytest.raises(ValueError, match="read-only"):
+        t.array[(0,) * t.rank] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        t.array.reshape(-1)[-1] = 5
+    assert GENERATORS[name]().data == before
+
+
 def test_by_name_round_trip():
     assert gen.by_name("copy").data == gen.copy_tensor().data
     assert gen.by_name("t2").data == gen.t_vector(2).data
