@@ -6,16 +6,21 @@ Run from the root of a checkout; stabtensor is imported from its ``src``.
 Uses the standard library and numpy only, and one BLAS thread.
 
 Each circuit row times ``compile_circuit``, ``TensorNetwork.plan`` and
-``TensorNetwork.contract`` (which runs its own plan) separately, each the
-fastest of ``REPEATS`` runs, and reads from the plan its merges, its peak
-rank and its FLOPs.  A merge of ranks ra and rb over k leg pairs costs
-2**(ra + rb - k) complex multiply-adds, the figure perfbench reports as
-``tensor.contract_pair.flops``; traces and the final permutation are not
-counted.  The relation-suite row times ``stabtensor verify``'s reports and
-sums the same plan figures over every network the suite contracts.  The
-two CLI rows time one whole ``cli.main`` call, records format, on
-``samples/bell.circ`` and on ``verify``, the fastest of ``REPEATS`` with
+``TensorNetwork.contract`` (which runs its own plan) separately, and reads
+from the plan its merges, its peak rank and its FLOPs.  A merge of ranks
+ra and rb over k leg pairs costs 2**(ra + rb - k) complex multiply-adds,
+the figure perfbench reports as ``tensor.contract_pair.flops``; traces and
+the final permutation are not counted.  The relation-suite row times
+``stabtensor verify``'s reports and sums the same plan figures over every
+network the suite contracts.  The two CLI rows time one whole ``cli.main``
+call, records format, on ``samples/bell.circ`` and on ``verify``, with
 stdout captured.
+
+Rows are timed in ``REPEATS`` interleaved rounds, each round timing every
+row once, so a slow phase of a shared host lands on every row alike rather
+than on the rows it happens to overlap.  Each timing field (a name ending
+in ``_s``) holds the median over the rounds, and ``<field>_range`` its
+[min, max].
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ import io
 import json
 import os
 import platform
+import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 if __name__ == "__main__":  # before numpy loads its BLAS
@@ -43,7 +50,7 @@ from stabtensor import cli, oracles  # noqa: E402
 from stabtensor.circuits import Circuit, GateApp, compile_circuit  # noqa: E402
 from stabtensor.tensor import DEFAULT_TOL, TensorNetwork  # noqa: E402
 
-REPEATS = 3
+REPEATS = 5
 
 # (width, depth, seeds) of the random Clifford circuits, all from |0...0>.
 RANDOM_GRID = (
@@ -70,20 +77,17 @@ def plan_figures(net: TensorNetwork, steps) -> dict:
     return {"merges": merges, "peak_rank": max(s.rank for s in steps), "flops": flops}
 
 
-def fastest(fn) -> tuple[float, object]:
-    """The shortest of REPEATS timed calls of fn, and fn's last result."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def timed(fn) -> tuple[float, object]:
+    """Seconds one call of fn takes, and its result."""
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
 
 
 def circuit_row(name: str, circuit: Circuit) -> dict:
-    compile_s, net = fastest(lambda: compile_circuit(circuit))
-    plan_s, steps = fastest(net.plan)
-    contract_s, _ = fastest(net.contract)
+    compile_s, net = timed(lambda: compile_circuit(circuit))
+    plan_s, steps = timed(net.plan)
+    contract_s, _ = timed(net.contract)
     return {
         "name": name,
         "width": circuit.width,
@@ -103,7 +107,7 @@ def cn_ladder(width: int) -> Circuit:
 
 
 def relation_suite_row() -> dict:
-    suite_s, reports = fastest(lambda: cli.verification_reports(DEFAULT_TOL))
+    suite_s, reports = timed(lambda: cli.verification_reports(DEFAULT_TOL))
     figures = {"merges": 0, "peak_rank": 0, "flops": 0}
     networks = 0
     plan = TensorNetwork.plan
@@ -133,7 +137,7 @@ def cli_row(name: str, argv: list[str]) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             return cli.main(argv)
 
-    call_s, code = fastest(call)
+    call_s, code = timed(call)
     if code != 0:
         raise RuntimeError(f"cli.main({argv}) exited {code}")
     return {"name": name, "call_s": call_s}
@@ -151,27 +155,59 @@ def environment() -> dict:
     }
 
 
-def rows():
+def row_calls() -> list:
+    """One zero-argument call per row; each times its row once."""
+    calls = []
     for width, depth, seeds in RANDOM_GRID:
         for seed in seeds:
             circuit = oracles.random_clifford_circuit(width, depth, seed)
-            yield circuit_row(f"random-{width}x{depth}-s{seed}", circuit)
-    yield circuit_row(f"cn-ladder-{LADDER_WIDTH}", cn_ladder(LADDER_WIDTH))
-    yield relation_suite_row()
+            calls.append(partial(circuit_row, f"random-{width}x{depth}-s{seed}", circuit))
+    calls.append(partial(circuit_row, f"cn-ladder-{LADDER_WIDTH}", cn_ladder(LADDER_WIDTH)))
+    calls.append(relation_suite_row)
     bell = str(ROOT / "samples" / "bell.circ")
-    yield cli_row("cli-simulate-bell", ["--format", "records", "simulate", bell])
-    yield cli_row("cli-verify", ["--format", "records", "verify"])
+    calls.append(partial(cli_row, "cli-simulate-bell", ["--format", "records", "simulate", bell]))
+    calls.append(partial(cli_row, "cli-verify", ["--format", "records", "verify"]))
+    return calls
+
+
+def summarize(runs: list[dict]) -> dict:
+    """One row from its rounds: each timing field's median and [min, max];
+    every other field as the first round gave it."""
+    row = {}
+    for key, value in runs[0].items():
+        if key.endswith("_s"):
+            times = sorted(run[key] for run in runs)
+            row[key] = statistics.median(times)
+            row[f"{key}_range"] = [times[0], times[-1]]
+        else:
+            row[key] = value
+    return row
+
+
+def interleaved(calls) -> list[dict]:
+    """REPEATS rounds, each calling every row once in order; one summary per row."""
+    runs = [[] for _ in calls]
+    for _ in range(REPEATS):
+        for row_runs, call in zip(runs, calls):
+            row_runs.append(call())
+    return [summarize(row_runs) for row_runs in runs]
+
+
+def _text(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(_text, value)) + "]"
+    return str(value)
 
 
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 benchmarks/bench.py OUT.json", file=sys.stderr)
         return 2
-    result = {"env": environment(), "rows": []}
-    for row in rows():
-        result["rows"].append(row)
-        print(" ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
-                       for k, v in row.items()), flush=True)
+    result = {"env": environment(), "rows": interleaved(row_calls())}
+    for row in result["rows"]:
+        print(" ".join(f"{k}={_text(v)}" for k, v in row.items()))
     Path(argv[0]).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 

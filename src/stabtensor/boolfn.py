@@ -18,7 +18,7 @@ import numpy as np
 
 from stabtensor import generators as gen
 from stabtensor.relations import RelationReport, compare
-from stabtensor.tensor import DEFAULT_TOL, Tensor, outer, permute_legs
+from stabtensor.tensor import DEFAULT_TOL, Tensor, TensorNetwork
 
 
 def _is_table_size(count: int, n: int) -> bool:
@@ -184,16 +184,9 @@ def hadamard_power(n: int) -> Tensor:
     """n-fold tensor power of the Hadamard matrix, legs (rows..., cols...)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    h = gen.hadamard()
-    result = h
-    for _ in range(n - 1):
-        result = outer(result, h)
-    # (r1, c1, r2, c2, ...) -> (r1..rn, c1..cn)
-    perm = []
-    for k in range(result.rank):
-        pair, which = divmod(k, 2)
-        perm.append(pair if which == 0 else n + pair)
-    return permute_legs(result, perm)
+    nodes = {k: gen.hadamard() for k in range(n)}
+    rows_then_cols = [(k, leg) for leg in (0, 1) for k in range(n)]
+    return TensorNetwork(nodes, [], rows_then_cols).contract()
 
 
 def verify_hadamard_column_indexing(n: int, tol: float = DEFAULT_TOL) -> RelationReport:
@@ -207,10 +200,7 @@ def verify_hadamard_column_indexing(n: int, tol: float = DEFAULT_TOL) -> Relatio
         raise ValueError(f"n must be in 1..6, got {n}")
     columns = [polarity_vector(form).array.reshape(-1) for form in linear_forms(n)]
     expected = Tensor(2 * n, 2.0 ** (-n / 2.0) * np.stack(columns, axis=1))
-    return compare(
-        f"hadamard-column-indexing-n{n}", hadamard_power(n), expected,
-        f"columns of H^{n}", "scaled polarity vectors", tol,
-    )
+    return compare(f"hadamard-column-indexing-n{n}", hadamard_power(n), expected, tol)
 
 
 def linear_forms(n: int) -> list[BooleanLinearForm]:

@@ -9,9 +9,10 @@ scalar.
 
 Each generator, and the identity map, is built once at import; the
 functions below and `by_name` return those shared instances.  Sharing is
-safe because a `Tensor` is immutable and its array is read-only.  Callers
-look generators up through these functions at call time, so a test can
-substitute one by patching the function.
+safe because a `Tensor` is immutable and its array is read-only.  Callers,
+`by_name` included, look generators up through these functions at call
+time, so a test that patches one function (say `xor_tensor`) reaches both
+the relation networks and every circuit `compile_circuit` builds.
 """
 
 from __future__ import annotations
@@ -106,22 +107,23 @@ def pointwise_product(u: Tensor, v: Tensor) -> Tensor:
     return built
 
 
+# The accessor behind each name, looked up when `by_name` is called.
 _BY_NAME = {
-    "copy": copy_tensor,
-    "xor": xor_tensor,
-    "hadamard": hadamard,
-    "plus_covector": plus_covector,
-    "ket0": ket_zero,
-    "ket1": ket_one,
-    "cup": cup,
-    "cap": cap,
+    "copy": "copy_tensor",
+    "xor": "xor_tensor",
+    "hadamard": "hadamard",
+    "plus_covector": "plus_covector",
+    "ket0": "ket_zero",
+    "ket1": "ket_one",
+    "cup": "cup",
+    "cap": "cap",
 }
 
 
 def by_name(name: str) -> Tensor:
     """Look up a generator by name; 't0'..'t3' select the phase vectors."""
     if name in _BY_NAME:
-        return _BY_NAME[name]()
+        return globals()[_BY_NAME[name]]()
     if len(name) == 2 and name[0] == "t" and name[1].isdigit():
         return t_vector(int(name[1]))
     raise ValueError(f"unknown generator {name!r}")

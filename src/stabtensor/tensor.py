@@ -287,7 +287,7 @@ class TensorNetwork:
     ):
         self.nodes = dict(nodes)
         self.bonds = tuple(map(_as_binding, bonds))
-        self.open_legs = tuple((n, int(l)) for n, l in open_legs)
+        self.open_legs = tuple((n, l) for n, l in open_legs)
         self._validate()
 
     def _validate(self) -> None:
@@ -295,14 +295,23 @@ class TensorNetwork:
         claims += [(bond.node_b, bond.leg_b) for bond in self.bonds]
         claims += self.open_legs
         legs = {(node, leg) for node, t in self.nodes.items() for leg in range(t._rank)}
-        # As many claims as legs, covering every leg: each is claimed once.
-        if len(claims) == len(legs) and legs == set(claims):
+        # As many int claims as legs, covering every leg: each is claimed
+        # once.  (A float leg 0.0 would equal leg 0 in the set comparison.)
+        if (len(claims) == len(legs) and legs == set(claims)
+                and {type(leg) for _, leg in claims} <= {int}):
             return
         seen: set[tuple[Hashable, int]] = set()
 
         def claim(node, leg, what):
             if node not in self.nodes:
                 raise ValueError(f"{what} references unknown node {node!r}")
+            try:
+                operator.index(leg)
+            except TypeError:
+                raise ValueError(
+                    f"{what} references leg {leg!r} of node {node!r}, "
+                    f"which is not an integer"
+                ) from None
             if not 0 <= leg < self.nodes[node].rank:
                 raise ValueError(
                     f"{what} references leg {leg} of node {node!r} "

@@ -50,3 +50,20 @@ def test_cli_row_captures_the_output(capsys):
     assert capsys.readouterr().out == ""
     with pytest.raises(RuntimeError, match="exited 2"):
         bench.cli_row("cli-bad", ["polarity", "--n", "9"])
+
+
+def test_rows_are_timed_in_interleaved_rounds(monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 3)
+    calls = []
+    times = {"a": iter([3.0, 1.0, 2.0]), "b": iter([5.0, 4.0, 6.0])}
+
+    def stub_row(name):
+        calls.append(name)
+        return {"name": name, "merges": 7, "call_s": next(times[name])}
+
+    rows = bench.interleaved([lambda: stub_row("a"), lambda: stub_row("b")])
+    assert calls == ["a", "b", "a", "b", "a", "b"]
+    assert rows == [
+        {"name": "a", "merges": 7, "call_s": 2.0, "call_s_range": [1.0, 3.0]},
+        {"name": "b", "merges": 7, "call_s": 5.0, "call_s_range": [4.0, 6.0]},
+    ]

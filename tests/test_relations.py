@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from stabtensor import boolfn, relations
+from stabtensor import boolfn, cli, relations
 from stabtensor import generators as gen
 from stabtensor.circuits import Circuit, GateApp, circuit_unitary
 from stabtensor.generators import copy_tensor, identity_map, xor_tensor
 from stabtensor.relations import RelationStatus
-from stabtensor.tensor import Tensor, max_abs_diff
+from stabtensor.tensor import DEFAULT_TOL, Tensor, max_abs_diff
 
 
 @pytest.mark.parametrize("rid", relations.RELATION_FAMILIES)
@@ -100,6 +100,11 @@ def test_clifford_checks_read_the_compiled_cn(monkeypatch):
     assert _clifford("clifford-CN-unitary").status is RelationStatus.FAILS
 
 
+def test_patched_xor_accessor_reaches_the_compiled_cn(monkeypatch):
+    monkeypatch.setattr(gen, "xor_tensor", lambda: _flipped(xor_tensor(), 0b000))
+    assert _clifford("clifford-CN-unitary").status is RelationStatus.FAILS
+
+
 def test_corrupted_xor_fails_copies_plus_minus(monkeypatch):
     monkeypatch.setattr(gen, "xor_tensor", lambda: _flipped(xor_tensor(), 0b000))
     rep = relations.verify_xor_copies_plus_minus()
@@ -165,7 +170,45 @@ def test_records_are_deterministic():
 
 def test_scalar_near_zero_is_failure():
     # an all-zero left side must not count as scalar-equal
-    rep = relations.compare(
-        "degenerate", Tensor(1, (0, 0)), Tensor(1, (1, 1)), "zero", "ones"
-    )
+    rep = relations.compare("degenerate", Tensor(1, (0, 0)), Tensor(1, (1, 1)))
     assert rep.status is RelationStatus.FAILS
+
+
+def test_every_report_is_one_compare(monkeypatch):
+    made = []
+    real = relations.compare
+
+    def counting(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(relations, "compare", counting)
+    monkeypatch.setattr(boolfn, "compare", counting)
+    reports = cli.verification_reports(DEFAULT_TOL)
+    assert len(reports) == 21
+    assert [id(r) for r in reports] == [id(r) for r in made]
+
+
+# (family, half, entry flipped in that half's generator); each entry is one
+# the half's law reads, so the fault must show through the folded compare.
+FOLDED_FAULTS = [
+    ("associativity", "xor", 0b000),
+    ("associativity", "copy", 0b010),
+    ("unit-laws", "xor", 0b101),  # xor with |0> on leg 1 reads (q, 0, s)
+    ("unit-laws", "copy", 0b010),
+    ("symmetry", "xor", 0b010),  # (0,1,0) against (0,0,1)
+    ("symmetry", "copy", 0b001),
+    ("copy-laws", "copy", 0b001),  # read by copy |0>
+    ("copy-laws", "copy", 0b110),  # read by copy |1>
+]
+
+
+@pytest.mark.parametrize("rid, half, entry", FOLDED_FAULTS,
+                         ids=[f"{r}-{h}-{e:03b}" for r, h, e in FOLDED_FAULTS])
+def test_fault_in_either_half_fails_the_family(monkeypatch, rid, half, entry):
+    if half == "xor":
+        monkeypatch.setattr(gen, "xor_tensor", lambda: _flipped(xor_tensor(), entry))
+        rep = relations.verify_relation(rid)
+    else:
+        rep = relations.verify_relation(rid, copy=_flipped(copy_tensor(), entry))
+    assert rep.status is RelationStatus.FAILS, rep.record()

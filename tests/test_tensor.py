@@ -356,6 +356,20 @@ class TestNetworks:
         ):
             TensorNetwork({"n": gen.ket_zero()}, [], [("n", -1)])
 
+    def test_non_integer_open_leg_rejected(self):
+        with pytest.raises(
+            ValueError, match=r"^open leg references leg 0.7 of node 'n', which is not an integer$"
+        ):
+            TensorNetwork({"n": gen.ket_one()}, [], [("n", 0.7)])
+
+    def test_float_bond_leg_rejected(self):
+        # 0.0 == 0, so only the leg's type tells it apart
+        with pytest.raises(
+            ValueError, match=r"^bond references leg 0.0 of node 'a', which is not an integer$"
+        ):
+            TensorNetwork({"a": gen.ket_zero(), "b": gen.ket_zero()},
+                          [(("a", 0.0), ("b", 0))], [])
+
     def test_bad_order_rejected(self):
         net = feynman_gate_network()
         with pytest.raises(ValueError):
