@@ -12,9 +12,14 @@ ra and rb over k leg pairs costs 2**(ra + rb - k) complex multiply-adds,
 the figure perfbench reports as ``tensor.contract_pair.flops``; traces and
 the final permutation are not counted.  The relation-suite row times
 ``stabtensor verify``'s reports and sums the same plan figures over every
-network the suite contracts.  The two CLI rows time one whole ``cli.main``
-call, records format, on ``samples/bell.circ`` and on ``verify``, with
-stdout captured.
+network the suite contracts.  The CLI rows time one whole ``cli.main``
+call, records format, with stdout captured: ``simulate`` on
+``samples/bell.circ``, with and without ``--crosscheck``, and ``verify``.
+The oracle rows time each oracle on its own: ``dense_simulate`` on a
+12-wire circuit, one batched ``pauli_expectations`` call on its state
+(the crosscheck's 44 strings), and one on a 1000-wire tableau (20 products
+of stabilizer rows, so every value is +-1: no string takes the shortcut
+to 0 of one that anticommutes with a stabilizer).
 
 Rows are timed in ``REPEATS`` interleaved rounds, each round timing every
 row once, so a slow phase of a shared host lands on every row alike rather
@@ -61,6 +66,11 @@ RANDOM_GRID = (
     (20, 400, (0,)),
 )
 LADDER_WIDTH = 14
+# (width, depth) of the dense oracle's circuit, and the tableau rows' width
+# and string count.
+DENSE_CIRCUIT = (12, 400)
+TABLEAU_WIDTH = 1000
+TABLEAU_STRINGS = 20
 
 
 def plan_figures(net: TensorNetwork, steps) -> dict:
@@ -143,6 +153,44 @@ def cli_row(name: str, argv: list[str]) -> dict:
     return {"name": name, "call_s": call_s}
 
 
+def oracle_row(name: str, call, **figures) -> dict:
+    """Seconds one call of an oracle takes, after the row's fixed figures."""
+    call_s, _ = timed(call)
+    return {"name": name, **figures, "call_s": call_s}
+
+
+def stabilizer_products(tab: oracles.StabilizerTableau, count: int, seed: int) -> list[str]:
+    """`count` strings, each the product of a seeded random subset of the
+    tableau's stabilizer rows, so each has expectation +1 or -1."""
+    sx, sz, _ = tab.stabilizer_rows()
+    strings = []
+    for subset in np.random.default_rng(seed).random((count, tab.n)) < 0.5:
+        codes = 2 * (sx[subset].sum(axis=0) & 1) + (sz[subset].sum(axis=0) & 1)
+        strings.append("".join("IZXY"[c] for c in codes))
+    return strings
+
+
+def oracle_calls() -> list:
+    """The oracle rows, their inputs built once, outside the timer."""
+    width, depth = DENSE_CIRCUIT
+    circuit = oracles.random_clifford_circuit(width, depth, 0)
+    state = oracles.dense_simulate(circuit)
+    paulis = oracles.crosscheck_paulis(width)
+    wide = oracles.random_clifford_circuit(TABLEAU_WIDTH, 4 * TABLEAU_WIDTH, 0)
+    tab = oracles.tableau_simulate(wide)
+    products = stabilizer_products(tab, TABLEAU_STRINGS, 0)
+    return [
+        partial(oracle_row, f"dense-simulate-{width}x{depth}",
+                partial(oracles.dense_simulate, circuit), width=width, depth=depth),
+        partial(oracle_row, f"expect-dense-{width}",
+                partial(oracles.pauli_expectations, state, paulis),
+                width=width, paulis=len(paulis)),
+        partial(oracle_row, f"expect-tableau-{TABLEAU_WIDTH}",
+                partial(oracles.pauli_expectations, tab, products),
+                width=TABLEAU_WIDTH, paulis=len(products)),
+    ]
+
+
 def environment() -> dict:
     return {
         "python": platform.python_version(),
@@ -166,8 +214,10 @@ def row_calls() -> list:
     calls.append(relation_suite_row)
     bell = str(ROOT / "samples" / "bell.circ")
     calls.append(partial(cli_row, "cli-simulate-bell", ["--format", "records", "simulate", bell]))
+    calls.append(partial(cli_row, "cli-crosscheck-bell",
+                         ["--format", "records", "simulate", bell, "--crosscheck"]))
     calls.append(partial(cli_row, "cli-verify", ["--format", "records", "verify"]))
-    return calls
+    return calls + oracle_calls()
 
 
 def summarize(runs: list[dict]) -> dict:

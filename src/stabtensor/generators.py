@@ -7,12 +7,13 @@ place, `circuits.compile_circuit`.  Vectors are kept unnormalised exactly
 as defined, so identities built from them may hold only up to a recorded
 scalar.
 
-Each generator, and the identity map, is built once at import; the
-functions below and `by_name` return those shared instances.  Sharing is
-safe because a `Tensor` is immutable and its array is read-only.  Callers,
-`by_name` included, look generators up through these functions at call
-time, so a test that patches one function (say `xor_tensor`) reaches both
-the relation networks and every circuit `compile_circuit` builds.
+Each generator, the identity map and the cup are built once at import
+(the cup with its self-check); the functions below and `by_name` return
+those shared instances.  Sharing is safe because a `Tensor` is immutable
+and its array is read-only.  Callers, `by_name` included, look
+generators up through these functions at call time, so a test that
+patches one function (say `xor_tensor`) reaches both the relation
+networks and every circuit `compile_circuit` builds.
 """
 
 from __future__ import annotations
@@ -75,19 +76,22 @@ def _require(cond: bool, what: str) -> None:
         raise AssertionError(f"generator self-check failed: {what}")
 
 
+_CUP = contract_pair(_COPY, (0,), _PLUS, (0,))
+_require(max_abs_diff(_CUP, _IDENTITY) == 0.0, "cup from copy tensor")
+
+
 def cup() -> Tensor:
     """Rank-2 index-raiser with entries 1 at (0,0) and (1,1).
 
-    Built from the generators: the copy tensor with the all-ones vector
-    contracted into its input leg, checked against the direct definition.
+    Built once, at import, from the generators: the copy tensor with the
+    all-ones vector contracted into its input leg, checked against the
+    direct definition.
     """
-    built = contract_pair(copy_tensor(), (0,), plus_covector(), (0,))
-    _require(max_abs_diff(built, identity_map()) == 0.0, "cup from copy tensor")
-    return built
+    return _CUP
 
 
 def cap() -> Tensor:
-    """Covariant counterpart of cup(); identical entries."""
+    """Covariant counterpart of cup(); the same tensor."""
     return cup()
 
 

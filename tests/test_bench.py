@@ -1,8 +1,10 @@
 """benchmarks/bench.py: the plan figures it reports are the kernel's work."""
 
 import importlib.util
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stabtensor import oracles, tensor
@@ -67,3 +69,28 @@ def test_rows_are_timed_in_interleaved_rounds(monkeypatch):
         {"name": "a", "merges": 7, "call_s": 2.0, "call_s_range": [1.0, 3.0]},
         {"name": "b", "merges": 7, "call_s": 5.0, "call_s_range": [4.0, 6.0]},
     ]
+
+
+def test_oracle_rows_time_each_oracle_alone(monkeypatch):
+    monkeypatch.setattr(bench, "DENSE_CIRCUIT", (3, 10))
+    monkeypatch.setattr(bench, "TABLEAU_WIDTH", 30)
+    monkeypatch.setattr(bench, "TABLEAU_STRINGS", 4)
+    batches = []
+    exact = oracles.pauli_expectations
+
+    def recording(state, paulis):
+        values = exact(state, paulis)
+        batches.append((state.n, values))
+        return values
+
+    monkeypatch.setattr(oracles, "pauli_expectations", recording)
+    calls = {call.args[0]: call for call in bench.row_calls() if isinstance(call, partial)}
+    names = ["cli-crosscheck-bell", "dense-simulate-3x10", "expect-dense-3", "expect-tableau-30"]
+    rows = [calls[name]() for name in names]
+    assert [row["name"] for row in rows] == names
+    assert rows[2]["paulis"] == 17 and rows[3]["paulis"] == 4
+    assert all(row["call_s"] > 0 for row in rows)
+    # One batched call per oracle in the crosscheck and per expectation
+    # row; the tableau strings are stabilizer products, each +1 or -1.
+    assert [n for n, _ in batches] == [2, 2, 3, 30]
+    assert set(np.abs(batches[-1][1])) == {1.0}

@@ -95,6 +95,10 @@ class TestCupCap:
         assert gen.cup().data == (1, 0, 0, 1)
         assert gen.cap().data == (1, 0, 0, 1)
 
+    def test_built_once_and_shared(self):
+        assert gen.cup() is gen.cap() is gen.by_name("cup")
+        assert gen.by_name("cap").data == (1, 0, 0, 1)
+
     def test_snake_equation(self):
         # (cap x id) . (id x cup) = id, brute forced over 2x2
         cup, cap = gen.cup(), gen.cap()

@@ -1,17 +1,23 @@
 """Dense and tableau oracles, their agreement channel, and the crosscheck."""
 
+import itertools
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from stabtensor import cli, oracles
 from stabtensor.circuits import Circuit, GateApp
 from stabtensor.oracles import (
     CLIFFORD_GATES,
     StabilizerTableau,
+    StateVector,
     crosscheck_circuit,
+    crosscheck_paulis,
     dense_simulate,
     pauli_expectation,
+    pauli_expectations,
     phase_fixed_delta,
     random_clifford_circuit,
     tableau_simulate,
@@ -20,6 +26,28 @@ from stabtensor.oracles import (
 SQ2 = np.sqrt(2)
 
 BELL = Circuit(2, (GateApp("H", (0,)), GateApp("CN", (0, 1))), "00")
+
+PAULIS_2X2 = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+}
+
+
+def _seeded_start(width, seed):
+    """A seeded circuit with NOT, from a nonzero input."""
+    circ = random_clifford_circuit(width, 30, seed, CLIFFORD_GATES + ("NOT",))
+    bits = format(random.Random(seed).randrange(1, 1 << width), f"0{width}b")
+    return Circuit(width, circ.ops, bits)
+
+
+def _all_strings(n):
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+
+
+def _row_string(x, z):
+    return "".join("IZXY"[2 * a + b] for a, b in zip(x, z))
 
 
 class TestDense:
@@ -114,6 +142,72 @@ class TestPauliExpectation:
             pauli_expectation(tab, "X")
 
 
+class TestPauliExpectations:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_dense_matches_kronecker_reference(self, n):
+        rng = np.random.default_rng(n)
+        generic = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+        states = [dense_simulate(_seeded_start(n, seed)).amplitudes for seed in range(3)]
+        states += [v / np.linalg.norm(v) for v in generic]
+        paulis = _all_strings(n)
+        for psi in states:
+            got = pauli_expectations(StateVector(n, psi), paulis)
+            for pauli, value in zip(paulis, got):
+                op = reduce(np.kron, [PAULIS_2X2[p] for p in pauli])
+                assert abs(value - np.vdot(psi, op @ psi).real) <= 1e-12, pauli
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_tableau_matches_dense(self, n):
+        paulis = _all_strings(n)
+        for seed in range(3):
+            circ = _seeded_start(n, seed)
+            tab = pauli_expectations(tableau_simulate(circ), paulis)
+            dense = pauli_expectations(dense_simulate(circ), paulis)
+            assert set(tab) <= {-1.0, 0.0, 1.0}
+            assert np.max(np.abs(tab - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_stabilizer_products_far_past_the_dense_limit(self, n):
+        tab = tableau_simulate(random_clifford_circuit(n, 4 * n, n, CLIFFORD_GATES + ("NOT",)))
+        rng = np.random.default_rng(n)
+        subsets = rng.random((4, n)) < 0.5
+        sx, sz, _ = tab.stabilizer_rows()
+        products = [(sx[s].sum(axis=0) & 1, sz[s].sum(axis=0) & 1) for s in subsets]
+        paulis = [_row_string(x, z) for x, z in products]
+        values = pauli_expectations(tab, paulis)
+        assert set(np.abs(values)) == {1.0}
+        for subset in subsets:
+            k = np.flatnonzero(subset)[0]
+            tab.r[n + k] ^= 1
+            flipped = pauli_expectations(tab, paulis)
+            tab.r[n + k] ^= 1
+            assert np.array_equal(flipped, np.where(subsets[:, k], -values, values))
+        # Destabilizer j anticommutes with stabilizer j alone.
+        with_destabilizer = [
+            _row_string(x ^ tab.x[j], z ^ tab.z[j]) for j, (x, z) in enumerate(products)
+        ]
+        assert np.array_equal(pauli_expectations(tab, with_destabilizer), np.zeros(4))
+
+    def test_batch_equals_one_string_calls(self):
+        circ = _seeded_start(5, 1)
+        paulis = crosscheck_paulis(5, seed=4)
+        for state in (dense_simulate(circ), tableau_simulate(circ)):
+            one = [pauli_expectation(state, p) for p in paulis]
+            assert pauli_expectations(state, paulis).tolist() == one
+
+    @pytest.mark.parametrize("bad", ["XQ", "X", "XYZ", "xz"])
+    def test_malformed_string_anywhere_in_a_batch(self, bad):
+        for state in (dense_simulate(BELL), tableau_simulate(BELL)):
+            for batch in ([bad, "XX"], ["XX", bad], ["ZZ", bad, "XX"]):
+                with pytest.raises(ValueError, match=repr(bad)):
+                    pauli_expectations(state, batch)
+
+    def test_empty_batch(self):
+        for state in (dense_simulate(BELL), tableau_simulate(BELL)):
+            values = pauli_expectations(state, [])
+            assert values.shape == (0,) and values.dtype == float
+
+
 class TestAgreement:
     def test_phase_fixed_delta_ignores_global_phase(self):
         ref = np.array([1, 1j, 0, 0]) / SQ2
@@ -127,6 +221,38 @@ class TestAgreement:
         cand = np.array([0.0, 1.0])
         delta, _ = phase_fixed_delta(cand, ref)
         assert delta >= 1.0
+
+    def test_phase_fixed_delta_pivot_can_be_the_last_entry(self):
+        ref = np.zeros(4096, dtype=complex)
+        ref[0] = 1e-13  # below the pivot threshold
+        ref[-1] = 1.0
+        cand = -2.0 * ref
+        assert phase_fixed_delta(cand, ref) == (0.0, 2.0)
+
+    def test_phase_fixed_delta_pivots_on_the_first_nonzero_entry(self):
+        cand = np.array([0, 2, 3], dtype=complex)
+        assert phase_fixed_delta(cand, np.array([0, 1, 1], dtype=complex)) == (0.5, 2.0)
+
+    def test_phase_fixed_delta_all_zero_reference(self):
+        with pytest.raises(ValueError, match="all zero"):
+            phase_fixed_delta(np.ones(4), np.full(4, 1e-13))
+
+    def test_nan_expectation_disagrees(self, monkeypatch, tmp_path, capsys):
+        exact = oracles.pauli_expectations
+
+        def nan_dense(state, paulis):
+            values = exact(state, paulis)
+            return np.full_like(values, np.nan) if isinstance(state, StateVector) else values
+
+        monkeypatch.setattr(oracles, "pauli_expectations", nan_dense)
+        result = crosscheck_circuit(BELL)
+        assert np.isnan(result.expectation_delta) and not result.ok(1e-9)
+        path = tmp_path / "bell.circ"
+        path.write_text("wires 2\nH 0\nCN 0 1\n")
+        assert cli.main(["--format", "records", "simulate", str(path), "--crosscheck"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].endswith(
+            "expectation_delta=nan paulis=14 status=disagree"
+        )
 
     def test_crosscheck_bell(self):
         result = crosscheck_circuit(BELL, seed=2)
