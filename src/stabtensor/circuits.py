@@ -12,10 +12,13 @@ decomposition is canonical and fixed:
     CN   copy tensor on the control wire feeding the XOR tensor on the target
     NOT  XOR tensor with the constant |1> on one input
 
-Two controlled-NOT constructions coexist on purpose: the wired network
-(`feynman_gate_network`; `compile_circuit` wires the same copy/XOR pair
-for each CN) and the raised-index single contraction
-(`cn_index_contraction`).  They are not the same tensor; the
+Each generator is read through its `generators` accessor at call time,
+so patching one (say `generators.xor_tensor`) reaches every compiled
+circuit.
+
+Two controlled-NOT constructions coexist on purpose: the wired copy/XOR
+pair `compile_circuit` builds for each CN, and the raised-index single
+contraction (`cn_index_contraction`).  They are not the same tensor; the
 verification suite reports the comparison instead of assuming either.
 """
 
@@ -118,18 +121,6 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitParseError(str(exc)) from None
 
 
-def feynman_gate_network() -> TensorNetwork:
-    """Controlled-NOT as a wired network of copy and XOR.
-
-    Open legs in order: in-control, in-target, out-control, out-target.
-    Contracts to the permutation (a, b) -> (a, a xor b).
-    """
-    nodes = {"copy": gen.copy_tensor(), "xor": gen.xor_tensor()}
-    bonds = [(("copy", 2), ("xor", 2))]
-    open_legs = [("copy", 0), ("xor", 1), ("copy", 1), ("xor", 0)]
-    return TensorNetwork(nodes, bonds, open_legs)
-
-
 def cn_component_polynomial(i: int, j: int, q: int, r: int) -> int:
     """Closed-form component expansion of the raised-index contraction."""
     return (
@@ -185,7 +176,7 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
     if circuit.input is not None:
         for bit in circuit.input:
-            name = add(f"in{bit}", gen.by_name(f"ket{bit}"))
+            name = add(f"in{bit}", gen.ket_one() if bit == "1" else gen.ket_zero())
             cur.append((name, 0))
     else:
         # Anchor each open input on an identity node so inputs stay legs.
@@ -198,23 +189,23 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     for op in circuit.ops:
         w = op.wires[0]
         if op.gate == "CN":
-            d = add("copy", gen.by_name("copy"))
-            x = add("xor", gen.by_name("xor"))
+            d = add("copy", gen.copy_tensor())
+            x = add("xor", gen.xor_tensor())
             bonds.append(LegBinding(d, 2, x, 2))
             apply_map(w, d, 0, 1)  # control
             apply_map(op.wires[1], x, 1, 0)  # target
         elif op.gate == "NOT":
-            x = add("xor", gen.by_name("xor"))
-            one = add("one", gen.by_name("ket1"))
+            x = add("xor", gen.xor_tensor())
+            one = add("one", gen.ket_one())
             bonds.append(LegBinding(one, 0, x, 2))
             apply_map(w, x, 1, 0)
         else:
             for step in SINGLE_WIRE_STEPS[op.gate]:
                 if step == "H":
-                    apply_map(w, add("H", gen.by_name("hadamard")), 1, 0)
+                    apply_map(w, add("H", gen.hadamard()), 1, 0)
                 else:
-                    d = add("copy", gen.by_name("copy"))
-                    t = add(f"t{step}", gen.by_name(f"t{step}"))
+                    d = add("copy", gen.copy_tensor())
+                    t = add(f"t{step}", gen.t_vector(step))
                     bonds.append(LegBinding(t, 0, d, 0))
                     apply_map(w, d, 2, 1)
 

@@ -129,9 +129,10 @@ def _write_lines(head: str, lines: Iterator[str]) -> None:
 
 
 def _load(path: str, parse):
-    """parse(the UTF-8 text of `path`), or None after one error line on stderr."""
+    """parse(the UTF-8 text of `path`, less any leading byte-order mark), or
+    None after one error line on stderr."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

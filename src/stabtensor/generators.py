@@ -8,12 +8,12 @@ as defined, so identities built from them may hold only up to a recorded
 scalar.
 
 Each generator, the identity map and the cup are built once at import
-(the cup with its self-check); the functions below and `by_name` return
-those shared instances.  Sharing is safe because a `Tensor` is immutable
-and its array is read-only.  Callers, `by_name` included, look
-generators up through these functions at call time, so a test that
-patches one function (say `xor_tensor`) reaches both the relation
-networks and every circuit `compile_circuit` builds.
+(the cup with its self-check); the functions below return those shared
+instances.  Sharing is safe because a `Tensor` is immutable and its array
+is read-only.  These functions are the one way to reach a generator, and
+callers look them up at call time, so a test that patches one (say
+`xor_tensor`) reaches both the relation networks and every circuit
+`compile_circuit` builds.
 """
 
 from __future__ import annotations
@@ -109,25 +109,3 @@ def pointwise_product(u: Tensor, v: Tensor) -> Tensor:
     direct = Tensor(1, (u.data[0] * v.data[0], u.data[1] * v.data[1]))
     _require(max_abs_diff(built, direct) == 0.0, "pointwise product via copy tensor")
     return built
-
-
-# The accessor behind each name, looked up when `by_name` is called.
-_BY_NAME = {
-    "copy": "copy_tensor",
-    "xor": "xor_tensor",
-    "hadamard": "hadamard",
-    "plus_covector": "plus_covector",
-    "ket0": "ket_zero",
-    "ket1": "ket_one",
-    "cup": "cup",
-    "cap": "cap",
-}
-
-
-def by_name(name: str) -> Tensor:
-    """Look up a generator by name; 't0'..'t3' select the phase vectors."""
-    if name in _BY_NAME:
-        return globals()[_BY_NAME[name]]()
-    if len(name) == 2 and name[0] == "t" and name[1].isdigit():
-        return t_vector(int(name[1]))
-    raise ValueError(f"unknown generator {name!r}")

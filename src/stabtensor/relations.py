@@ -32,8 +32,8 @@ from stabtensor.circuits import (
     circuit_unitary,
     cn_component_polynomial,
     cn_index_contraction,
-    feynman_gate_network,
 )
+from stabtensor.oracles import GATE_MATRICES
 from stabtensor.tensor import (
     DEFAULT_TOL,
     Tensor,
@@ -42,7 +42,6 @@ from stabtensor.tensor import (
     equal_up_to_scalar,
     max_abs_diff,
     max_scaled_diff,
-    permute_legs,
     tensor_from_fn,
 )
 
@@ -249,21 +248,19 @@ def verify_xor_copies_plus_minus(tol: float = DEFAULT_TOL) -> RelationReport:
 
 
 def verify_clifford_recovery(tol: float = DEFAULT_TOL) -> list[RelationReport]:
-    """Check the networks `compile_circuit` builds for S, Z, X, Y against
-    their textbook matrices, and the compiled CN for unitarity."""
-    textbook = (
-        ("S", (1, 0, 0, 1j)), ("Z", (1, 0, 0, -1)),
-        ("X", (0, 1, 1, 0)), ("Y", (0, -1j, 1j, 0)),
-    )
+    """Check the networks `compile_circuit` builds for S, Z, X, Y, NOT and
+    CN against the oracles' textbook matrices, and the compiled CN for
+    unitarity."""
     reports = [
         compare(f"clifford-{gate}",
                 circuit_unitary(Circuit(1, (GateApp(gate, (0,)),))),
-                Tensor(2, matrix), tol)
-        for gate, matrix in textbook
+                Tensor(2, GATE_MATRICES[gate]), tol)
+        for gate in ("S", "Z", "X", "Y", "NOT")
     ]
 
-    # legs (out-c, out-t, in-c, in-t)
+    # legs (out-c, out-t, in-c, in-t), the textbook matrix's [out, in]
     cn_op = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
+    reports.append(compare("clifford-CN", cn_op, Tensor(4, GATE_MATRICES["CN"]), tol))
     cn_dag = Tensor(4, cn_op.array.transpose(2, 3, 0, 1).conj())
     prod = contract_pair(cn_op, (2, 3), cn_dag, (0, 1))
     ident4 = Tensor(4, np.eye(4))
@@ -279,11 +276,13 @@ def verify_clifford_recovery(tol: float = DEFAULT_TOL) -> list[RelationReport]:
 
 def verify_cn_transcription(tol: float = DEFAULT_TOL) -> list[RelationReport]:
     """Check the raised-index contraction against its component polynomial,
-    then report how it relates to the wired controlled-NOT (they differ;
-    the mismatch is expected and recorded, never silently resolved)."""
+    then report how it relates to the wired controlled-NOT that
+    `compile_circuit` builds (they differ; the mismatch is expected and
+    recorded, never silently resolved)."""
     contracted = cn_index_contraction()
     polynomial = tensor_from_fn(4, cn_component_polynomial)
-    wired = permute_legs(feynman_gate_network().contract(), (2, 3, 0, 1))
+    # legs (out-c, out-t, in-c, in-t)
+    wired = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
     return [
         compare("cn-index-contraction", contracted, polynomial, tol),
         compare("cn-contraction-vs-wired", contracted, wired, tol,

@@ -380,7 +380,10 @@ class TensorNetwork:
 
         steps: list[PlanStep] = []
         for idx in order:
-            x, y = ends[idx]
+            try:
+                x, y = ends[idx]
+            except TypeError:  # a float such as 0.0 passes the sorted() check
+                raise ValueError("order must be a permutation of the bond indices") from None
             if partner[x] == _SUMMED:
                 continue  # summed when its two clusters merged
             ca, cb = owner[x], owner[y]

@@ -25,10 +25,10 @@ from stabtensor.circuits import (
     Circuit,
     GateApp,
     circuit_state,
+    circuit_unitary,
     cn_component_polynomial,
     cn_index_contraction,
     compile_circuit,
-    feynman_gate_network,
 )
 from stabtensor.relations import RelationStatus
 from stabtensor.tensor import max_abs_diff, permute_legs
@@ -215,5 +215,6 @@ def test_simulation_states_match_dense_amplitudes_exactly_ordered():
     np.testing.assert_allclose(
         got, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-12
     )
-    wired = feynman_gate_network().contract()
-    assert wired[(1, 0, 1, 1)] == 1
+    # the compiled CN, legs (out-c, out-t, in-c, in-t), maps |10> to |11>
+    wired = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
+    assert wired[(1, 1, 1, 0)] == 1

@@ -43,7 +43,7 @@ def test_relation_suite_row_restores_plan():
     plan = TensorNetwork.plan
     row = bench.relation_suite_row()
     assert TensorNetwork.plan is plan
-    assert row["reports"] == 21 and row["networks"] > 0 and row["merges"] > 0
+    assert row["reports"] == 23 and row["networks"] > 0 and row["merges"] > 0
 
 
 def test_cli_row_captures_the_output(capsys):

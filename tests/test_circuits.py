@@ -17,10 +17,9 @@ from stabtensor.circuits import (
     cn_component_polynomial,
     cn_index_contraction,
     compile_circuit,
-    feynman_gate_network,
     parse_circuit,
 )
-from stabtensor.tensor import RankBudgetError, max_abs_diff, permute_legs
+from stabtensor.tensor import RankBudgetError, max_abs_diff
 from tests.conftest import assert_plan_is_observed, to_np
 
 
@@ -78,19 +77,13 @@ class TestFeynmanNetwork:
         np.testing.assert_allclose(np.array(state.data), expect, atol=1e-15)
 
     def test_contracts_to_permutation_matrix(self):
-        got = feynman_gate_network().contract()
-        mat = to_np(permute_legs(got, (2, 3, 0, 1))).reshape(4, 4)
+        # the compiled CN's legs (out-c, out-t, in-c, in-t) read as [out, in]
+        got = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
+        mat = to_np(got).reshape(4, 4)
         want = np.zeros((4, 4))
         for a, b in itertools.product((0, 1), repeat=2):
             want[(a << 1) | (a ^ b), (a << 1) | b] = 1
         np.testing.assert_array_equal(mat, want)
-
-    def test_compiled_cn_is_the_wired_network(self):
-        # compile_circuit wires its own copy/XOR pair for each CN; it must
-        # stay the same tensor as feynman_gate_network.
-        compiled = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
-        wired = permute_legs(feynman_gate_network().contract(), (2, 3, 0, 1))
-        assert np.array_equal(compiled.array, wired.array)
 
 
 class TestIndexContraction:
@@ -105,7 +98,7 @@ class TestIndexContraction:
 
     def test_differs_from_wired_cnot(self):
         # the two constructions disagree, e.g. at (1, 0, 1, 1)
-        wired = permute_legs(feynman_gate_network().contract(), (2, 3, 0, 1))
+        wired = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
         contracted = cn_index_contraction()
         assert wired[(1, 0, 1, 1)] == 1
         assert contracted[(1, 0, 1, 1)] == 0
@@ -166,6 +159,30 @@ class TestCompile:
                 tag = name.split(":", 1)[1]
                 assert tag in allowed
                 assert np.array_equal(node.array, allowed[tag].array), name
+
+    @pytest.mark.parametrize("accessor, tags", [
+        ("copy_tensor", {"copy"}), ("xor_tensor", {"xor"}), ("hadamard", {"H"}),
+        ("t_vector", {"t1", "t2", "t3"}), ("ket_zero", {"in0"}),
+        ("ket_one", {"in1", "one"}), ("identity_map", {"id"}),
+    ])
+    def test_compile_reads_each_accessor_at_call_time(self, monkeypatch, accessor, tags):
+        real = getattr(gen, accessor)
+        template = real(1) if accessor == "t_vector" else real()
+        sentinel = tensor.Tensor(template.rank, template.data)
+        monkeypatch.setattr(gen, accessor, lambda *args: sentinel)
+        ops = (
+            GateApp("H", (0,)), GateApp("S", (1,)), GateApp("Z", (2,)),
+            GateApp("X", (0,)), GateApp("Y", (1,)), GateApp("CN", (2, 0)),
+            GateApp("NOT", (1,)),
+        )
+        tagged = 0
+        for bits in ("011", None):
+            net = compile_circuit(Circuit(3, ops, bits))
+            for name, node in net.nodes.items():
+                mine = name.split(":", 1)[1] in tags
+                tagged += mine
+                assert (node is sentinel) == mine, name
+        assert tagged > 0
 
     def test_compile_builds_no_tensor(self, monkeypatch):
         # Every node is a shared generator instance built at import.

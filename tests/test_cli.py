@@ -154,6 +154,29 @@ class TestSimulate:
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("fmt", ["records", "human"])
+    def test_byte_order_mark_is_dropped(self, fmt, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.circ", tmp_path / "bom.circ"
+        plain.write_text(BELL_FILE, encoding="utf-8")
+        marked.write_text(BELL_FILE, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for path in (plain, marked):
+            assert cli.main(["--format", fmt, "simulate", str(path), "--crosscheck"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
+    def test_non_utf8_file_after_byte_order_mark_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bom-latin.circ"
+        path.write_bytes(b"\xef\xbb\xbfwires 1\n# \xff\nH 0\n")
+        assert cli.main(["--format", "records", "simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["records", "human"])
     def test_output_matches_line_loop(self, fmt, tmp_path, capsys):
         negative_zeros = 0
         for k, circ in enumerate(_seeded_circuits()):
@@ -276,6 +299,14 @@ class TestEntropy:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "cnot.tab"
+        path.write_text(CNOT_TABLE, encoding="utf-8-sig")
+        assert cli.main(["--format", "records", "entropy", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "reversible=yes" in captured.out
 
     def test_huge_header_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.tab"

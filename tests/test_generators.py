@@ -96,8 +96,7 @@ class TestCupCap:
         assert gen.cap().data == (1, 0, 0, 1)
 
     def test_built_once_and_shared(self):
-        assert gen.cup() is gen.cap() is gen.by_name("cup")
-        assert gen.by_name("cap").data == (1, 0, 0, 1)
+        assert gen.cup() is gen.cap() is gen.cup()
 
     def test_snake_equation(self):
         # (cap x id) . (id x cup) = id, brute forced over 2x2
@@ -218,7 +217,6 @@ GENERATORS = {
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_generators_are_shared(name):
     assert GENERATORS[name]() is GENERATORS[name]()
-    assert gen.by_name(name) is GENERATORS[name]()
 
 
 def test_phase_vectors_and_identity_are_shared():
@@ -236,10 +234,3 @@ def test_shared_generators_are_read_only(name):
     with pytest.raises(ValueError, match="read-only"):
         t.array.reshape(-1)[-1] = 5
     assert GENERATORS[name]().data == before
-
-
-def test_by_name_round_trip():
-    assert gen.by_name("copy").data == gen.copy_tensor().data
-    assert gen.by_name("t2").data == gen.t_vector(2).data
-    with pytest.raises(ValueError):
-        gen.by_name("nonsense")

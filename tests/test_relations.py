@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from stabtensor import boolfn, cli, relations
+from stabtensor import boolfn, circuits, cli, relations
 from stabtensor import generators as gen
 from stabtensor.circuits import Circuit, GateApp, circuit_unitary
 from stabtensor.generators import copy_tensor, identity_map, xor_tensor
@@ -66,6 +66,8 @@ def test_clifford_recovery_all_exact():
         "clifford-Z",
         "clifford-X",
         "clifford-Y",
+        "clifford-NOT",
+        "clifford-CN",
         "clifford-CN-unitary",
         "clifford-H-involution",
     ]
@@ -80,9 +82,10 @@ def _flipped(t, k):
     return Tensor(t.rank, data)
 
 
-def _patch_generator(monkeypatch, name, tensor):
-    real = gen.by_name
-    monkeypatch.setattr(gen, "by_name", lambda n: tensor if n == name else real(n))
+def _patch_generator(monkeypatch, accessor, tensor, *args):
+    """Make `gen.<accessor>(*args)` return `tensor`; other calls read the real one."""
+    real = getattr(gen, accessor)
+    monkeypatch.setattr(gen, accessor, lambda *a: tensor if a == args else real(*a))
 
 
 def _clifford(rid):
@@ -91,18 +94,49 @@ def _clifford(rid):
 
 def test_clifford_checks_read_the_compiled_phase_vectors(monkeypatch):
     # compile builds S^3 from t3; (1, i) there turns Y into S X S
-    _patch_generator(monkeypatch, "t3", Tensor(1, (1, 1j)))
+    _patch_generator(monkeypatch, "t_vector", Tensor(1, (1, 1j)), 3)
     assert _clifford("clifford-Y").status is RelationStatus.FAILS
 
 
 def test_clifford_checks_read_the_compiled_cn(monkeypatch):
-    _patch_generator(monkeypatch, "xor", _flipped(xor_tensor(), 0b000))
+    _patch_generator(monkeypatch, "xor_tensor", _flipped(xor_tensor(), 0b000))
     assert _clifford("clifford-CN-unitary").status is RelationStatus.FAILS
 
 
 def test_patched_xor_accessor_reaches_the_compiled_cn(monkeypatch):
     monkeypatch.setattr(gen, "xor_tensor", lambda: _flipped(xor_tensor(), 0b000))
-    assert _clifford("clifford-CN-unitary").status is RelationStatus.FAILS
+    for rid in ("clifford-CN", "clifford-CN-unitary"):
+        assert _clifford(rid).status is RelationStatus.FAILS
+
+
+def _verify_exit(capsys):
+    code = cli.main(["--format", "records", "verify"])
+    capsys.readouterr()
+    return code
+
+
+def test_not_built_on_ket0_fails_clifford_not(monkeypatch, capsys):
+    # NOT with |0> on the XOR's spare leg is the identity, itself unitary
+    monkeypatch.setattr(gen, "ket_one", gen.ket_zero)
+    reports = relations.verify_clifford_recovery()
+    assert [r.relation_id for r in reports if not r.holds] == ["clifford-NOT"]
+    assert _verify_exit(capsys) == 1
+
+
+def test_swapped_cn_wires_fail_clifford_cn(monkeypatch, capsys):
+    # CN with control and target swapped is still a permutation, so only
+    # the textbook matrix tells it apart
+    real = circuits.compile_circuit
+
+    def swapped(circuit):
+        ops = tuple(GateApp("CN", op.wires[::-1]) if op.gate == "CN" else op
+                    for op in circuit.ops)
+        return real(Circuit(circuit.width, ops, circuit.input))
+
+    monkeypatch.setattr(circuits, "compile_circuit", swapped)
+    assert _clifford("clifford-CN").status is RelationStatus.FAILS
+    assert _clifford("clifford-CN-unitary").status is RelationStatus.EXACT_HOLD
+    assert _verify_exit(capsys) == 1
 
 
 def test_corrupted_xor_fails_copies_plus_minus(monkeypatch):
@@ -185,7 +219,7 @@ def test_every_report_is_one_compare(monkeypatch):
     monkeypatch.setattr(relations, "compare", counting)
     monkeypatch.setattr(boolfn, "compare", counting)
     reports = cli.verification_reports(DEFAULT_TOL)
-    assert len(reports) == 21
+    assert len(reports) == 23
     assert [id(r) for r in reports] == [id(r) for r in made]
 
 

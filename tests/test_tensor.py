@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from stabtensor import generators as gen
 from stabtensor import tensor
-from stabtensor.circuits import Circuit, GateApp, compile_circuit, feynman_gate_network
+from stabtensor.circuits import Circuit, GateApp, compile_circuit
 from stabtensor.tensor import (
     MAX_RANK,
     PlanStep,
@@ -273,6 +273,12 @@ def _cnot_matrix_by_enumeration() -> np.ndarray:
     return m
 
 
+def _feynman_network():
+    """The Feynman gate (controlled-NOT) as `compile_circuit` wires it:
+    one copy/XOR pair, open legs (out-c, out-t, in-c, in-t)."""
+    return compile_circuit(Circuit(2, (GateApp("CN", (0, 1)),)))
+
+
 class TestNetworks:
     def test_single_node_no_bonds(self):
         rng = random.Random(1)
@@ -281,9 +287,8 @@ class TestNetworks:
         assert net.contract().data == t.data
 
     def test_feynman_network_equals_enumerated_cnot(self):
-        got = feynman_gate_network().contract()
-        # open legs (in-c, in-t, out-c, out-t) -> matrix [out, in]
-        mat = to_np(permute_legs(got, (2, 3, 0, 1))).reshape(4, 4)
+        # open legs (out-c, out-t, in-c, in-t) -> matrix [out, in]
+        mat = to_np(_feynman_network().contract()).reshape(4, 4)
         np.testing.assert_array_equal(mat.real, _cnot_matrix_by_enumeration())
         np.testing.assert_array_equal(mat.imag, np.zeros((4, 4)))
 
@@ -371,7 +376,7 @@ class TestNetworks:
                           [(("a", 0.0), ("b", 0))], [])
 
     def test_bad_order_rejected(self):
-        net = feynman_gate_network()
+        net = _feynman_network()
         with pytest.raises(ValueError):
             net.contract(order=[0, 0])
 
@@ -387,7 +392,7 @@ def _corpus():
         [("x", 0), ("d", 0)],
     )
     return {
-        "feynman": feynman_gate_network(),
+        "feynman": _feynman_network(),
         "bell": bell,
         "ghz": ghz,
         "hopf": hopf,
@@ -493,9 +498,12 @@ def _chain_network(length):
 
 class TestPlan:
     def test_steps_of_the_feynman_network(self):
-        assert feynman_gate_network().plan() == [
-            PlanStep("merge", 4, 0, 1, (2,), (2,)),
-            PlanStep("permute", 4, 0, legs_a=(0, 2, 3, 1)),
+        # nodes: the two identity anchors, copy, XOR; the copy/XOR bond first
+        assert _feynman_network().plan() == [
+            PlanStep("merge", 4, 2, 3, (2,), (2,)),
+            PlanStep("merge", 4, 0, 2, (0,), (0,)),
+            PlanStep("merge", 4, 1, 0, (0,), (3,)),
+            PlanStep("permute", 4, 0, legs_a=(3, 2, 0, 1)),
         ]
 
     def test_network_without_nodes_is_the_unit(self):
@@ -505,7 +513,20 @@ class TestPlan:
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
-            feynman_gate_network().plan(order=[0, 0])
+            _feynman_network().plan(order=[0, 0])
+
+    @pytest.mark.parametrize("order", [[0.0], [0.5]])
+    def test_float_order_rejected(self, order):
+        # 0.0 == 0 passes the permutation test; it must still be a ValueError
+        net = compile_circuit(Circuit(1, (GateApp("H", (0,)),), "0"))
+        for run in (net.plan, net.contract):
+            with pytest.raises(ValueError, match="^order must be a permutation of the bond indices$"):
+                run(order=order)
+
+    def test_numpy_integer_order_accepted(self):
+        net = _feynman_network()
+        order = list(np.arange(len(net.bonds))[::-1])
+        assert net.plan(order) == net.plan(order=[2, 1, 0])
 
     @pytest.mark.parametrize("net,message", [
         # The chain first holds both ends and all 23 middle legs.
