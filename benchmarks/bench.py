@@ -14,7 +14,9 @@ the final permutation are not counted.  The relation-suite row times
 ``stabtensor verify``'s reports and sums the same plan figures over every
 network the suite contracts.  The CLI rows time one whole ``cli.main``
 call, records format, with stdout captured: ``simulate`` on
-``samples/bell.circ``, with and without ``--crosscheck``, and ``verify``.
+``samples/bell.circ``, with and without ``--crosscheck``, on a 20-wire GHZ
+file and on the 12x400 circuit of the dense oracle row (both files written
+once, outside the timer), and ``verify``.
 The oracle rows time each oracle on its own: ``dense_simulate`` on a
 12-wire circuit, one batched ``pauli_expectations`` call on its state
 (the crosscheck's 44 strings), and one on a 1000-wire tableau (20 products
@@ -37,6 +39,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
@@ -69,6 +72,8 @@ LADDER_WIDTH = 14
 # (width, depth) of the dense oracle's circuit, and the tableau rows' width
 # and string count.
 DENSE_CIRCUIT = (12, 400)
+# Wires of the GHZ file the simulate row prints, 2**20 amplitude lines.
+GHZ_WIDTH = 20
 TABLEAU_WIDTH = 1000
 TABLEAU_STRINGS = 20
 
@@ -114,6 +119,20 @@ def cn_ladder(width: int) -> Circuit:
     ops = [GateApp("H", (w,)) for w in range(width)]
     ops += [GateApp("CN", (w, w + 1)) for w in range(width - 1)]
     return Circuit(width, tuple(ops), "0" * width)
+
+
+def ghz(width: int) -> Circuit:
+    """H on wire 0, then CN from each wire to the next."""
+    ops = [GateApp("H", (0,))] + [GateApp("CN", (w, w + 1)) for w in range(width - 1)]
+    return Circuit(width, tuple(ops), "0" * width)
+
+
+def circuit_file(path: Path, circuit: Circuit) -> str:
+    """Write `circuit` as a circuit file at `path`; return the path."""
+    lines = [f"wires {circuit.width}", f"input {circuit.input}"]
+    lines += [" ".join([op.gate, *map(str, op.wires)]) for op in circuit.ops]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
 
 
 def relation_suite_row() -> dict:
@@ -203,8 +222,9 @@ def environment() -> dict:
     }
 
 
-def row_calls() -> list:
-    """One zero-argument call per row; each times its row once."""
+def row_calls(workdir: Path) -> list:
+    """One zero-argument call per row; each times its row once.  The simulate
+    rows' circuit files are written to `workdir` here, before any timing."""
     calls = []
     for width, depth, seeds in RANDOM_GRID:
         for seed in seeds:
@@ -216,6 +236,12 @@ def row_calls() -> list:
     calls.append(partial(cli_row, "cli-simulate-bell", ["--format", "records", "simulate", bell]))
     calls.append(partial(cli_row, "cli-crosscheck-bell",
                          ["--format", "records", "simulate", bell, "--crosscheck"]))
+    width, depth = DENSE_CIRCUIT
+    for name, circuit in ((f"ghz{GHZ_WIDTH}", ghz(GHZ_WIDTH)),
+                          (f"{width}x{depth}", oracles.random_clifford_circuit(width, depth, 0))):
+        path = circuit_file(workdir / f"{name}.circ", circuit)
+        calls.append(partial(cli_row, f"cli-simulate-{name}",
+                             ["--format", "records", "simulate", path]))
     calls.append(partial(cli_row, "cli-verify", ["--format", "records", "verify"]))
     return calls + oracle_calls()
 
@@ -255,7 +281,8 @@ def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 benchmarks/bench.py OUT.json", file=sys.stderr)
         return 2
-    result = {"env": environment(), "rows": interleaved(row_calls())}
+    with tempfile.TemporaryDirectory() as workdir:
+        result = {"env": environment(), "rows": interleaved(row_calls(Path(workdir)))}
     for row in result["rows"]:
         print(" ".join(f"{k}={_text(v)}" for k, v in row.items()))
     Path(argv[0]).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")

@@ -7,16 +7,20 @@ runs can be diffed byte-for-byte.
 The argument parser is built once, at import, and every `main` call parses
 with it; `parse_args` keeps no state between calls, so each call starts
 from the defaults.
+
+`simulate` writes its 2**n amplitude lines in blocks of up to WRITE_BLOCK.
+Each block is one byte matrix built in numpy, with each distinct amplitude
+part (a real or imaginary bit pattern) formatted once, and goes out in one
+`sys.stdout.write`; no Python code runs per amplitude.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
-from typing import Iterator
+from collections.abc import Callable
 
 import numpy as np
 
@@ -27,9 +31,12 @@ from stabtensor.tensor import DEFAULT_TOL, RankBudgetError, Tensor
 
 ENV_TOL = "STABTENSOR_TOL"
 
-# Amplitude records per stdout write: a state of up to 16 wires goes out in
+# Amplitude lines per stdout write: a state of up to 16 wires goes out in
 # one call, and the text of a wider one is never held whole.
 WRITE_BLOCK = 1 << 16
+
+# The eight digits of each byte value, most significant first, as ASCII.
+_BYTE_DIGITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + ord("0")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,16 +70,17 @@ def _corrupted_copy_tensor() -> Tensor:
 
 def verification_reports(tol: float, inject_fault: bool = False):
     delta = _corrupted_copy_tensor() if inject_fault else None
+    cn_op = relations.compiled_cn()  # one compile for both CN checks
     reports = [
         relations.verify_relation(rid, tol=tol, copy=delta)
         for rid in relations.RELATION_FAMILIES
     ]
     reports.append(relations.verify_xor_in_hadamard_basis(tol=tol))
     reports.append(relations.verify_xor_copies_plus_minus(tol=tol))
-    reports.extend(relations.verify_clifford_recovery(tol=tol))
+    reports.extend(relations.verify_clifford_recovery(tol=tol, cn_op=cn_op))
     for n in range(1, 5):
         reports.append(boolfn.verify_hadamard_column_indexing(n, tol=tol))
-    reports.extend(relations.verify_cn_transcription(tol=tol))
+    reports.extend(relations.verify_cn_transcription(tol=tol, cn_op=cn_op))
     return reports
 
 
@@ -102,30 +110,47 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _amp_rows(state: Tensor, fmt) -> Iterator[tuple[str, str, str]]:
-    """(index, fmt(re), fmt(im)) for every amplitude, in index order.
+def _write_amplitudes(head: str, state: Tensor, line: str,
+                      fmt: Callable[[float], str]) -> None:
+    """Write `head`, then `line.format(k, fmt(re), fmt(im))` for every
+    amplitude re + im*j of `state`, k as an MSB-first bit string, to stdout.
 
-    Indices are MSB-first bit strings.  A stabilizer state has few distinct
-    real and imaginary parts, so `fmt` runs once per distinct float in each
-    block, keyed on its bit pattern so that 0.0 and -0.0 stay apart.
+    Each block of up to WRITE_BLOCK lines goes out in one write.  A
+    stabilizer state has few distinct amplitude parts, so a block sorts the
+    bit patterns of its real and imaginary parts together (0.0 and -0.0
+    stay apart) and calls `fmt` once per distinct one.  The block's text is
+    one byte matrix, a row per line: `line` with the index digits and both
+    parts filled in, each part NUL-padded to the widest; the NULs are
+    dropped before the write.
     """
-    flat = state.array.reshape(-1)
-    index = map("".join, itertools.product("01", repeat=state.rank))
-    for start in range(0, flat.size, WRITE_BLOCK):
-        block = flat[start:start + WRITE_BLOCK]
-        keys = block.view(np.uint64).tolist()  # re, im, re, im, ...
-        distinct = dict(zip(keys, block.view(np.float64).tolist()))
-        texts = {key: fmt(value) for key, value in distinct.items()}
-        parts = map(texts.__getitem__, keys)
-        yield from zip(itertools.islice(index, block.size), parts, parts)
-
-
-def _write_lines(head: str, lines: Iterator[str]) -> None:
-    """Write `head`, then `lines`, to stdout in calls of WRITE_BLOCK lines."""
-    text = head + "".join(itertools.islice(lines, WRITE_BLOCK))
-    while text:
-        sys.stdout.write(text)
-        text = "".join(itertools.islice(lines, WRITE_BLOCK))
+    n = state.rank
+    lead, before, between, _ = line.split("{}")
+    flat = state.array.reshape(-1).view(np.uint64)  # re, im, re, im, ...
+    for start in range(0, flat.size // 2, WRITE_BLOCK):
+        block = flat[2 * start:2 * (start + WRITE_BLOCK)]
+        size = block.size // 2
+        ordered = np.sort(block, kind="stable")  # timsort: fast on runs of zeros
+        first = np.empty(block.size, bool)  # first of its run of equal parts
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
+        texts = np.array(list(map(fmt, distinct.view(np.float64).tolist())), "S")
+        width = texts.itemsize
+        row = line.format("\0" * n, "\0" * width, "\0" * width).encode()
+        lines = np.frombuffer(bytearray(row) * size, np.uint8).reshape(size, -1)
+        # big-endian bytes of each index; MAX_RANK keeps n below 32 bits
+        index = np.arange(start, start + size, dtype=">u4").view(np.uint8)
+        digits = np.take(_BYTE_DIGITS, index, axis=0).reshape(size, 32)
+        lines[:, len(lead):len(lead) + n] = digits[:, 32 - n:]
+        re_at = len(lead) + n + len(before)
+        im_at = re_at + width + len(between)
+        codes = np.searchsorted(distinct, block)
+        parts = np.take(texts, codes).view(np.uint8).reshape(size, 2, width)
+        lines[:, re_at:re_at + width] = parts[:, 0]
+        lines[:, im_at:im_at + width] = parts[:, 1]
+        text = lines.reshape(-1)
+        sys.stdout.write(head + text[text != 0].tobytes().decode())
+        head = ""
 
 
 def _load(path: str, parse):
@@ -161,15 +186,10 @@ def cmd_simulate(args) -> int:
         return EXIT_INPUT_ERROR
     n = circuit.width
     if args.format == "records":
-        _write_lines(f"state wires={n}\n", (
-            f"amp index={k} re={re} im={im}\n"
-            for k, re, im in _amp_rows(state, repr)
-        ))
+        _write_amplitudes(f"state wires={n}\n", state, "amp index={} re={} im={}\n", repr)
     else:
-        _write_lines(f"output state on {n} wire(s):\n", (
-            f"  |{k}>  {re}{im}j\n"
-            for k, re, im in _amp_rows(state, "{:+.10f}".format)
-        ))
+        _write_amplitudes(f"output state on {n} wire(s):\n", state, "  |{}>  {}{}j\n",
+                          "{:+.10f}".format)
     if not args.crosscheck:
         return EXIT_OK
     result = oracles.crosscheck_circuit(circuit, seed=args.seed)

@@ -71,7 +71,7 @@ def test_rows_are_timed_in_interleaved_rounds(monkeypatch):
     ]
 
 
-def test_oracle_rows_time_each_oracle_alone(monkeypatch):
+def test_oracle_rows_time_each_oracle_alone(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "DENSE_CIRCUIT", (3, 10))
     monkeypatch.setattr(bench, "TABLEAU_WIDTH", 30)
     monkeypatch.setattr(bench, "TABLEAU_STRINGS", 4)
@@ -84,7 +84,7 @@ def test_oracle_rows_time_each_oracle_alone(monkeypatch):
         return values
 
     monkeypatch.setattr(oracles, "pauli_expectations", recording)
-    calls = {call.args[0]: call for call in bench.row_calls() if isinstance(call, partial)}
+    calls = {call.args[0]: call for call in bench.row_calls(tmp_path) if isinstance(call, partial)}
     names = ["cli-crosscheck-bell", "dense-simulate-3x10", "expect-dense-3", "expect-tableau-30"]
     rows = [calls[name]() for name in names]
     assert [row["name"] for row in rows] == names
@@ -94,3 +94,15 @@ def test_oracle_rows_time_each_oracle_alone(monkeypatch):
     # row; the tableau strings are stabilizer products, each +1 or -1.
     assert [n for n, _ in batches] == [2, 2, 3, 30]
     assert set(np.abs(batches[-1][1])) == {1.0}
+
+
+def test_simulate_rows_read_files_written_before_timing(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "DENSE_CIRCUIT", (3, 10))
+    monkeypatch.setattr(bench, "GHZ_WIDTH", 4)
+    calls = {call.args[0]: call for call in bench.row_calls(tmp_path) if isinstance(call, partial)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["3x10.circ", "ghz4.circ"]
+    assert (tmp_path / "ghz4.circ").read_text() == (
+        "wires 4\ninput 0000\nH 0\nCN 0 1\nCN 1 2\nCN 2 3\n")
+    for name in ("cli-simulate-ghz4", "cli-simulate-3x10"):
+        row = calls[name]()
+        assert row["name"] == name and row["call_s"] > 0

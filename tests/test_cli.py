@@ -215,6 +215,44 @@ class TestSimulate:
         assert out.calls == calls
         assert out.getvalue() == _line_loop_output("records", circuit_state(circ))
 
+    @pytest.mark.parametrize("fmt", ["records", "human"])
+    def test_non_stabilizer_state_matches_line_loop(self, fmt, tmp_path, capsys, monkeypatch):
+        rng = random.Random(9)
+        parts = [rng.gauss(0, 1) * 10.0 ** rng.randint(-320, 300) for _ in range(512)]
+        parts[:12] = [0.0, -0.0, 0.5, -1.0, 5e-324, -2.5e-310, 1e300,
+                      -1.7976931348623157e308, 0.1, 1 / 3, -0.0, 0.0]
+        rng.shuffle(parts)
+        state = Tensor(8, [complex(re, im) for re, im in zip(parts[::2], parts[1::2])])
+        lengths = {len(repr(p)) for p in parts}
+        assert min(lengths) == 3 and max(lengths) > 20
+        monkeypatch.setattr(cli, "circuit_state", lambda circuit: state)
+        path = tmp_path / "eight.circ"
+        path.write_text("wires 8\n")
+        assert cli.main(["--format", fmt, "simulate", str(path)]) == 0
+        assert capsys.readouterr().out == _line_loop_output(fmt, state)
+
+    @pytest.mark.parametrize("fmt", ["records", "human"])
+    def test_small_blocks_carry_high_index_bits(self, fmt, tmp_path, monkeypatch):
+        circ = next(c for c in _seeded_circuits() if c.width == 6 and "1" in c.input)
+        path = _circuit_file(tmp_path / "c.circ", circ)
+        monkeypatch.setattr(cli, "WRITE_BLOCK", 4)
+        out = _CountingOut()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["--format", fmt, "simulate", path]) == 0
+        assert out.calls == 16
+        assert out.getvalue() == _line_loop_output(fmt, circuit_state(circ))
+
+    def test_ghz17_crosses_the_default_block(self, tmp_path, monkeypatch):
+        ops = "".join(f"CN {w} {w + 1}\n" for w in range(16))
+        path = tmp_path / "ghz17.circ"
+        path.write_text("wires 17\nH 0\n" + ops)
+        out = _CountingOut()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["--format", "records", "simulate", str(path)]) == 0
+        assert out.calls == 2 == (1 << 17) // cli.WRITE_BLOCK
+        state = circuit_state(circuits.parse_circuit(path.read_text()))
+        assert out.getvalue() == _line_loop_output("records", state)
+
     def test_width_above_rank_budget_exits_2(self, tmp_path, capsys):
         path = tmp_path / "wide.circ"
         path.write_text("wires 28\nH 0\n")

@@ -223,6 +223,33 @@ def test_every_report_is_one_compare(monkeypatch):
     assert [id(r) for r in reports] == [id(r) for r in made]
 
 
+def test_verify_compiles_the_cn_once(monkeypatch):
+    real = circuits.compile_circuit
+    compiled = []
+
+    def recording(circuit):
+        compiled.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(circuits, "compile_circuit", recording)
+    reports = cli.verification_reports(DEFAULT_TOL)
+    assert [c for c in compiled if c.width == 2] == [Circuit(2, (GateApp("CN", (0, 1)),))]
+    by_id = {r.relation_id: r for r in reports}
+    assert by_id["clifford-CN"].status is RelationStatus.EXACT_HOLD
+    assert by_id["cn-contraction-vs-wired"].max_deviation == 1.0
+
+
+def test_given_cn_operator_reaches_both_cn_checks():
+    # a swapped CN is still unitary; only the textbook matrix tells it apart
+    swapped = circuit_unitary(Circuit(2, (GateApp("CN", (1, 0)),)))
+    clifford = {r.relation_id: r for r in relations.verify_clifford_recovery(cn_op=swapped)}
+    assert clifford["clifford-CN"].status is RelationStatus.FAILS
+    assert clifford["clifford-CN-unitary"].status is RelationStatus.EXACT_HOLD
+    # given the raised-index contraction itself, the documented mismatch goes
+    _, versus = relations.verify_cn_transcription(cn_op=relations.cn_index_contraction())
+    assert versus.status is RelationStatus.EXACT_HOLD
+
+
 # (family, half, entry flipped in that half's generator); each entry is one
 # the half's law reads, so the fault must show through the folded compare.
 FOLDED_FAULTS = [
