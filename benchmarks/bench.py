@@ -7,10 +7,13 @@ Uses the standard library and numpy only, and one BLAS thread.
 
 Each circuit row times ``compile_circuit``, ``TensorNetwork.plan`` and
 ``TensorNetwork.contract`` (which runs its own plan) separately, and reads
-from the plan its merges, its peak rank and its FLOPs.  A merge of ranks
-ra and rb over k leg pairs costs 2**(ra + rb - k) complex multiply-adds,
-the figure perfbench reports as ``tensor.contract_pair.flops``; traces and
-the final permutation are not counted.  The relation-suite row times
+from the plan its merges, its kernel merges (the merges that run the
+kernel: not those that return a stored gate product, see
+``tensor.stored_product``), its peak rank and its FLOPs.  A merge of
+ranks ra and rb over k leg pairs costs 2**(ra + rb - k) complex
+multiply-adds, the figure perfbench reports as
+``tensor.contract_pair.flops``, stored or not; traces and the final
+permutation are not counted.  The relation-suite row times
 ``stabtensor verify``'s reports and sums the same plan figures over every
 network the suite contracts.  The CLI rows time one whole ``cli.main``
 call, records format, with stdout captured: ``simulate`` on
@@ -54,7 +57,7 @@ if str(ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from stabtensor import cli, oracles  # noqa: E402
+from stabtensor import cli, oracles, tensor  # noqa: E402
 from stabtensor.circuits import Circuit, GateApp, compile_circuit  # noqa: E402
 from stabtensor.tensor import DEFAULT_TOL, TensorNetwork  # noqa: E402
 
@@ -79,17 +82,29 @@ TABLEAU_STRINGS = 20
 
 
 def plan_figures(net: TensorNetwork, steps) -> dict:
-    """Merges, peak rank and merge FLOPs of `steps`, a plan of `net`."""
+    """Merges, kernel merges, peak rank and merge FLOPs of `steps`, a plan
+    of `net`.  A merge whose operands are those of a stored product
+    (`tensor.stored_product`) returns it without running the kernel; every
+    other merge is a kernel merge."""
     ranks = [t.rank for t in net.nodes.values()]
-    merges = flops = 0
+    # Each cluster's tensor while it is a node or a stored product; None
+    # once the kernel has built it, and None is no stored operand.
+    tensors = list(net.nodes.values())
+    merges = kernel_merges = flops = 0
     for step in steps:
         if step.kind == "merge":
             merges += 1
             flops += 1 << (ranks[step.a] + ranks[step.b] - len(step.legs_a))
+            known = tensor.stored_product(tensors[step.a], step.legs_a,
+                                          tensors[step.b], step.legs_b)
+            kernel_merges += known is None
             ranks[min(step.a, step.b)] = step.rank
+            tensors[max(step.a, step.b)], tensors[min(step.a, step.b)] = None, known
         elif step.kind == "trace":
             ranks[step.a] = step.rank
-    return {"merges": merges, "peak_rank": max(s.rank for s in steps), "flops": flops}
+            tensors[step.a] = None
+    return {"merges": merges, "kernel_merges": kernel_merges,
+            "peak_rank": max(s.rank for s in steps), "flops": flops}
 
 
 def timed(fn) -> tuple[float, object]:
@@ -137,7 +152,7 @@ def circuit_file(path: Path, circuit: Circuit) -> str:
 
 def relation_suite_row() -> dict:
     suite_s, reports = timed(lambda: cli.verification_reports(DEFAULT_TOL))
-    figures = {"merges": 0, "peak_rank": 0, "flops": 0}
+    figures = {"merges": 0, "kernel_merges": 0, "peak_rank": 0, "flops": 0}
     networks = 0
     plan = TensorNetwork.plan
 
@@ -146,8 +161,8 @@ def relation_suite_row() -> dict:
         steps = plan(self, order)
         networks += 1
         one = plan_figures(self, steps)
-        figures["merges"] += one["merges"]
-        figures["flops"] += one["flops"]
+        for key in ("merges", "kernel_merges", "flops"):
+            figures[key] += one[key]
         figures["peak_rank"] = max(figures["peak_rank"], one["peak_rank"])
         return steps
 

@@ -12,9 +12,17 @@ decomposition is canonical and fixed:
     CN   copy tensor on the control wire feeding the XOR tensor on the target
     NOT  XOR tensor with the constant |1> on one input
 
+Each gate declares its internal bonds before the bond that attaches it
+to its wire, so the merges inside a gate block involve that block's
+generator tensors alone and are the same in every circuit.  At import,
+each one-gate network is contracted once and those merges are stored
+(`tensor.store_product`): `contract_pair` returns them without running
+the kernel, while every merge still goes through it.
+
 Each generator is read through its `generators` accessor at call time,
 so patching one (say `generators.xor_tensor`) reaches every compiled
-circuit.
+circuit: the patched tensor is a different object, matches no stored
+product, and is contracted.
 
 Two controlled-NOT constructions coexist on purpose: the wired copy/XOR
 pair `compile_circuit` builds for each CN, and the raised-index single
@@ -27,7 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from stabtensor import generators as gen
-from stabtensor.tensor import LegBinding, Tensor, TensorNetwork, check_rank, contract_pair
+from stabtensor.tensor import (
+    LegBinding, Tensor, TensorNetwork, check_rank, contract_pair, store_product,
+)
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
 
@@ -170,9 +180,10 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
         nodes[name] = tensor
         return name
 
-    def apply_map(w: int, name: str, in_leg: int, out_leg: int) -> None:
-        bonds.append(LegBinding(*cur[w], name, in_leg))
-        cur[w] = (name, out_leg)
+    def attach(w: int, entry: tuple[str, int], end: tuple[str, int]) -> None:
+        """Bond wire w's end to the gate's `entry` leg; `end` is the new end."""
+        bonds.append(LegBinding(*cur[w], *entry))
+        cur[w] = end
 
     if circuit.input is not None:
         for bit in circuit.input:
@@ -192,24 +203,58 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
             d = add("copy", gen.copy_tensor())
             x = add("xor", gen.xor_tensor())
             bonds.append(LegBinding(d, 2, x, 2))
-            apply_map(w, d, 0, 1)  # control
-            apply_map(op.wires[1], x, 1, 0)  # target
+            attach(w, (d, 0), (d, 1))  # control
+            attach(op.wires[1], (x, 1), (x, 0))  # target
         elif op.gate == "NOT":
             x = add("xor", gen.xor_tensor())
             one = add("one", gen.ket_one())
             bonds.append(LegBinding(one, 0, x, 2))
-            apply_map(w, x, 1, 0)
+            attach(w, (x, 1), (x, 0))
         else:
+            # The bonds inside the gate first, then the one to its wire.
+            entry = end = None
             for step in SINGLE_WIRE_STEPS[op.gate]:
                 if step == "H":
-                    apply_map(w, add("H", gen.hadamard()), 1, 0)
+                    node, in_leg, out_leg = add("H", gen.hadamard()), 1, 0
                 else:
-                    d = add("copy", gen.copy_tensor())
+                    node, in_leg, out_leg = add("copy", gen.copy_tensor()), 2, 1
                     t = add(f"t{step}", gen.t_vector(step))
-                    bonds.append(LegBinding(t, 0, d, 0))
-                    apply_map(w, d, 2, 1)
+                    bonds.append(LegBinding(t, 0, node, 0))
+                if end is None:
+                    entry = (node, in_leg)
+                else:
+                    bonds.append(LegBinding(*end, node, in_leg))
+                end = (node, out_leg)
+            attach(w, entry, end)
 
     return TensorNetwork(nodes, bonds, list(cur) + in_legs)
+
+
+def _store_gate_products() -> None:
+    """Contract each one-gate operator network once, storing every merge of
+    two constants (see `tensor.store_product`).
+
+    The constants are the gate's generator tensors and the products stored
+    before; the identity anchors, the first `arity` nodes, are not, so no
+    merge with an anchor is run or stored.  As every gate declares its
+    internal bonds first, these are exactly the merges inside each gate
+    block of any compiled circuit.
+    """
+    for gate, arity in GATE_ARITY.items():
+        net = compile_circuit(Circuit(arity, (GateApp(gate, tuple(range(arity))),)))
+        tensors = [None] * arity + list(net.nodes.values())[arity:]
+        for step in net.plan():
+            if step.kind != "merge":
+                continue
+            a, b = tensors[step.a], tensors[step.b]
+            tensors[max(step.a, step.b)] = None
+            tensors[min(step.a, step.b)] = (
+                None if a is None or b is None
+                else store_product(a, step.legs_a, b, step.legs_b)
+            )
+
+
+_store_gate_products()
 
 
 def circuit_state(circuit: Circuit) -> Tensor:

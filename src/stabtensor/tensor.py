@@ -139,6 +139,16 @@ def tensor_from_fn(rank: int, fn: Callable[..., complex]) -> Tensor:
     return Tensor(rank, data)
 
 
+def _require_int_legs(legs_a: Sequence[int], legs_b: Sequence[int]) -> None:
+    """Raise ValueError naming the first leg that is not an integer."""
+    for side, legs in (("first", legs_a), ("second", legs_b)):
+        for p in legs:
+            try:
+                operator.index(p)
+            except TypeError:
+                raise ValueError(f"{side} leg {p!r} is not an integer") from None
+
+
 def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
     seen = set()
     for p in legs:
@@ -147,6 +157,40 @@ def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
         if p in seen:
             raise ValueError(f"duplicate {side} leg {p}")
         seen.add(p)
+
+
+# Products of constant tensors: (id(a), legs_a, id(b), legs_b) maps to
+# (a, b, contract_pair(a, legs_a, b, legs_b)).  Holding a and b keeps their
+# ids from being reused.  Filled by `store_product` while `circuits` is
+# imported, and never after.
+_PRODUCTS: dict[tuple, tuple[Tensor, Tensor, Tensor]] = {}
+_INT = {int}
+
+
+def stored_product(
+    a: Tensor, legs_a: tuple[int, ...], b: Tensor, legs_b: tuple[int, ...]
+) -> Tensor | None:
+    """The product stored for `contract_pair(a, legs_a, b, legs_b)`, or None.
+
+    Legs must match as tuples; legs in a list are never stored."""
+    try:
+        hit = _PRODUCTS.get((id(a), legs_a, id(b), legs_b))
+    except TypeError:  # unhashable legs
+        return None
+    return None if hit is None else hit[2]
+
+
+def store_product(
+    a: Tensor, legs_a: tuple[int, ...], b: Tensor, legs_b: tuple[int, ...]
+) -> Tensor:
+    """Contract a with b and store the product for later calls to return.
+
+    Only `circuits` calls this, at import, for the merges inside its gate
+    blocks; the table does not grow after that.
+    """
+    product = contract_pair(a, legs_a, b, legs_b)
+    _PRODUCTS[(id(a), legs_a, id(b), legs_b)] = (a, b, product)
+    return product
 
 
 def contract_pair(
@@ -158,7 +202,18 @@ def contract_pair(
     original order.  Zero pairs gives the outer product.  Raises
     RankBudgetError, before allocating, if the result's rank exceeds
     MAX_RANK.  The result wraps the kernel's own output array, uncopied.
+
+    A call whose operands are the very tensors of a stored product (see
+    `store_product`: the merges inside each gate of `compile_circuit`, over
+    the generator tensors) returns that product and runs no kernel.  A leg
+    that is not an integer is a ValueError, stored operands or not.
     """
+    known = stored_product(a, legs_a, b, legs_b)
+    if known is not None:
+        # A float leg hashes and compares as the int it equals: (0.0,) == (0,).
+        if not _INT.issuperset(map(type, legs_a + legs_b)):
+            _require_int_legs(legs_a, legs_b)
+        return known
     if len(legs_a) != len(legs_b):
         raise ValueError(
             f"leg lists differ in length: {len(legs_a)} vs {len(legs_b)}"
@@ -169,6 +224,7 @@ def contract_pair(
     # Each side's legs are distinct and in range exactly when they and its
     # free legs add up to its rank; otherwise find the offending leg.
     if len(free_a) + len(legs_a) != rank_a or len(free_b) + len(legs_b) != rank_b:
+        _require_int_legs(legs_a, legs_b)
         _check_legs(legs_a, rank_a, "first")
         _check_legs(legs_b, rank_b, "second")
     out_rank = len(free_a) + len(free_b)
@@ -176,8 +232,12 @@ def contract_pair(
     # np.tensordot's own steps, without its generic argument handling:
     # summed legs last in a and first in b, both flattened to 2-D, one dot.
     summed = 1 << len(legs_a)
-    mat_a = a._array.transpose((*free_a, *legs_a)).reshape(-1, summed)
-    mat_b = b._array.transpose((*legs_b, *free_b)).reshape(summed, -1)
+    try:
+        mat_a = a._array.transpose((*free_a, *legs_a)).reshape(-1, summed)
+        mat_b = b._array.transpose((*legs_b, *free_b)).reshape(summed, -1)
+    except TypeError:  # a float leg equal to a valid one passes the count above
+        _require_int_legs(legs_a, legs_b)
+        raise
     return _wrap_result(out_rank, np.dot(mat_a, mat_b))
 
 
@@ -343,8 +403,11 @@ class TensorNetwork:
         the last step puts the open legs in declared order.  Raises
         RankBudgetError at the first step whose result rank would exceed
         MAX_RANK, before any tensor is touched.  Compiled circuits declare
-        their bonds in gate order, which keeps the peak within
-        max(n + 1, 4) for an n-wire state and 2n for an operator.
+        their bonds gate by gate, each gate's internal bonds before the bond
+        that attaches it to its wire: every gate block is merged on its own
+        (`contract_pair` returns those merges stored), then joins the state
+        in one merge per wire.  That keeps the peak within max(n + 1, 4) for
+        an n-wire state and 2n for an operator.
 
         Legs are numbered node by node (leg k of the i-th node is the sum
         of the earlier nodes' ranks plus k), so the walk runs on lists of

@@ -15,24 +15,27 @@ def random_tensor(rng, rank: int) -> Tensor:
 
 
 def observed_ranks(net, order=None) -> tuple[list[int], list[int]]:
-    """Contract `net`; return the rank of each contract_pair result and the
-    rank of every tensor the contraction built, both in the order built.
-    A tensor is built by the public constructor or, for a contract_pair
-    result, by the private one that wraps the kernel's output."""
-    merged, built = [], []
+    """Contract `net`; return the rank of the tensor each step yields, in
+    order, and the rank of every tensor the kernel built.
+
+    A step's tensor is a contract_pair result, whether stored or built, or
+    one made by the public constructor (trace, permute, unit).  The kernel
+    builds a tensor only where contract_pair runs it: a stored product
+    (`tensor.store_product`) builds none."""
+    steps, kernel = [], []
     pair, init, wrap = tensor.contract_pair, Tensor.__init__, tensor._wrap_result
 
     def recording_pair(*args):
         out = pair(*args)
-        merged.append(out.rank)
+        steps.append(out.rank)
         return out
 
     def recording_init(self, rank, data):
-        built.append(rank)
+        steps.append(rank)
         init(self, rank, data)
 
     def recording_wrap(rank, arr):
-        built.append(rank)
+        kernel.append(rank)
         return wrap(rank, arr)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -40,13 +43,28 @@ def observed_ranks(net, order=None) -> tuple[list[int], list[int]]:
         mp.setattr(Tensor, "__init__", recording_init)
         mp.setattr(tensor, "_wrap_result", recording_wrap)
         net.contract(order)
-    return merged, built
+    return steps, kernel
 
 
 def assert_plan_is_observed(net, order=None) -> None:
-    """Each plan step builds one tensor of the step's rank, in plan order,
-    so the plan's peak is the largest rank the contraction builds."""
+    """Each plan step yields one tensor of the step's rank, in plan order,
+    and the kernel builds nothing above the plan's peak."""
     steps = net.plan(order)
-    merged, built = observed_ranks(net, order)
+    built, kernel = observed_ranks(net, order)
     assert built == [s.rank for s in steps]
-    assert merged == [s.rank for s in steps if s.kind == "merge"]
+    assert all(rank <= max(s.rank for s in steps) for rank in kernel)
+
+
+@pytest.fixture()
+def kernel_runs(monkeypatch) -> list[int]:
+    """The rank of each tensor the kernel builds during the test; a stored
+    product (`tensor.store_product`) builds none."""
+    runs = []
+    wrap = tensor._wrap_result
+
+    def recording(rank, arr):
+        runs.append(rank)
+        return wrap(rank, arr)
+
+    monkeypatch.setattr(tensor, "_wrap_result", recording)
+    return runs

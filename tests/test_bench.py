@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabtensor import oracles, tensor
+from stabtensor import cli, oracles, tensor
 from stabtensor.circuits import compile_circuit
-from stabtensor.tensor import TensorNetwork
+from stabtensor.tensor import DEFAULT_TOL, TensorNetwork
 
 _PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
 _spec = importlib.util.spec_from_file_location("bench", _PATH)
@@ -21,7 +21,7 @@ _spec.loader.exec_module(bench)
     oracles.random_clifford_circuit(5, 40, 3),
     bench.cn_ladder(6),
 ], ids=["random-5x40", "cn-ladder-6"])
-def test_plan_figures_count_the_merges_contract_runs(circuit, monkeypatch):
+def test_plan_figures_count_the_merges_contract_runs(circuit, monkeypatch, kernel_runs):
     net = compile_circuit(circuit)
     calls = []
     pair = tensor.contract_pair
@@ -35,6 +35,7 @@ def test_plan_figures_count_the_merges_contract_runs(circuit, monkeypatch):
     net.contract()
     figures = bench.plan_figures(net, net.plan())
     assert figures["merges"] == len(calls)
+    assert 0 < figures["kernel_merges"] == len(kernel_runs) < len(calls)
     assert figures["flops"] == sum(flops for flops, _ in calls)
     assert figures["peak_rank"] == max(rank for _, rank in calls)
 
@@ -44,6 +45,23 @@ def test_relation_suite_row_restores_plan():
     row = bench.relation_suite_row()
     assert TensorNetwork.plan is plan
     assert row["reports"] == 23 and row["networks"] > 0 and row["merges"] > 0
+
+
+def test_relation_suite_row_counts_the_kernel_merges(monkeypatch, kernel_runs):
+    row = bench.relation_suite_row()
+    contract = TensorNetwork.contract
+    in_networks = []
+
+    def counting_contract(self, order=None):
+        before = len(kernel_runs)
+        out = contract(self, order)
+        in_networks.append(len(kernel_runs) - before)
+        return out
+
+    monkeypatch.setattr(TensorNetwork, "contract", counting_contract)
+    cli.verification_reports(DEFAULT_TOL)
+    assert len(in_networks) == row["networks"]
+    assert 0 < row["kernel_merges"] == sum(in_networks) < row["merges"]
 
 
 def test_cli_row_captures_the_output(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stabtensor import generators as gen
-from stabtensor import circuits, oracles, tensor
+from stabtensor import circuits, cli, oracles, tensor
 from stabtensor.circuits import (
     Circuit,
     CircuitParseError,
@@ -228,6 +228,71 @@ class TestCompile:
         got = np.array(circuit_state(circ).data)
         want = oracles.dense_simulate(circ).amplitudes
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestGateProducts:
+    """The merges inside each gate block are contracted once, at import."""
+
+    def test_table_is_filled_at_import_and_never_grows(self, capsys):
+        # S, Z and NOT one merge each and CN one; X adds two to Z's, and Y
+        # five: its t3 merge and four more (its t2 and t1 merges are Z's
+        # and S's).
+        stored = dict(tensor._PRODUCTS)
+        assert len(stored) == 11
+        assert cli.main(["--format", "records", "verify"]) == 0
+        capsys.readouterr()
+        gates = oracles.CLIFFORD_GATES + ("NOT",)
+        for seed in range(100):
+            circ = oracles.random_clifford_circuit(1 + seed % 6, 20, seed, gates)
+            circuit_state(Circuit(circ.width, circ.ops, format(seed % (1 << circ.width),
+                                                                f"0{circ.width}b")))
+        assert tensor._PRODUCTS == stored
+
+    def test_stored_products_are_the_kernels_results(self):
+        for (_, legs_a, _, legs_b), (a, b, product) in tensor._PRODUCTS.items():
+            want = np.tensordot(a.array, b.array, (legs_a, legs_b))
+            assert np.array_equal(product.array, want)
+            assert not product.array.flags.writeable
+
+    @pytest.mark.parametrize("gate", ["H", "S", "Z", "X", "Y", "NOT"])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_k_copies_of_a_gate_run_the_kernel_k_times(self, kernel_runs, gate, k):
+        ops = (GateApp(gate, (0,)),) * k
+        for build, circ in ((circuit_state, Circuit(1, ops, "1")),
+                            (circuit_unitary, Circuit(1, ops))):
+            kernel_runs.clear()
+            got = build(circ).array.reshape(-1)
+            assert len(kernel_runs) == k
+            want = np.linalg.matrix_power(oracles.GATE_MATRICES[gate], k)
+            want = want[:, 1] if circ.input else want.reshape(-1)
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_gate_bonds_come_before_the_bond_to_the_wire(self):
+        # X on wire 0 of an operator: H, copy and t2 are bonded among
+        # themselves first, then the first H to the wire's identity anchor.
+        net = compile_circuit(Circuit(1, (GateApp("X", (0,)),)))
+        assert list(net.nodes) == ["0:id", "1:H", "2:copy", "3:t2", "4:H"]
+        assert net.bonds == (
+            ("3:t2", 0, "2:copy", 0), ("1:H", 0, "2:copy", 2),
+            ("2:copy", 1, "4:H", 1), ("0:id", 0, "1:H", 1),
+        )
+        assert net.open_legs == (("4:H", 0), ("0:id", 1))
+
+
+@pytest.mark.parametrize("width", range(7, 13))
+def test_wide_states_match_the_dense_oracle(width):
+    # Ten seeded circuits per width, depth 50-100, NOT included, half of
+    # them from a nonzero input.
+    rng = random.Random(width)
+    gates = oracles.CLIFFORD_GATES + ("NOT",)
+    for k in range(10):
+        circ = oracles.random_clifford_circuit(width, rng.randint(50, 100), 100 * width + k, gates)
+        if k % 2:
+            circ = Circuit(width, circ.ops, format(rng.randrange(1, 1 << width), f"0{width}b"))
+        delta, scale = oracles.phase_fixed_delta(
+            circuit_state(circ).array.reshape(-1), oracles.dense_simulate(circ).amplitudes
+        )
+        assert delta <= 1e-12 and scale > 0, (width, k, delta)
 
 
 @pytest.fixture()

@@ -109,6 +109,17 @@ def test_patched_xor_accessor_reaches_the_compiled_cn(monkeypatch):
         assert _clifford(rid).status is RelationStatus.FAILS
 
 
+def test_patched_hadamard_reaches_the_compiled_x(monkeypatch, capsys):
+    # The gate blocks' stored products are keyed by the generator objects,
+    # so a patched accessor's tensor is contracted afresh.  (-H) Z (-H) is
+    # still X; a Hadamard with its minus sign dropped makes X the zero map.
+    unsigned = Tensor(2, [abs(v) for v in gen.hadamard().data])
+    monkeypatch.setattr(gen, "hadamard", lambda: unsigned)
+    assert cli.main(["--format", "records", "verify"]) == 1
+    records = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("check=clifford-X status=Fails ") for line in records)
+
+
 def _verify_exit(capsys):
     code = cli.main(["--format", "records", "verify"])
     capsys.readouterr()

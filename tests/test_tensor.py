@@ -137,6 +137,20 @@ class TestContractPair:
         with pytest.raises(ValueError, match="^duplicate second leg 1$"):
             contract_pair(gen.copy_tensor(), (0, 2), gen.copy_tensor(), (1, 1))
 
+    @pytest.mark.parametrize("a", [gen.t_vector(1), gen.hadamard()], ids=["stored", "built"])
+    def test_non_integer_leg_is_named(self, a):
+        # t1 with the copy tensor over (0,), (0,) is a stored product; a
+        # float 0.0 equals 0 as a key, and must not reach it.
+        b = gen.copy_tensor()
+        assert (tensor.stored_product(a, (0,), b, (0,)) is None) == (a is gen.hadamard())
+        for legs_a, legs_b, bad in [
+            ([0.0], [0], "first leg 0.0"), ((0.0,), (0,), "first leg 0.0"),
+            ((0,), (0.5,), "second leg 0.5"), ((0,), ("0",), "second leg '0'"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+                contract_pair(a, legs_a, b, legs_b)
+        assert contract_pair(a, [np.int64(0)], b, [0]).rank == a.rank + 1
+
     def test_mismatched_leg_counts(self):
         with pytest.raises(ValueError, match="^leg lists differ in length: 2 vs 1$"):
             contract_pair(gen.copy_tensor(), (0, 1), gen.ket_zero(), (0,))
