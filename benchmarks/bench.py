@@ -85,25 +85,18 @@ def plan_figures(net: TensorNetwork, steps) -> dict:
     """Merges, kernel merges, peak rank and merge FLOPs of `steps`, a plan
     of `net`.  A merge whose operands are those of a stored product
     (`tensor.stored_product`) returns it without running the kernel; every
-    other merge is a kernel merge."""
+    other merge is a kernel merge (`tensor.stored_merges`)."""
     ranks = [t.rank for t in net.nodes.values()]
-    # Each cluster's tensor while it is a node or a stored product; None
-    # once the kernel has built it, and None is no stored operand.
-    tensors = list(net.nodes.values())
-    merges = kernel_merges = flops = 0
+    merges = flops = 0
     for step in steps:
         if step.kind == "merge":
             merges += 1
             flops += 1 << (ranks[step.a] + ranks[step.b] - len(step.legs_a))
-            known = tensor.stored_product(tensors[step.a], step.legs_a,
-                                          tensors[step.b], step.legs_b)
-            kernel_merges += known is None
             ranks[min(step.a, step.b)] = step.rank
-            tensors[max(step.a, step.b)], tensors[min(step.a, step.b)] = None, known
         elif step.kind == "trace":
             ranks[step.a] = step.rank
-            tensors[step.a] = None
-    return {"merges": merges, "kernel_merges": kernel_merges,
+    stored = tensor.stored_merges(list(net.nodes.values()), steps)
+    return {"merges": merges, "kernel_merges": stored.count(None),
             "peak_rank": max(s.rank for s in steps), "flops": flops}
 
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from stabtensor import generators as gen
 from stabtensor.tensor import (
     LegBinding, Tensor, TensorNetwork, check_rank, contract_pair, store_product,
+    stored_merges,
 )
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
@@ -242,16 +243,8 @@ def _store_gate_products() -> None:
     """
     for gate, arity in GATE_ARITY.items():
         net = compile_circuit(Circuit(arity, (GateApp(gate, tuple(range(arity))),)))
-        tensors = [None] * arity + list(net.nodes.values())[arity:]
-        for step in net.plan():
-            if step.kind != "merge":
-                continue
-            a, b = tensors[step.a], tensors[step.b]
-            tensors[max(step.a, step.b)] = None
-            tensors[min(step.a, step.b)] = (
-                None if a is None or b is None
-                else store_product(a, step.legs_a, b, step.legs_b)
-            )
+        constants = [None] * arity + list(net.nodes.values())[arity:]
+        stored_merges(constants, net.plan(), store_product)
 
 
 _store_gate_products()

@@ -164,7 +164,6 @@ def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
 # ids from being reused.  Filled by `store_product` while `circuits` is
 # imported, and never after.
 _PRODUCTS: dict[tuple, tuple[Tensor, Tensor, Tensor]] = {}
-_INT = {int}
 
 
 def stored_product(
@@ -193,6 +192,34 @@ def store_product(
     return product
 
 
+def stored_merges(
+    tensors: Sequence[Tensor | None],
+    steps: Sequence[PlanStep],
+    merge: Callable[..., Tensor | None] = stored_product,
+) -> list[Tensor | None]:
+    """One entry per merge step of `steps`, a plan over the node tensors
+    `tensors`: `merge(a, legs_a, b, legs_b)` where both clusters' tensors
+    are known, else None.
+
+    Clusters are tracked as `contract` tracks them.  A cluster is known
+    while it is a node given here (None marks an unknown node) or the
+    result of `merge`; a trace, or a merge that gives None, leaves it
+    unknown.  With the default `merge`, None marks exactly the merges
+    on which `contract_pair` runs the kernel.
+    """
+    tensors = list(tensors)
+    results: list[Tensor | None] = []
+    for step in steps:
+        if step.kind == "merge":
+            a, b = tensors[step.a], tensors[step.b]
+            known = None if a is None or b is None else merge(a, step.legs_a, b, step.legs_b)
+            tensors[max(step.a, step.b)], tensors[min(step.a, step.b)] = None, known
+            results.append(known)
+        elif step.kind == "trace":
+            tensors[step.a] = None
+    return results
+
+
 def contract_pair(
     a: Tensor, legs_a: Sequence[int], b: Tensor, legs_b: Sequence[int]
 ) -> Tensor:
@@ -211,7 +238,7 @@ def contract_pair(
     known = stored_product(a, legs_a, b, legs_b)
     if known is not None:
         # A float leg hashes and compares as the int it equals: (0.0,) == (0,).
-        if not _INT.issuperset(map(type, legs_a + legs_b)):
+        if not all(type(p) is int for p in legs_a + legs_b):
             _require_int_legs(legs_a, legs_b)
         return known
     if len(legs_a) != len(legs_b):

@@ -14,24 +14,26 @@ def random_tensor(rng, rank: int) -> Tensor:
     return Tensor(rank, data)
 
 
-def observed_ranks(net, order=None) -> tuple[list[int], list[int]]:
-    """Contract `net`; return the rank of the tensor each step yields, in
-    order, and the rank of every tensor the kernel built.
+def observed_ranks(net, order=None) -> tuple[list[int], list[int], list[int]]:
+    """Contract `net`; return, each in order, the rank of every
+    contract_pair result, of every tensor a step yields, and of every
+    tensor the kernel built.
 
     A step's tensor is a contract_pair result, whether stored or built, or
     one made by the public constructor (trace, permute, unit).  The kernel
     builds a tensor only where contract_pair runs it: a stored product
     (`tensor.store_product`) builds none."""
-    steps, kernel = [], []
+    merged, built, kernel = [], [], []
     pair, init, wrap = tensor.contract_pair, Tensor.__init__, tensor._wrap_result
 
     def recording_pair(*args):
         out = pair(*args)
-        steps.append(out.rank)
+        merged.append(out.rank)
+        built.append(out.rank)
         return out
 
     def recording_init(self, rank, data):
-        steps.append(rank)
+        built.append(rank)
         init(self, rank, data)
 
     def recording_wrap(rank, arr):
@@ -43,16 +45,20 @@ def observed_ranks(net, order=None) -> tuple[list[int], list[int]]:
         mp.setattr(Tensor, "__init__", recording_init)
         mp.setattr(tensor, "_wrap_result", recording_wrap)
         net.contract(order)
-    return steps, kernel
+    return merged, built, kernel
 
 
 def assert_plan_is_observed(net, order=None) -> None:
     """Each plan step yields one tensor of the step's rank, in plan order,
-    and the kernel builds nothing above the plan's peak."""
+    each merge through contract_pair, and the kernel builds the merges no
+    stored product answers, so nothing above the plan's peak."""
     steps = net.plan(order)
-    built, kernel = observed_ranks(net, order)
+    merged, built, kernel = observed_ranks(net, order)
     assert built == [s.rank for s in steps]
-    assert all(rank <= max(s.rank for s in steps) for rank in kernel)
+    assert merged == [s.rank for s in steps if s.kind == "merge"]
+    stored = tensor.stored_merges(list(net.nodes.values()), steps)
+    merges = [s for s in steps if s.kind == "merge"]
+    assert kernel == [s.rank for s, known in zip(merges, stored) if known is None]
 
 
 @pytest.fixture()
