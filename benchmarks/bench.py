@@ -9,9 +9,9 @@ Each circuit row times ``compile_circuit``, ``TensorNetwork.plan`` and
 ``TensorNetwork.contract`` (which runs its own plan) separately, and reads
 from the plan its merges, its kernel merges (the merges that run the
 kernel: not those that return a stored gate product, see
-``tensor.stored_product``), its peak rank and its FLOPs.  A merge of
-ranks ra and rb over k leg pairs costs 2**(ra + rb - k) complex
-multiply-adds, the figure perfbench reports as
+``tensor.stored_product``), its peak rank and its FLOPs.  A merge into
+rank r over k leg pairs had operands whose ranks sum to r + 2k, so it
+costs 2**(r + k) complex multiply-adds, the figure perfbench reports as
 ``tensor.contract_pair.flops``, stored or not; traces and the final
 permutation are not counted.  The relation-suite row times
 ``stabtensor verify``'s reports and sums the same plan figures over every
@@ -86,18 +86,11 @@ def plan_figures(net: TensorNetwork, steps) -> dict:
     of `net`.  A merge whose operands are those of a stored product
     (`tensor.stored_product`) returns it without running the kernel; every
     other merge is a kernel merge (`tensor.stored_merges`)."""
-    ranks = [t.rank for t in net.nodes.values()]
-    merges = flops = 0
-    for step in steps:
-        if step.kind == "merge":
-            merges += 1
-            flops += 1 << (ranks[step.a] + ranks[step.b] - len(step.legs_a))
-            ranks[min(step.a, step.b)] = step.rank
-        elif step.kind == "trace":
-            ranks[step.a] = step.rank
+    merges = [s for s in steps if s.kind == "merge"]
     stored = tensor.stored_merges(list(net.nodes.values()), steps)
-    return {"merges": merges, "kernel_merges": stored.count(None),
-            "peak_rank": max(s.rank for s in steps), "flops": flops}
+    return {"merges": len(merges), "kernel_merges": stored.count(None),
+            "peak_rank": max(s.rank for s in steps),
+            "flops": sum(1 << (s.rank + len(s.legs_a)) for s in merges)}
 
 
 def timed(fn) -> tuple[float, object]:

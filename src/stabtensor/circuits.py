@@ -15,9 +15,11 @@ decomposition is canonical and fixed:
 Each gate declares its internal bonds before the bond that attaches it
 to its wire, so the merges inside a gate block involve that block's
 generator tensors alone and are the same in every circuit.  At import,
-each one-gate network is contracted once and those merges are stored
-(`tensor.store_product`): `contract_pair` returns them without running
-the kernel, while every merge still goes through it.
+each one-gate operator network is contracted once and all its merges
+are stored (`tensor.store_product`), those with the shared identity
+anchor, which an operator's first gate on each wire meets, included:
+`contract_pair` returns them without running the kernel, while every
+merge still goes through it.
 
 Each generator is read through its `generators` accessor at call time,
 so patching one (say `generators.xor_tensor`) reaches every compiled
@@ -232,19 +234,17 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
 
 def _store_gate_products() -> None:
-    """Contract each one-gate operator network once, storing every merge of
-    two constants (see `tensor.store_product`).
+    """Contract each one-gate operator network once, storing every merge
+    (see `tensor.store_product`).
 
-    The constants are the gate's generator tensors and the products stored
-    before; the identity anchors, the first `arity` nodes, are not, so no
-    merge with an anchor is run or stored.  As every gate declares its
-    internal bonds first, these are exactly the merges inside each gate
-    block of any compiled circuit.
+    Every node is a shared constant, the identity anchors included, and
+    every gate declares its internal bonds first: these are the merges
+    inside each gate block of any compiled circuit, and those that join
+    an operator's anchor to the first gate on its wire.
     """
     for gate, arity in GATE_ARITY.items():
         net = compile_circuit(Circuit(arity, (GateApp(gate, tuple(range(arity))),)))
-        constants = [None] * arity + list(net.nodes.values())[arity:]
-        stored_merges(constants, net.plan(), store_product)
+        stored_merges(list(net.nodes.values()), net.plan(), store_product)
 
 
 _store_gate_products()

@@ -70,17 +70,16 @@ def _corrupted_copy_tensor() -> Tensor:
 
 def verification_reports(tol: float, inject_fault: bool = False):
     delta = _corrupted_copy_tensor() if inject_fault else None
-    cn_op = relations.compiled_cn()  # one compile for both CN checks
     reports = [
         relations.verify_relation(rid, tol=tol, copy=delta)
         for rid in relations.RELATION_FAMILIES
     ]
     reports.append(relations.verify_xor_in_hadamard_basis(tol=tol))
     reports.append(relations.verify_xor_copies_plus_minus(tol=tol))
-    reports.extend(relations.verify_clifford_recovery(tol=tol, cn_op=cn_op))
+    reports.extend(relations.verify_clifford_recovery(tol=tol))
     for n in range(1, 5):
         reports.append(boolfn.verify_hadamard_column_indexing(n, tol=tol))
-    reports.extend(relations.verify_cn_transcription(tol=tol, cn_op=cn_op))
+    reports.extend(relations.verify_cn_transcription(tol=tol))
     return reports
 
 

@@ -290,26 +290,24 @@ def phase_fixed_delta(candidate: np.ndarray, reference: np.ndarray) -> tuple[flo
     return float(np.max(np.abs(candidate / scalar - reference))), float(abs(scalar))
 
 
-def crosscheck_paulis(n: int, seed: int = 0, extra_paulis: int = 8) -> list[str]:
-    """The crosscheck's strings: X, Y and Z on each wire alone, then
-    `extra_paulis` seeded strings over IXYZ."""
+def crosscheck_paulis(n: int, seed: int = 0) -> list[str]:
+    """The crosscheck's strings: X, Y and Z on each wire alone, then 8
+    strings over IXYZ drawn from `seed`."""
     paulis = ["I" * w + p + "I" * (n - w - 1) for w in range(n) for p in "XYZ"]
     rng = random.Random(seed)
-    for _ in range(extra_paulis):
+    for _ in range(8):
         paulis.append("".join(rng.choice("IXYZ") for _ in range(n)))
     return paulis
 
 
-def crosscheck_circuit(
-    circuit: Circuit, seed: int = 0, extra_paulis: int = 8
-) -> CrosscheckResult:
+def crosscheck_circuit(circuit: Circuit, seed: int = 0) -> CrosscheckResult:
     """Compare contracted-network amplitudes and tableau expectations
     against the dense oracle for one circuit."""
     dense = dense_simulate(circuit)
     net_state = circuit_state(circuit).array.reshape(-1)
     amp_delta, scalar_mag = phase_fixed_delta(net_state, dense.amplitudes)
 
-    paulis = crosscheck_paulis(circuit.width, seed, extra_paulis)
+    paulis = crosscheck_paulis(circuit.width, seed)
     deltas = np.abs(
         pauli_expectations(tableau_simulate(circuit), paulis)
         - pauli_expectations(dense, paulis)

@@ -253,11 +253,10 @@ def compiled_cn() -> Tensor:
     return circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
 
 
-def verify_clifford_recovery(tol: float = DEFAULT_TOL,
-                             cn_op: Tensor | None = None) -> list[RelationReport]:
+def verify_clifford_recovery(tol: float = DEFAULT_TOL) -> list[RelationReport]:
     """Check the networks `compile_circuit` builds for S, Z, X, Y, NOT and
     CN against the oracles' textbook matrices, and the compiled CN for
-    unitarity.  `cn_op` is `compiled_cn()`, built here when not given."""
+    unitarity."""
     reports = [
         compare(f"clifford-{gate}",
                 circuit_unitary(Circuit(1, (GateApp(gate, (0,)),))),
@@ -265,8 +264,7 @@ def verify_clifford_recovery(tol: float = DEFAULT_TOL,
         for gate in ("S", "Z", "X", "Y", "NOT")
     ]
 
-    if cn_op is None:
-        cn_op = compiled_cn()
+    cn_op = compiled_cn()
     reports.append(compare("clifford-CN", cn_op, Tensor(4, GATE_MATRICES["CN"]), tol))
     cn_dag = Tensor(4, cn_op.array.transpose(2, 3, 0, 1).conj())
     prod = contract_pair(cn_op, (2, 3), cn_dag, (0, 1))
@@ -281,19 +279,15 @@ def verify_clifford_recovery(tol: float = DEFAULT_TOL,
     return reports
 
 
-def verify_cn_transcription(tol: float = DEFAULT_TOL,
-                            cn_op: Tensor | None = None) -> list[RelationReport]:
+def verify_cn_transcription(tol: float = DEFAULT_TOL) -> list[RelationReport]:
     """Check the raised-index contraction against its component polynomial,
     then report how it relates to the wired controlled-NOT that
-    `compile_circuit` builds, `cn_op` (`compiled_cn()` when not given).
-    They differ; the mismatch is expected and recorded, never silently
-    resolved."""
+    `compile_circuit` builds (`compiled_cn()`).  They differ; the mismatch
+    is expected and recorded, never silently resolved."""
     contracted = cn_index_contraction()
     polynomial = tensor_from_fn(4, cn_component_polynomial)
-    if cn_op is None:
-        cn_op = compiled_cn()
     return [
         compare("cn-index-contraction", contracted, polynomial, tol),
-        compare("cn-contraction-vs-wired", contracted, cn_op, tol,
+        compare("cn-contraction-vs-wired", contracted, compiled_cn(), tol,
                 expected_mismatch=True),
     ]

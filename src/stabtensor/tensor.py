@@ -159,11 +159,11 @@ def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
         seen.add(p)
 
 
-# Products of constant tensors: (id(a), legs_a, id(b), legs_b) maps to
-# (a, b, contract_pair(a, legs_a, b, legs_b)).  Holding a and b keeps their
-# ids from being reused.  Filled by `store_product` while `circuits` is
-# imported, and never after.
-_PRODUCTS: dict[tuple, tuple[Tensor, Tensor, Tensor]] = {}
+# Products of constant tensors: (a, legs_a, b, legs_b) maps to
+# contract_pair(a, legs_a, b, legs_b).  Tensor keeps object identity for
+# == and hash, so a key matches only the very operands it holds.  Filled
+# by `store_product` while `circuits` is imported, and never after.
+_PRODUCTS: dict[tuple, Tensor] = {}
 
 
 def stored_product(
@@ -173,10 +173,9 @@ def stored_product(
 
     Legs must match as tuples; legs in a list are never stored."""
     try:
-        hit = _PRODUCTS.get((id(a), legs_a, id(b), legs_b))
+        return _PRODUCTS.get((a, legs_a, b, legs_b))
     except TypeError:  # unhashable legs
         return None
-    return None if hit is None else hit[2]
 
 
 def store_product(
@@ -184,16 +183,16 @@ def store_product(
 ) -> Tensor:
     """Contract a with b and store the product for later calls to return.
 
-    Only `circuits` calls this, at import, for the merges inside its gate
-    blocks; the table does not grow after that.
+    Only `circuits` calls this, at import, for every merge of its one-gate
+    networks; the table does not grow after that.
     """
     product = contract_pair(a, legs_a, b, legs_b)
-    _PRODUCTS[(id(a), legs_a, id(b), legs_b)] = (a, b, product)
+    _PRODUCTS[(a, legs_a, b, legs_b)] = product
     return product
 
 
 def stored_merges(
-    tensors: Sequence[Tensor | None],
+    tensors: Sequence[Tensor],
     steps: Sequence[PlanStep],
     merge: Callable[..., Tensor | None] = stored_product,
 ) -> list[Tensor | None]:
@@ -202,9 +201,8 @@ def stored_merges(
     are known, else None.
 
     Clusters are tracked as `contract` tracks them.  A cluster is known
-    while it is a node given here (None marks an unknown node) or the
-    result of `merge`; a trace, or a merge that gives None, leaves it
-    unknown.  With the default `merge`, None marks exactly the merges
+    while it is a node or the result of `merge`; a trace, or a merge that
+    gives None, leaves it unknown.  With the default `merge`, None marks exactly the merges
     on which `contract_pair` runs the kernel.
     """
     tensors = list(tensors)
@@ -231,9 +229,10 @@ def contract_pair(
     MAX_RANK.  The result wraps the kernel's own output array, uncopied.
 
     A call whose operands are the very tensors of a stored product (see
-    `store_product`: the merges inside each gate of `compile_circuit`, over
-    the generator tensors) returns that product and runs no kernel.  A leg
-    that is not an integer is a ValueError, stored operands or not.
+    `store_product`: each merge of a one-gate network of `compile_circuit`,
+    over the generator tensors and the identity anchor) returns that
+    product and runs no kernel.  A leg that is not an integer is a
+    ValueError, stored operands or not.
     """
     known = stored_product(a, legs_a, b, legs_b)
     if known is not None:

@@ -19,7 +19,7 @@ from stabtensor.circuits import (
     compile_circuit,
     parse_circuit,
 )
-from stabtensor.tensor import RankBudgetError, max_abs_diff
+from stabtensor.tensor import RankBudgetError, Tensor, contract_pair, max_abs_diff
 from tests.conftest import assert_plan_is_observed, to_np
 
 
@@ -231,14 +231,17 @@ class TestCompile:
 
 
 class TestGateProducts:
-    """The merges inside each gate block are contracted once, at import."""
+    """Every merge of each one-gate operator network is contracted once, at
+    import: the merges inside the gate block and those with the identity
+    anchors."""
 
     def test_table_is_filled_at_import_and_never_grows(self, capsys):
-        # S, Z and NOT one merge each and CN one; X adds two to Z's, and Y
-        # five: its t3 merge and four more (its t2 and t1 merges are Z's
-        # and S's).
+        # Inside the blocks: S, Z and NOT one merge each and CN one; X adds
+        # two to Z's, and Y five: its t3 merge and four more (its t2 and t1
+        # merges are Z's and S's).  That is 11.  With the anchors: one more
+        # for each of H, S, Z, X, Y and NOT, and two for CN, one per wire.
         stored = dict(tensor._PRODUCTS)
-        assert len(stored) == 11
+        assert len(stored) == 19
         assert cli.main(["--format", "records", "verify"]) == 0
         capsys.readouterr()
         gates = oracles.CLIFFORD_GATES + ("NOT",)
@@ -249,7 +252,7 @@ class TestGateProducts:
         assert tensor._PRODUCTS == stored
 
     def test_stored_products_are_the_kernels_results(self):
-        for (_, legs_a, _, legs_b), (a, b, product) in tensor._PRODUCTS.items():
+        for (a, legs_a, b, legs_b), product in tensor._PRODUCTS.items():
             want = np.tensordot(a.array, b.array, (legs_a, legs_b))
             assert np.array_equal(product.array, want)
             assert not product.array.flags.writeable
@@ -257,15 +260,40 @@ class TestGateProducts:
     @pytest.mark.parametrize("gate", ["H", "S", "Z", "X", "Y", "NOT"])
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_k_copies_of_a_gate_run_the_kernel_k_times(self, kernel_runs, gate, k):
+        # A state runs one merge per copy; an operator one fewer, as the
+        # first copy meets the identity anchor in a stored merge.
         ops = (GateApp(gate, (0,)),) * k
-        for build, circ in ((circuit_state, Circuit(1, ops, "1")),
-                            (circuit_unitary, Circuit(1, ops))):
+        for build, circ, runs in ((circuit_state, Circuit(1, ops, "1"), k),
+                                  (circuit_unitary, Circuit(1, ops), k - 1)):
             kernel_runs.clear()
             got = build(circ).array.reshape(-1)
-            assert len(kernel_runs) == k
+            assert len(kernel_runs) == runs
             want = np.linalg.matrix_power(oracles.GATE_MATRICES[gate], k)
             want = want[:, 1] if circ.input else want.reshape(-1)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_every_key_operand_is_a_generator_or_a_stored_product(self):
+        # Only shared constants key the table, which keeps it bounded.
+        constants = {gen.copy_tensor(), gen.xor_tensor(), gen.hadamard(),
+                     gen.ket_one(), gen.identity_map(), *map(gen.t_vector, range(4))}
+        constants |= set(tensor._PRODUCTS.values())
+        for a, _, b, _ in tensor._PRODUCTS:
+            assert a in constants and b in constants
+
+    def test_keys_hold_their_operands_not_their_values(self, kernel_runs):
+        a, b = Tensor(1, (1, 0)), Tensor(1, (1, 0))
+        assert len({(a, (0,)), (b, (0,))}) == 2
+        # t1 on the copy tensor's leg 0 is S's stored merge; a rebuilt copy
+        # of the copy tensor has the same entries but misses the table.
+        t1, copy = gen.t_vector(1), gen.copy_tensor()
+        rebuilt = Tensor(3, copy.array)
+        assert max_abs_diff(rebuilt, copy) == 0.0
+        stored = tensor.stored_product(t1, (0,), copy, (0,))
+        assert stored is not None
+        assert tensor.stored_product(t1, (0,), rebuilt, (0,)) is None
+        assert kernel_runs == []
+        assert np.array_equal(contract_pair(t1, (0,), rebuilt, (0,)).array, stored.array)
+        assert kernel_runs == [2]
 
     def test_gate_bonds_come_before_the_bond_to_the_wire(self):
         # X on wire 0 of an operator: H, copy and t2 are bonded among

@@ -9,6 +9,7 @@ from stabtensor import generators as gen
 from stabtensor.circuits import Circuit, GateApp, circuit_unitary
 from stabtensor.generators import copy_tensor, identity_map, xor_tensor
 from stabtensor.relations import RelationStatus
+from stabtensor.oracles import GATE_MATRICES
 from stabtensor.tensor import DEFAULT_TOL, Tensor, max_abs_diff
 
 
@@ -234,30 +235,27 @@ def test_every_report_is_one_compare(monkeypatch):
     assert [id(r) for r in reports] == [id(r) for r in made]
 
 
-def test_verify_compiles_the_cn_once(monkeypatch):
-    real = circuits.compile_circuit
-    compiled = []
-
-    def recording(circuit):
-        compiled.append(circuit)
-        return real(circuit)
-
-    monkeypatch.setattr(circuits, "compile_circuit", recording)
-    reports = cli.verification_reports(DEFAULT_TOL)
-    assert [c for c in compiled if c.width == 2] == [Circuit(2, (GateApp("CN", (0, 1)),))]
-    by_id = {r.relation_id: r for r in reports}
-    assert by_id["clifford-CN"].status is RelationStatus.EXACT_HOLD
-    assert by_id["cn-contraction-vs-wired"].max_deviation == 1.0
+def test_compiled_cn_runs_no_kernel(kernel_runs):
+    # Each of its merges is a stored product of the one-gate CN network,
+    # the two with the identity anchors included.
+    cn_op = relations.compiled_cn()
+    assert kernel_runs == []
+    assert max_abs_diff(cn_op, Tensor(4, GATE_MATRICES["CN"])) == 0.0
+    reports = {r.relation_id: r for r in cli.verification_reports(DEFAULT_TOL)}
+    assert reports["clifford-CN"].status is RelationStatus.EXACT_HOLD
+    assert reports["cn-contraction-vs-wired"].max_deviation == 1.0
 
 
-def test_given_cn_operator_reaches_both_cn_checks():
+def test_given_cn_operator_reaches_both_cn_checks(monkeypatch):
     # a swapped CN is still unitary; only the textbook matrix tells it apart
     swapped = circuit_unitary(Circuit(2, (GateApp("CN", (1, 0)),)))
-    clifford = {r.relation_id: r for r in relations.verify_clifford_recovery(cn_op=swapped)}
+    monkeypatch.setattr(relations, "compiled_cn", lambda: swapped)
+    clifford = {r.relation_id: r for r in relations.verify_clifford_recovery()}
     assert clifford["clifford-CN"].status is RelationStatus.FAILS
     assert clifford["clifford-CN-unitary"].status is RelationStatus.EXACT_HOLD
     # given the raised-index contraction itself, the documented mismatch goes
-    _, versus = relations.verify_cn_transcription(cn_op=relations.cn_index_contraction())
+    monkeypatch.setattr(relations, "compiled_cn", relations.cn_index_contraction)
+    _, versus = relations.verify_cn_transcription()
     assert versus.status is RelationStatus.EXACT_HOLD
 
 
