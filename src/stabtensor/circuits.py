@@ -15,9 +15,10 @@ decomposition is canonical and fixed:
 Each gate declares its internal bonds before the bond that attaches it
 to its wire, so the merges inside a gate block involve that block's
 generator tensors alone and are the same in every circuit.  At import,
-each one-gate operator network is contracted once and all its merges
-are stored (`tensor.store_product`), those with the shared identity
-anchor, which an operator's first gate on each wire meets, included:
+each one-gate network is contracted once as an operator and once as a
+state on every input bit pattern, and all its merges are stored
+(`tensor.store_product`), those with the shared identity anchor or
+input ket that the first gate on each wire meets included:
 `contract_pair` returns them without running the kernel, while every
 merge still goes through it.
 
@@ -34,6 +35,7 @@ verification suite reports the comparison instead of assuming either.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from stabtensor import generators as gen
@@ -234,17 +236,21 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
 
 def _store_gate_products() -> None:
-    """Contract each one-gate operator network once, storing every merge
-    (see `tensor.store_product`).
+    """Contract each one-gate network once, as an operator and as a state
+    on every input bit pattern, storing every merge (see
+    `tensor.store_product`).
 
-    Every node is a shared constant, the identity anchors included, and
-    every gate declares its internal bonds first: these are the merges
-    inside each gate block of any compiled circuit, and those that join
-    an operator's anchor to the first gate on its wire.
+    Every node is a shared constant, the identity anchors and input kets
+    included, and every gate declares its internal bonds first: these are
+    the merges inside each gate block of any compiled circuit, and those
+    that join an operator's anchor or a state's input ket to the first
+    gate on its wire.
     """
     for gate, arity in GATE_ARITY.items():
-        net = compile_circuit(Circuit(arity, (GateApp(gate, tuple(range(arity))),)))
-        stored_merges(list(net.nodes.values()), net.plan(), store_product)
+        ops = (GateApp(gate, tuple(range(arity))),)
+        for bits in (None, *map("".join, itertools.product("01", repeat=arity))):
+            net = compile_circuit(Circuit(arity, ops, bits))
+            stored_merges(list(net.nodes.values()), net.plan(), store_product)
 
 
 _store_gate_products()

@@ -87,7 +87,10 @@ class Tensor:
             for bit in idx:
                 if bit not in (0, 1):
                     raise IndexError(f"leg index must be 0 or 1, got {bit}")
-                flat = (flat << 1) | bit
+                try:
+                    flat = (flat << 1) | bit
+                except TypeError:  # a float 0.0 or 1.0 passes the test above
+                    raise IndexError(f"leg index must be 0 or 1, got {bit}") from None
             return self._array.item(flat)
         if isinstance(idx, slice):
             return self.data[idx]
@@ -162,7 +165,8 @@ def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
 # Products of constant tensors: (a, legs_a, b, legs_b) maps to
 # contract_pair(a, legs_a, b, legs_b).  Tensor keeps object identity for
 # == and hash, so a key matches only the very operands it holds.  Filled
-# by `store_product` while `circuits` is imported, and never after.
+# by `store_product` while `circuits` is imported, with every merge of
+# each one-gate network, operator and state, and never after.
 _PRODUCTS: dict[tuple, Tensor] = {}
 
 
@@ -230,9 +234,9 @@ def contract_pair(
 
     A call whose operands are the very tensors of a stored product (see
     `store_product`: each merge of a one-gate network of `compile_circuit`,
-    over the generator tensors and the identity anchor) returns that
-    product and runs no kernel.  A leg that is not an integer is a
-    ValueError, stored operands or not.
+    over the generator tensors, the identity anchor and the input kets)
+    returns that product and runs no kernel.  A leg that is not an integer
+    is a ValueError, stored operands or not.
     """
     known = stored_product(a, legs_a, b, legs_b)
     if known is not None:
@@ -276,8 +280,11 @@ def permute_legs(a: Tensor, perm: Sequence[int]) -> Tensor:
     if sorted(perm) != list(range(a.rank)):
         raise ValueError(f"{list(perm)} is not a permutation of 0..{a.rank - 1}")
     source = [0] * a.rank
-    for k, p in enumerate(perm):
-        source[p] = k
+    try:
+        for k, p in enumerate(perm):
+            source[p] = k
+    except TypeError:  # a float equal to a valid leg passes the sorted() check
+        raise ValueError(f"{list(perm)} is not a permutation of 0..{a.rank - 1}") from None
     return Tensor(a.rank, a.array.transpose(source))
 
 
@@ -484,21 +491,30 @@ class TensorNetwork:
                 steps.append(_new_step(("trace", len(legs_a), ca, -1, axes, ())))
                 continue
             legs_b = clusters[cb]
-            # Every leg of cb bonded into ca, ordered by its partner's
-            # position in ca.
-            shared_a, shared_b = zip(*sorted([
-                (legs_a.index(p), k)
-                for k, z in enumerate(legs_b)
-                if (p := partner[z]) >= 0 and owner[p] == ca
-            ]))
-            for k in shared_b:
-                z = legs_b[k]
-                partner[partner[z]] = partner[z] = _SUMMED
+            for z in legs_b:
+                if z != y and (p := partner[z]) >= 0 and owner[p] == ca:
+                    # Several bonds join the clusters: every leg of cb
+                    # bonded into ca, ordered by its partner's position in ca.
+                    shared_a, shared_b = zip(*sorted([
+                        (legs_a.index(p), k)
+                        for k, z in enumerate(legs_b)
+                        if (p := partner[z]) >= 0 and owner[p] == ca
+                    ]))
+                    for k in shared_b:
+                        z = legs_b[k]
+                        partner[partner[z]] = partner[z] = _SUMMED
+                    merged = [z for z in legs_a + legs_b if partner[z] != _SUMMED]
+                    break
+            else:  # x-y is the only bond between the clusters
+                partner[x] = partner[y] = _SUMMED
+                ia, ib = legs_a.index(x), legs_b.index(y)
+                shared_a, shared_b = (ia,), (ib,)
+                merged = legs_a[:ia] + legs_a[ia + 1:] + legs_b[:ib] + legs_b[ib + 1:]
+            if len(merged) > MAX_RANK:  # tested here: a call per merge costs
+                check_rank(len(merged), "a merge in the contraction plan")
             keep, gone = (ca, cb) if ca < cb else (cb, ca)
             for z in clusters[gone]:
                 owner[z] = keep
-            merged = [z for z in legs_a + legs_b if partner[z] != _SUMMED]
-            check_rank(len(merged), "a merge in the contraction plan")
             clusters[gone] = None
             clusters[keep] = merged
             steps.append(_new_step(("merge", len(merged), ca, cb, shared_a, shared_b)))

@@ -231,17 +231,21 @@ class TestCompile:
 
 
 class TestGateProducts:
-    """Every merge of each one-gate operator network is contracted once, at
-    import: the merges inside the gate block and those with the identity
-    anchors."""
+    """Every merge of each one-gate network, as an operator and as a state
+    on every input bit pattern, is contracted once, at import: the merges
+    inside the gate block and those with the identity anchors and the input
+    kets."""
 
     def test_table_is_filled_at_import_and_never_grows(self, capsys):
         # Inside the blocks: S, Z and NOT one merge each and CN one; X adds
         # two to Z's, and Y five: its t3 merge and four more (its t2 and t1
         # merges are Z's and S's).  That is 11.  With the anchors: one more
-        # for each of H, S, Z, X, Y and NOT, and two for CN, one per wire.
+        # for each of H, S, Z, X, Y and NOT, and two for CN, one per wire:
+        # 19.  With the kets: two more for each of H, S, Z, X, Y and NOT,
+        # one per input bit, and six for CN: two for the control's ket, then
+        # four for the target's ket on each control result.  That is 37.
         stored = dict(tensor._PRODUCTS)
-        assert len(stored) == 19
+        assert len(stored) == 37
         assert cli.main(["--format", "records", "verify"]) == 0
         capsys.readouterr()
         gates = oracles.CLIFFORD_GATES + ("NOT",)
@@ -260,25 +264,35 @@ class TestGateProducts:
     @pytest.mark.parametrize("gate", ["H", "S", "Z", "X", "Y", "NOT"])
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_k_copies_of_a_gate_run_the_kernel_k_times(self, kernel_runs, gate, k):
-        # A state runs one merge per copy; an operator one fewer, as the
-        # first copy meets the identity anchor in a stored merge.
+        # Each copy joins the wire in one merge and runs the kernel there,
+        # except the first: it meets the input ket or the identity anchor in
+        # a stored merge.  So k - 1 runs, for a state and an operator alike.
         ops = (GateApp(gate, (0,)),) * k
-        for build, circ, runs in ((circuit_state, Circuit(1, ops, "1"), k),
-                                  (circuit_unitary, Circuit(1, ops), k - 1)):
+        for build, circ in ((circuit_state, Circuit(1, ops, "1")),
+                            (circuit_unitary, Circuit(1, ops))):
             kernel_runs.clear()
             got = build(circ).array.reshape(-1)
-            assert len(kernel_runs) == runs
+            assert len(kernel_runs) == k - 1
             want = np.linalg.matrix_power(oracles.GATE_MATRICES[gate], k)
             want = want[:, 1] if circ.input else want.reshape(-1)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_every_key_operand_is_a_generator_or_a_stored_product(self):
         # Only shared constants key the table, which keeps it bounded.
-        constants = {gen.copy_tensor(), gen.xor_tensor(), gen.hadamard(),
+        constants = {gen.copy_tensor(), gen.xor_tensor(), gen.hadamard(), gen.ket_zero(),
                      gen.ket_one(), gen.identity_map(), *map(gen.t_vector, range(4))}
         constants |= set(tensor._PRODUCTS.values())
         for a, _, b, _ in tensor._PRODUCTS:
             assert a in constants and b in constants
+
+    @pytest.mark.parametrize("gate", sorted(circuits.GATE_ARITY))
+    def test_one_gate_states_run_no_kernel(self, kernel_runs, gate):
+        arity = circuits.GATE_ARITY[gate]
+        for bits in itertools.product("01", repeat=arity):
+            circ = Circuit(arity, (GateApp(gate, tuple(range(arity))),), "".join(bits))
+            got = circuit_state(circ).array.reshape(-1)
+            assert kernel_runs == []
+            np.testing.assert_allclose(got, oracles.dense_simulate(circ).amplitudes, atol=1e-12)
 
     def test_keys_hold_their_operands_not_their_values(self, kernel_runs):
         a, b = Tensor(1, (1, 0)), Tensor(1, (1, 0))

@@ -104,6 +104,14 @@ class TestConstruction:
         assert t[3:7] == t.data[3:7]
         assert t[::-1] == t.data[::-1]
 
+    def test_float_leg_index_rejected(self):
+        # 1.0 == 1 passes the 0-or-1 test; it must still be an IndexError
+        t = gen.copy_tensor()
+        for idx in ((0, 1.0, 0), (1.0, 1, 1)):
+            with pytest.raises(IndexError, match="^leg index must be 0 or 1, got 1.0$"):
+                t[idx]
+        assert t[(np.int64(1), 1, np.int64(1))] == 1
+
 
 class TestContractPair:
     def test_copy_with_ket0_gives_00(self):
@@ -200,6 +208,13 @@ class TestPermute:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             permute_legs(gen.copy_tensor(), (0, 0, 1))
+
+    def test_rejects_float_permutation(self):
+        # sorted([1.0, 0.0, 2.0]) == [0, 1, 2]; it must still be a ValueError
+        d = gen.copy_tensor()
+        with pytest.raises(ValueError, match=r"^\[1.0, 0.0, 2.0\] is not a permutation of 0..2$"):
+            permute_legs(d, [1.0, 0.0, 2.0])
+        assert permute_legs(d, list(np.array([0, 2, 1]))).data == d.data
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -394,6 +409,21 @@ class TestNetworks:
         with pytest.raises(ValueError):
             net.contract(order=[0, 0])
 
+    def test_overflow_that_a_later_trace_drops_is_rejected(self):
+        # Merging over A0-B0 overflows only where A's legs 1, 2 read (0, 1),
+        # entries the A1-A2 trace then drops: the merge itself must fail.
+        a = np.zeros(8)
+        a[0b001] = 1e200
+        net = TensorNetwork(
+            {"A": Tensor(3, a), "B": Tensor(3, np.full(8, 1e200))},
+            [(("A", 0), ("B", 0)), (("A", 1), ("A", 2))],
+            [("B", 1), ("B", 2)],
+        )
+        assert [step.kind for step in net.plan()] == ["merge", "trace", "permute"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite amplitude"):
+                net.contract()
+
 
 def _corpus():
     bell = compile_circuit(Circuit(2, (GateApp("H", (0,)), GateApp("CN", (0, 1))), "00"))
@@ -518,6 +548,40 @@ class TestPlan:
             PlanStep("merge", 4, 0, 2, (0,), (0,)),
             PlanStep("merge", 4, 1, 0, (0,), (3,)),
             PlanStep("permute", 4, 0, legs_a=(3, 2, 0, 1)),
+        ]
+
+    def test_steps_of_a_merge_over_two_bonds(self):
+        # b's legs 0 and 2 meet a's legs 2 and 0: legs_a ascends and legs_b
+        # follows it, under either order.
+        net = TensorNetwork(
+            {"a": gen.copy_tensor(), "b": gen.xor_tensor()},
+            [(("a", 0), ("b", 2)), (("a", 2), ("b", 0))],
+            [("b", 1), ("a", 1)],
+        )
+        for order in (None, [1, 0]):
+            assert net.plan(order) == [
+                PlanStep("merge", 2, 0, 1, (0, 2), (2, 0)),
+                PlanStep("permute", 2, 0, legs_a=(1, 0)),
+            ]
+
+    def test_steps_of_a_network_that_traces(self):
+        # a's self-bond traced first, then after the two-bond merge; last,
+        # the merge is taken from b's side.
+        net = _loop_network()
+        assert net.plan() == [
+            PlanStep("trace", 3, 0, legs_a=(1, 3)),
+            PlanStep("merge", 2, 0, 1, (0, 2), (2, 0)),
+            PlanStep("permute", 2, 0, legs_a=(1, 0)),
+        ]
+        assert net.plan([1, 2, 0]) == [
+            PlanStep("merge", 4, 0, 1, (0, 4), (2, 0)),
+            PlanStep("trace", 2, 0, legs_a=(0, 2)),
+            PlanStep("permute", 2, 0, legs_a=(1, 0)),
+        ]
+        assert net.plan([2, 0, 1]) == [
+            PlanStep("merge", 4, 1, 0, (0, 2), (4, 0)),
+            PlanStep("trace", 2, 0, legs_a=(1, 3)),
+            PlanStep("permute", 2, 0, legs_a=(0, 1)),
         ]
 
     def test_network_without_nodes_is_the_unit(self):
