@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from stabtensor import generators as gen
 from stabtensor.tensor import (
@@ -45,6 +46,10 @@ from stabtensor.tensor import (
 )
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
+
+# A LegBinding from a tuple of its four fields, without NamedTuple's
+# per-call argument handling.
+_new_bond = partial(tuple.__new__, LegBinding)
 
 
 class CircuitParseError(ValueError):
@@ -187,7 +192,7 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
     def attach(w: int, entry: tuple[str, int], end: tuple[str, int]) -> None:
         """Bond wire w's end to the gate's `entry` leg; `end` is the new end."""
-        bonds.append(LegBinding(*cur[w], *entry))
+        bonds.append(_new_bond((*cur[w], *entry)))
         cur[w] = end
 
     if circuit.input is not None:
@@ -207,13 +212,13 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
         if op.gate == "CN":
             d = add("copy", gen.copy_tensor())
             x = add("xor", gen.xor_tensor())
-            bonds.append(LegBinding(d, 2, x, 2))
+            bonds.append(_new_bond((d, 2, x, 2)))
             attach(w, (d, 0), (d, 1))  # control
             attach(op.wires[1], (x, 1), (x, 0))  # target
         elif op.gate == "NOT":
             x = add("xor", gen.xor_tensor())
             one = add("one", gen.ket_one())
-            bonds.append(LegBinding(one, 0, x, 2))
+            bonds.append(_new_bond((one, 0, x, 2)))
             attach(w, (x, 1), (x, 0))
         else:
             # The bonds inside the gate first, then the one to its wire.
@@ -224,11 +229,11 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
                 else:
                     node, in_leg, out_leg = add("copy", gen.copy_tensor()), 2, 1
                     t = add(f"t{step}", gen.t_vector(step))
-                    bonds.append(LegBinding(t, 0, node, 0))
+                    bonds.append(_new_bond((t, 0, node, 0)))
                 if end is None:
                     entry = (node, in_leg)
                 else:
-                    bonds.append(LegBinding(*end, node, in_leg))
+                    bonds.append(_new_bond((*end, node, in_leg)))
                 end = (node, out_leg)
             attach(w, entry, end)
 

@@ -128,7 +128,8 @@ def _write_amplitudes(head: str, state: Tensor, line: str,
     for start in range(0, flat.size // 2, WRITE_BLOCK):
         block = flat[2 * start:2 * (start + WRITE_BLOCK)]
         size = block.size // 2
-        ordered = np.sort(block, kind="stable")  # timsort: fast on runs of zeros
+        ordered = block.copy()
+        ordered.sort(kind="stable")  # timsort: fast on runs of zeros
         first = np.empty(block.size, bool)  # first of its run of equal parts
         first[0] = True
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
@@ -139,12 +140,11 @@ def _write_amplitudes(head: str, state: Tensor, line: str,
         lines = np.frombuffer(bytearray(row) * size, np.uint8).reshape(size, -1)
         # big-endian bytes of each index; MAX_RANK keeps n below 32 bits
         index = np.arange(start, start + size, dtype=">u4").view(np.uint8)
-        digits = np.take(_BYTE_DIGITS, index, axis=0).reshape(size, 32)
+        digits = _BYTE_DIGITS.take(index, axis=0).reshape(size, 32)
         lines[:, len(lead):len(lead) + n] = digits[:, 32 - n:]
         re_at = len(lead) + n + len(before)
         im_at = re_at + width + len(between)
-        codes = np.searchsorted(distinct, block)
-        parts = np.take(texts, codes).view(np.uint8).reshape(size, 2, width)
+        parts = texts.take(distinct.searchsorted(block)).view(np.uint8).reshape(size, 2, width)
         lines[:, re_at:re_at + width] = parts[:, 0]
         lines[:, im_at:im_at + width] = parts[:, 1]
         text = lines.reshape(-1)

@@ -12,6 +12,7 @@ disjoint networks may be contracted in parallel.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import partial
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
@@ -43,7 +44,9 @@ class Tensor:
     The constructor copies `data` into a new array, so later writes by the
     caller cannot reach the tensor.  Results of `contract_pair` skip that
     copy: the kernel's fresh output array is wrapped as it is, with the
-    same finiteness check and read-only flag.
+    same finiteness check and read-only flag.  A non-finite entry is a
+    ValueError naming the first one; the check costs one BLAS pass over
+    the entries (see `_own`).
     """
 
     __slots__ = ("_rank", "_array")
@@ -115,10 +118,17 @@ def _own(t: Tensor, rank: int, arr: np.ndarray) -> None:
 
     Rejects non-finite entries, then marks `arr` read-only.  `arr` must be
     new: no other reference may write to it later.
+
+    The check is one BLAS pass: the real part of vdot(arr, arr) sums the
+    nonnegative terms re**2 + im**2, so a finite sum proves every entry
+    finite.  Only a sum that is not finite runs the entrywise test, which
+    names the first bad entry and accepts entries whose squares merely
+    overflow.
     """
-    finite = np.isfinite(arr)
-    if np.count_nonzero(finite) != arr.size:
-        raise ValueError(f"non-finite amplitude {arr[~finite][0].item()!r}")
+    if not math.isfinite(np.vdot(arr, arr).real):
+        finite = np.isfinite(arr)
+        if np.count_nonzero(finite) != arr.size:
+            raise ValueError(f"non-finite amplitude {arr[~finite][0].item()!r}")
     arr.flags.writeable = False
     t._rank = rank
     t._array = arr.reshape((2,) * rank)
@@ -351,8 +361,60 @@ class PlanStep(NamedTuple):
 # per-call argument handling.
 _new_step = partial(tuple.__new__, PlanStep)
 
-# Partner markers in TensorNetwork.plan; real partners are leg ids >= 0.
+# Partner markers of the leg numbering (`_number_legs`, `TensorNetwork.plan`);
+# real partners are leg ids >= 0.
 _OPEN, _SUMMED = -1, -2
+
+
+def _number_legs(
+    nodes: dict[Hashable, Tensor], bonds: Iterable, open_legs: Iterable
+) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]] | None:
+    """Number the legs of a network and check its claims on them, or None.
+
+    Leg k of the i-th node is the sum of the earlier nodes' ranks plus k.
+    Returns the node ranks, each leg's partner (the leg bonded to it, or
+    _OPEN), each bond's two leg ids and the open legs' ids.  None when a
+    claim names an unknown node or a leg that is not an int in range,
+    claims a leg twice (a bond from a leg to itself included), or a leg
+    is left unclaimed; `_raise_first_fault` words the error.
+    """
+    span: dict[Hashable, tuple[int, int]] = {}
+    ranks: list[int] = []
+    total = 0
+    for node, tensor in nodes.items():
+        rank = tensor._rank
+        span[node] = (total, rank)
+        ranks.append(rank)
+        total += rank
+    partner: list[int | None] = [None] * total
+    ends: list[tuple[int, int]] = []
+    open_ids: list[int] = []
+    try:
+        for node_a, leg_a, node_b, leg_b in bonds:
+            first_a, rank_a = span[node_a]
+            first_b, rank_b = span[node_b]
+            if (type(leg_a) is not int or type(leg_b) is not int
+                    or not 0 <= leg_a < rank_a or not 0 <= leg_b < rank_b):
+                return None
+            x, y = first_a + leg_a, first_b + leg_b
+            if partner[x] is not None or partner[y] is not None or x == y:
+                return None
+            partner[x], partner[y] = y, x
+            ends.append((x, y))
+        for node, leg in open_legs:
+            first, rank = span[node]
+            if type(leg) is not int or not 0 <= leg < rank:
+                return None
+            x = first + leg
+            if partner[x] is not None:
+                return None
+            partner[x] = _OPEN
+            open_ids.append(x)
+    except KeyError:  # an unknown node
+        return None
+    if 2 * len(ends) + len(open_ids) != total:  # each claim took a new leg
+        return None  # a dangling leg
+    return ranks, partner, ends, open_ids
 
 
 def _as_binding(bond) -> LegBinding:
@@ -370,6 +432,11 @@ class TensorNetwork:
     Every leg of every node must appear in exactly one bond or exactly one
     open-leg slot.  The open-leg order fixes the leg order of the
     contracted result.
+
+    Legs are numbered once, when the network is built, by the same walk
+    that validates it: leg k of the i-th node gets the sum of the earlier
+    nodes' ranks plus k, and the network keeps each bond's two leg ids,
+    the open legs' ids and each leg's partner for `plan` to start from.
     """
 
     def __init__(
@@ -384,15 +451,21 @@ class TensorNetwork:
         self._validate()
 
     def _validate(self) -> None:
-        claims = [(bond.node_a, bond.leg_a) for bond in self.bonds]
-        claims += [(bond.node_b, bond.leg_b) for bond in self.bonds]
-        claims += self.open_legs
-        legs = {(node, leg) for node, t in self.nodes.items() for leg in range(t._rank)}
-        # As many int claims as legs, covering every leg: each is claimed
-        # once.  (A float leg 0.0 would equal leg 0 in the set comparison.)
-        if (len(claims) == len(legs) and legs == set(claims)
-                and {type(leg) for _, leg in claims} <= {int}):
-            return
+        numbered = _number_legs(self.nodes, self.bonds, self.open_legs)
+        if numbered is None:
+            self._raise_first_fault()
+            # Only a leg's type was amiss: an integer that is not an int,
+            # such as a numpy integer or a bool.
+            numbered = _number_legs(
+                self.nodes,
+                [(na, operator.index(la), nb, operator.index(lb))
+                 for na, la, nb, lb in self.bonds],
+                [(node, operator.index(leg)) for node, leg in self.open_legs],
+            )
+        self._ranks, self._partner, self._ends, self._open_ids = numbered
+
+    def _raise_first_fault(self) -> None:
+        """Raise ValueError naming the first bad claim, if there is one."""
         seen: set[tuple[Hashable, int]] = set()
 
         def claim(node, leg, what):
@@ -442,9 +515,9 @@ class TensorNetwork:
         in one merge per wire.  That keeps the peak within max(n + 1, 4) for
         an n-wire state and 2n for an operator.
 
-        Legs are numbered node by node (leg k of the i-th node is the sum
-        of the earlier nodes' ranks plus k), so the walk runs on lists of
-        ints.
+        The walk runs on lists of ints: the leg ids the network numbered
+        when it was built (see `TensorNetwork`), whose partner list it
+        copies.
         """
         if order is None:
             order = range(len(self.bonds))
@@ -457,22 +530,15 @@ class TensorNetwork:
         # Cluster k starts as node k with its legs; a merged cluster keeps
         # the smaller id, so ids ascend in first-seen node order.  owner
         # maps each leg to its cluster and stays current for live legs.
-        first_leg: dict[Hashable, int] = {}
         clusters: list[list[int] | None] = []
         owner: list[int] = []
-        for cid, (node, tensor) in enumerate(self.nodes.items()):
-            first_leg[node] = len(owner)
-            clusters.append(list(range(len(owner), len(owner) + tensor._rank)))
-            owner += [cid] * tensor._rank
+        for cid, rank in enumerate(self._ranks):
+            clusters.append(list(range(len(owner), len(owner) + rank)))
+            owner += [cid] * rank
         # Each leg's partner: the leg it is bonded to, _OPEN, or _SUMMED
         # once its bond has been contracted.
-        partner = [_OPEN] * len(owner)
-        ends = []
-        for bond in self.bonds:
-            x = first_leg[bond.node_a] + bond.leg_a
-            y = first_leg[bond.node_b] + bond.leg_b
-            partner[x], partner[y] = y, x
-            ends.append((x, y))
+        partner = self._partner.copy()
+        ends = self._ends
 
         steps: list[PlanStep] = []
         for idx in order:
@@ -527,7 +593,7 @@ class TensorNetwork:
         for cid in rest:
             result_legs += clusters[cid]
             steps.append(_new_step(("merge", len(result_legs), first, cid, (), ())))
-        slot = {first_leg[node] + leg: k for k, (node, leg) in enumerate(self.open_legs)}
+        slot = {z: k for k, z in enumerate(self._open_ids)}
         perm = tuple(slot[z] for z in result_legs)
         steps.append(_new_step(("permute", len(perm), first, -1, perm, ())))
         return steps

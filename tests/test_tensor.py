@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import string
 
 import numpy as np
@@ -55,6 +56,25 @@ class TestConstruction:
     def test_rejects_every_non_finite_entry(self, bad):
         with pytest.raises(ValueError, match="non-finite amplitude"):
             Tensor(2, (1, 0, bad, 0))
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_message_names_the_first_bad_entry(self, part, where, bad):
+        value = complex(bad, 0) if part == "real" else complex(0, bad)
+        data = [0.5j] * 8
+        if where == "first":
+            data[0], data[5] = value, complex(-math.inf, math.inf)
+        else:
+            data[7] = value
+        with pytest.raises(ValueError, match=rf"^non-finite amplitude {re.escape(repr(value))}$"):
+            Tensor(3, data)
+
+    def test_finite_entries_whose_squares_overflow_are_accepted(self):
+        t = Tensor(2, [1e200] * 4)
+        assert t.data == (1e200,) * 4
+        huge = Tensor(2, [1.7e308, -1.7e308j, 1.7e308 + 1.7e308j, 0])
+        assert huge[1, 0] == 1.7e308 + 1.7e308j
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -171,6 +191,30 @@ class TestContractPair:
                 contract_pair(big, (0,), big, (0,))
             with pytest.raises(ValueError, match="non-finite amplitude"):
                 contract_pair(big, (), big, ())
+
+    def test_finite_result_whose_squares_overflow_is_accepted(self):
+        # Entries near 1e300: their squares overflow, they do not.
+        a = Tensor(2, (1e300, -2e300j, 3e300, 1e-300))
+        out = contract_pair(a, (1,), Tensor(1, (1, 1j)), (0,))
+        assert out.data == (1e300 + 2e300, 3e300 + 1e-300j)
+        out = contract_pair(a, (), Tensor(0, (1,)), ())
+        assert out.data == a.data
+
+    @pytest.mark.parametrize("factor", [1e308, 1e308j, 1e308 + 1e308j])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_non_finite_result_names_the_first_bad_entry(self, factor, where):
+        # An outer product of finite operands that overflows at one entry,
+        # the first or the last; which non-finite value the kernel makes
+        # there is up to BLAS, so the test reads it off the same np.dot.
+        a = Tensor(1, (1e308, 1) if where == "first" else (1, 1e308))
+        b = Tensor(1, (factor, 1) if where == "first" else (1, factor))
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = np.dot(a.array.reshape(2, 1), b.array.reshape(1, 2)).reshape(-1)
+            bad = np.flatnonzero(~np.isfinite(kernel))
+            assert bad.tolist() == ([0] if where == "first" else [3])
+            named = re.escape(repr(kernel[bad[0]].item()))
+            with pytest.raises(ValueError, match=rf"^non-finite amplitude {named}$"):
+                contract_pair(a, (), b, ())
 
     def test_result_is_read_only_and_unshared(self):
         a, b = gen.hadamard(), gen.copy_tensor()
@@ -403,6 +447,54 @@ class TestNetworks:
         ):
             TensorNetwork({"a": gen.ket_zero(), "b": gen.ket_zero()},
                           [(("a", 0.0), ("b", 0))], [])
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8, bool], ids=["int64", "uint8", "bool"])
+    def test_integer_legs_of_other_types_are_numbered(self, kind):
+        # Legs that are integers but not int pass validation, and must be
+        # numbered as their int values: in bonds and in open legs alike.
+        def network(leg):
+            return TensorNetwork(
+                {"a": gen.copy_tensor(), "b": gen.xor_tensor(), "c": gen.hadamard()},
+                [(("a", leg(0)), ("b", leg(1))), (("b", 0), ("c", leg(1))),
+                 (("a", 2), ("a", leg(1)))],
+                [("c", leg(0)), ("b", 2)],
+            )
+
+        as_int, other = network(int), network(kind)
+        assert other.plan() == as_int.plan()
+        assert np.array_equal(other.contract().array, as_int.contract().array)
+
+    @pytest.mark.parametrize("net_args,message", [
+        # a leg past its node's rank whose id is the next node's leg 0
+        (({"n": gen.ket_zero(), "m": gen.ket_zero()}, [], [("n", 1), ("n", 0)]),
+         r"^open leg references leg 1 of node 'n' \(rank 1\)$"),
+        (({"n": gen.hadamard(), "m": gen.ket_zero()}, [(("n", 2), ("n", 0))], [("n", 1)]),
+         r"^bond references leg 2 of node 'n' \(rank 2\)$"),
+        # a bond from a leg to itself
+        (({"n": gen.ket_zero()}, [(("n", 0), ("n", 0))], []),
+         r"^leg \('n', 0\) used more than once$"),
+        (({"n": gen.hadamard()}, [(("n", 1), ("n", 1))], [("n", 0)]),
+         r"^leg \('n', 1\) used more than once$"),
+        # as many claims as legs
+        (({"n": gen.hadamard()}, [(("n", 0), ("n", 0))], []),
+         r"^leg \('n', 0\) used more than once$"),
+        # an open leg that is also bonded
+        (({"n": gen.hadamard(), "m": gen.ket_zero()}, [(("n", 1), ("m", 0))],
+          [("n", 0), ("m", 0)]),
+         r"^leg \('m', 0\) used more than once$"),
+        # numpy-integer legs keep their wording
+        (({"n": gen.ket_zero()}, [], [("n", np.int64(1))]),
+         r"^open leg references leg 1 of node 'n' \(rank 1\)$"),
+        (({"n": gen.ket_zero()}, [], [("n", np.float64(0))]),
+         rf"^open leg references leg {re.escape(repr(np.float64(0)))} of node 'n', "
+         "which is not an integer$"),
+        (({"n": gen.hadamard()}, [], [("n", True)]),
+         r"^dangling leg \('n', 0\)$"),
+    ], ids=["open-past-rank", "bond-past-rank", "self-bond", "self-bond-open",
+            "self-bond-no-open", "bonded-and-open", "int64-past-rank", "float64", "bool-dangling"])
+    def test_malformed_network_message(self, net_args, message):
+        with pytest.raises(ValueError, match=message):
+            TensorNetwork(*net_args)
 
     def test_bad_order_rejected(self):
         net = _feynman_network()
