@@ -13,7 +13,13 @@ kernel: not those that return a stored gate product, see
 rank r over k leg pairs had operands whose ranks sum to r + 2k, so it
 costs 2**(r + k) complex multiply-adds, the figure perfbench reports as
 ``tensor.contract_pair.flops``, stored or not; traces and the final
-permutation are not counted.  The relation-suite row times
+permutation are not counted.  The batch row compiles, plans and contracts
+``BATCH_SIZE`` seeded circuits shaped like perfbench's contract-ordered
+workload (10-12 wires, depth 30-50, from |0...0>), each phase timed over
+the whole batch, and reports microseconds per circuit for each phase (a
+field ending in ``_us``) with the merges and kernel merges per circuit:
+on circuits this small the time is the fixed cost of each node and merge,
+which a single-circuit row cannot resolve.  The relation-suite row times
 ``stabtensor verify``'s reports and sums the same plan figures over every
 network the suite contracts.  The CLI rows time one whole ``cli.main``
 call, records format, with stdout captured: ``simulate`` on
@@ -29,8 +35,8 @@ to 0 of one that anticommutes with a stabilizer).
 Rows are timed in ``REPEATS`` interleaved rounds, each round timing every
 row once, so a slow phase of a shared host lands on every row alike rather
 than on the rows it happens to overlap.  Each timing field (a name ending
-in ``_s``) holds the median over the rounds, and ``<field>_range`` its
-[min, max].
+in ``_s`` or ``_us``) holds the median over the rounds, and
+``<field>_range`` its [min, max].
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import tempfile
@@ -79,6 +86,11 @@ DENSE_CIRCUIT = (12, 400)
 GHZ_WIDTH = 20
 TABLEAU_WIDTH = 1000
 TABLEAU_STRINGS = 20
+# Circuits in the batch row, their widths and depths (inclusive), and seed.
+BATCH_SIZE = 300
+BATCH_WIDTHS = (10, 12)
+BATCH_DEPTHS = (30, 50)
+BATCH_SEED = 11
 
 
 def plan_figures(net: TensorNetwork, steps) -> dict:
@@ -112,6 +124,36 @@ def circuit_row(name: str, circuit: Circuit) -> dict:
         "plan_s": plan_s,
         "contract_s": contract_s,
         **plan_figures(net, steps),
+    }
+
+
+def batch_circuits(count: int, seed: int) -> list[Circuit]:
+    """`count` seeded random Clifford circuits from |0...0>, each of a
+    random width in BATCH_WIDTHS and depth in BATCH_DEPTHS."""
+    rng = random.Random(seed)
+    return [oracles.random_clifford_circuit(rng.randint(*BATCH_WIDTHS),
+                                            rng.randint(*BATCH_DEPTHS),
+                                            rng.randrange(1 << 31))
+            for _ in range(count)]
+
+
+def batch_row(name: str, circuits: list[Circuit]) -> dict:
+    """Microseconds per circuit of compile, plan and contract (which runs
+    its own plan), each phase timed over the whole batch, and the merges
+    and kernel merges per circuit."""
+    count = len(circuits)
+    compile_s, nets = timed(lambda: [compile_circuit(c) for c in circuits])
+    plan_s, plans = timed(lambda: [net.plan() for net in nets])
+    contract_s, _ = timed(lambda: [net.contract() for net in nets])
+    figures = [plan_figures(net, steps) for net, steps in zip(nets, plans)]
+    return {
+        "name": name,
+        "circuits": count,
+        "compile_us": 1e6 * compile_s / count,
+        "plan_us": 1e6 * plan_s / count,
+        "contract_us": 1e6 * contract_s / count,
+        "merges": sum(f["merges"] for f in figures) / count,
+        "kernel_merges": sum(f["kernel_merges"] for f in figures) / count,
     }
 
 
@@ -232,6 +274,8 @@ def row_calls(workdir: Path) -> list:
             circuit = oracles.random_clifford_circuit(width, depth, seed)
             calls.append(partial(circuit_row, f"random-{width}x{depth}-s{seed}", circuit))
     calls.append(partial(circuit_row, f"cn-ladder-{LADDER_WIDTH}", cn_ladder(LADDER_WIDTH)))
+    calls.append(partial(batch_row, f"batch-{BATCH_SIZE}-s{BATCH_SEED}",
+                         batch_circuits(BATCH_SIZE, BATCH_SEED)))
     calls.append(relation_suite_row)
     bell = str(ROOT / "samples" / "bell.circ")
     calls.append(partial(cli_row, "cli-simulate-bell", ["--format", "records", "simulate", bell]))
@@ -252,7 +296,7 @@ def summarize(runs: list[dict]) -> dict:
     every other field as the first round gave it."""
     row = {}
     for key, value in runs[0].items():
-        if key.endswith("_s"):
+        if key.endswith(("_s", "_us")):
             times = sorted(run[key] for run in runs)
             row[key] = statistics.median(times)
             row[f"{key}_range"] = [times[0], times[-1]]

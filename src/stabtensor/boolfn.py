@@ -57,7 +57,8 @@ class TruthTable:
 def parse_truth_table(text: str) -> TruthTable:
     """Parse the `bits n` header plus 2**n `input output` rows.
 
-    Rows must appear in strict lexicographic input order.
+    Rows must appear in strict lexicographic input order.  n is ASCII
+    decimal digits only.
     """
     n: int | None = None
     rows: list[int] = []
@@ -67,7 +68,8 @@ def parse_truth_table(text: str) -> TruthTable:
             continue
         fields = line.split()
         if n is None:
-            if fields[0] != "bits" or len(fields) != 2 or not fields[1].isdigit():
+            if (fields[0] != "bits" or len(fields) != 2
+                    or not (fields[1].isascii() and fields[1].isdigit())):
                 raise ValueError(f"line {lineno}: expected `bits n` header")
             n = int(fields[1])
             if n < 1:

@@ -22,10 +22,10 @@ input ket that the first gate on each wire meets included:
 `contract_pair` returns them without running the kernel, while every
 merge still goes through it.
 
-Each generator is read through its `generators` accessor at call time,
-so patching one (say `generators.xor_tensor`) reaches every compiled
-circuit: the patched tensor is a different object, matches no stored
-product, and is contracted.
+Each generator is read through its `generators` accessor once per call,
+at call time, so patching one (say `generators.xor_tensor`) reaches
+every compiled circuit: the patched tensor is a different object,
+matches no stored product, and is contracted.
 
 Two controlled-NOT constructions coexist on purpose: the wired copy/XOR
 pair `compile_circuit` builds for each CN, and the raised-index single
@@ -95,6 +95,8 @@ def parse_circuit(text: str) -> Circuit:
 
     Header `wires N` first, optional `input <bits>`, then one gate per
     line (`H 0`, `CN 0 1`, ...).  Lines starting with `#` are comments.
+    Numbers are ASCII decimal digits only: no sign, underscore or other
+    script's digits, all of which `int` would take.
     """
     width: int | None = None
     input_bits: str | None = None
@@ -109,7 +111,7 @@ def parse_circuit(text: str) -> Circuit:
             if head == "wires":
                 if width is not None:
                     raise CircuitParseError("duplicate wires header")
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
                     raise CircuitParseError(f"bad wires header {line!r}")
                 width = int(fields[1])
                 if width < 1:
@@ -126,11 +128,9 @@ def parse_circuit(text: str) -> Circuit:
                 continue
             if head not in GATE_ARITY:
                 raise CircuitParseError(f"unknown gate {head!r}")
-            try:
-                wires = tuple(int(w) for w in fields[1:])
-            except ValueError as exc:
-                raise CircuitParseError(f"bad wire list in {line!r}") from exc
-            ops.append(GateApp(head, wires))
+            if not all(w.isascii() and w.isdigit() for w in fields[1:]):
+                raise CircuitParseError(f"bad wire list in {line!r}")
+            ops.append(GateApp(head, tuple(map(int, fields[1:]))))
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from None
     if width is None:
@@ -179,65 +179,78 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     Without one the result is the circuit operator with open legs
     (out_0..out_{n-1}, in_0..in_{n-1}).
     """
+    # Each accessor is read once per call, and still at call time.
+    copy, xor, hadamard, one = gen.copy_tensor(), gen.xor_tensor(), gen.hadamard(), gen.ket_one()
+    phase = {1: gen.t_vector(1), 2: gen.t_vector(2), 3: gen.t_vector(3)}
+    # Node k is named f"{k}:{tag}".
     nodes: dict[str, Tensor] = {}
     bonds: list[LegBinding] = []
     # the dangling output end of each wire
     cur: list[tuple[str, int]] = []
     in_legs: list[tuple[str, int]] = []
 
-    def add(tag: str, tensor: Tensor) -> str:
-        name = f"{len(nodes)}:{tag}"
-        nodes[name] = tensor
-        return name
-
-    def attach(w: int, entry: tuple[str, int], end: tuple[str, int]) -> None:
-        """Bond wire w's end to the gate's `entry` leg; `end` is the new end."""
-        bonds.append(_new_bond((*cur[w], *entry)))
-        cur[w] = end
-
     if circuit.input is not None:
-        for bit in circuit.input:
-            name = add(f"in{bit}", gen.ket_one() if bit == "1" else gen.ket_zero())
+        kets = {"0": gen.ket_zero(), "1": one}
+        for k, bit in enumerate(circuit.input):
+            name = f"{k}:in{bit}"
+            nodes[name] = kets[bit]
             cur.append((name, 0))
     else:
         # Anchor each open input on an identity node so inputs stay legs.
         identity = gen.identity_map()
-        for w in range(circuit.width):
-            name = add("id", identity)
+        for k in range(circuit.width):
+            name = f"{k}:id"
+            nodes[name] = identity
             cur.append((name, 0))
             in_legs.append((name, 1))
 
+    # Each gate declares its internal bonds, then bonds its entry leg to
+    # the end of each wire it acts on; its exit leg becomes that end.
+    k = circuit.width
     for op in circuit.ops:
-        w = op.wires[0]
-        if op.gate == "CN":
-            d = add("copy", gen.copy_tensor())
-            x = add("xor", gen.xor_tensor())
-            bonds.append(_new_bond((d, 2, x, 2)))
-            attach(w, (d, 0), (d, 1))  # control
-            attach(op.wires[1], (x, 1), (x, 0))  # target
-        elif op.gate == "NOT":
-            x = add("xor", gen.xor_tensor())
-            one = add("one", gen.ket_one())
-            bonds.append(_new_bond((one, 0, x, 2)))
-            attach(w, (x, 1), (x, 0))
+        gate, wires = op.gate, op.wires
+        w = wires[0]
+        if gate == "CN":
+            d, x = f"{k}:copy", f"{k + 1}:xor"
+            k += 2
+            nodes[d] = copy
+            nodes[x] = xor
+            t = wires[1]
+            bonds += (
+                _new_bond((d, 2, x, 2)),
+                _new_bond((*cur[w], d, 0)),  # control
+                _new_bond((*cur[t], x, 1)),  # target
+            )
+            cur[w], cur[t] = (d, 1), (x, 0)
+        elif gate == "NOT":
+            x, o = f"{k}:xor", f"{k + 1}:one"
+            k += 2
+            nodes[x] = xor
+            nodes[o] = one
+            bonds += (_new_bond((o, 0, x, 2)), _new_bond((*cur[w], x, 1)))
+            cur[w] = (x, 0)
         else:
-            # The bonds inside the gate first, then the one to its wire.
             entry = end = None
-            for step in SINGLE_WIRE_STEPS[op.gate]:
+            for step in SINGLE_WIRE_STEPS[gate]:
                 if step == "H":
-                    node, in_leg, out_leg = add("H", gen.hadamard()), 1, 0
+                    node, in_leg, out_leg = f"{k}:H", 1, 0
+                    k += 1
+                    nodes[node] = hadamard
                 else:
-                    node, in_leg, out_leg = add("copy", gen.copy_tensor()), 2, 1
-                    t = add(f"t{step}", gen.t_vector(step))
+                    node, t, in_leg, out_leg = f"{k}:copy", f"{k + 1}:t{step}", 2, 1
+                    k += 2
+                    nodes[node] = copy
+                    nodes[t] = phase[step]
                     bonds.append(_new_bond((t, 0, node, 0)))
                 if end is None:
                     entry = (node, in_leg)
                 else:
                     bonds.append(_new_bond((*end, node, in_leg)))
                 end = (node, out_leg)
-            attach(w, entry, end)
+            bonds.append(_new_bond((*cur[w], *entry)))
+            cur[w] = end
 
-    return TensorNetwork(nodes, bonds, list(cur) + in_legs)
+    return TensorNetwork(nodes, bonds, cur + in_legs)
 
 
 def _store_gate_products() -> None:

@@ -129,7 +129,7 @@ def _own(t: Tensor, rank: int, arr: np.ndarray) -> None:
         finite = np.isfinite(arr)
         if np.count_nonzero(finite) != arr.size:
             raise ValueError(f"non-finite amplitude {arr[~finite][0].item()!r}")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     t._rank = rank
     t._array = arr.reshape((2,) * rank)
 
@@ -185,7 +185,9 @@ def stored_product(
 ) -> Tensor | None:
     """The product stored for `contract_pair(a, legs_a, b, legs_b)`, or None.
 
-    Legs must match as tuples; legs in a list are never stored."""
+    Legs must match as tuples; legs in a list are never stored.
+    `contract_pair` probes the table itself, with the same key; this is
+    the lookup for `stored_merges` and for callers outside the kernel."""
     try:
         return _PRODUCTS.get((a, legs_a, b, legs_b))
     except TypeError:  # unhashable legs
@@ -245,33 +247,42 @@ def contract_pair(
     A call whose operands are the very tensors of a stored product (see
     `store_product`: each merge of a one-gate network of `compile_circuit`,
     over the generator tensors, the identity anchor and the input kets)
-    returns that product and runs no kernel.  A leg that is not an integer
-    is a ValueError, stored operands or not.
+    returns that product and runs no kernel; the table is probed here
+    directly, as `stored_product` would.  A leg that is not an integer is a
+    ValueError, stored operands or not.
     """
-    known = stored_product(a, legs_a, b, legs_b)
+    try:
+        known = _PRODUCTS.get((a, legs_a, b, legs_b))
+    except TypeError:  # unhashable legs
+        known = None
     if known is not None:
         # A float leg hashes and compares as the int it equals: (0.0,) == (0,).
-        if not all(type(p) is int for p in legs_a + legs_b):
-            _require_int_legs(legs_a, legs_b)
+        for p in legs_a:
+            if type(p) is not int:
+                _require_int_legs(legs_a, legs_b)
+        for p in legs_b:
+            if type(p) is not int:
+                _require_int_legs(legs_a, legs_b)
         return known
-    if len(legs_a) != len(legs_b):
-        raise ValueError(
-            f"leg lists differ in length: {len(legs_a)} vs {len(legs_b)}"
-        )
+    pairs = len(legs_a)
+    if pairs != len(legs_b):
+        raise ValueError(f"leg lists differ in length: {pairs} vs {len(legs_b)}")
     rank_a, rank_b = a._rank, b._rank
     free_a = [p for p in range(rank_a) if p not in legs_a]
     free_b = [p for p in range(rank_b) if p not in legs_b]
-    # Each side's legs are distinct and in range exactly when they and its
-    # free legs add up to its rank; otherwise find the offending leg.
-    if len(free_a) + len(legs_a) != rank_a or len(free_b) + len(legs_b) != rank_b:
+    out_rank = len(free_a) + len(free_b)
+    # Each side's free legs and legs number at least its rank, and exactly
+    # its rank when its legs are distinct and in range, so the sums agree
+    # only then; otherwise find the offending leg.
+    if out_rank + 2 * pairs != rank_a + rank_b:
         _require_int_legs(legs_a, legs_b)
         _check_legs(legs_a, rank_a, "first")
         _check_legs(legs_b, rank_b, "second")
-    out_rank = len(free_a) + len(free_b)
-    check_rank(out_rank, "contraction result")
+    if out_rank > MAX_RANK:  # tested here: a call per merge costs
+        check_rank(out_rank, "contraction result")
     # np.tensordot's own steps, without its generic argument handling:
     # summed legs last in a and first in b, both flattened to 2-D, one dot.
-    summed = 1 << len(legs_a)
+    summed = 1 << pairs
     try:
         mat_a = a._array.transpose((*free_a, *legs_a)).reshape(-1, summed)
         mat_b = b._array.transpose((*legs_b, *free_b)).reshape(summed, -1)
@@ -368,24 +379,26 @@ _OPEN, _SUMMED = -1, -2
 
 def _number_legs(
     nodes: dict[Hashable, Tensor], bonds: Iterable, open_legs: Iterable
-) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]] | None:
+) -> tuple[list[tuple[int, ...]], list[int], list[int], list[tuple[int, int]], list[int]] | None:
     """Number the legs of a network and check its claims on them, or None.
 
     Leg k of the i-th node is the sum of the earlier nodes' ranks plus k.
-    Returns the node ranks, each leg's partner (the leg bonded to it, or
+    Returns `plan`'s start lists: each node's leg ids, as a tuple, and each
+    leg's node index.  Then each leg's partner (the leg bonded to it, or
     _OPEN), each bond's two leg ids and the open legs' ids.  None when a
     claim names an unknown node or a leg that is not an int in range,
     claims a leg twice (a bond from a leg to itself included), or a leg
     is left unclaimed; `_raise_first_fault` words the error.
     """
     span: dict[Hashable, tuple[int, int]] = {}
-    ranks: list[int] = []
     total = 0
     for node, tensor in nodes.items():
         rank = tensor._rank
         span[node] = (total, rank)
-        ranks.append(rank)
         total += rank
+    ids = tuple(range(total))
+    legs = [ids[first:first + rank] for first, rank in span.values()]
+    owner = [cid for cid, node_legs in enumerate(legs) for _ in node_legs]
     partner: list[int | None] = [None] * total
     ends: list[tuple[int, int]] = []
     open_ids: list[int] = []
@@ -414,7 +427,7 @@ def _number_legs(
         return None
     if 2 * len(ends) + len(open_ids) != total:  # each claim took a new leg
         return None  # a dangling leg
-    return ranks, partner, ends, open_ids
+    return legs, owner, partner, ends, open_ids
 
 
 def _as_binding(bond) -> LegBinding:
@@ -435,8 +448,12 @@ class TensorNetwork:
 
     Legs are numbered once, when the network is built, by the same walk
     that validates it: leg k of the i-th node gets the sum of the earlier
-    nodes' ranks plus k, and the network keeps each bond's two leg ids,
-    the open legs' ids and each leg's partner for `plan` to start from.
+    nodes' ranks plus k.  The network keeps what `plan` starts from: each
+    node's leg ids, each leg's node and partner, each bond's two leg ids
+    and the open legs' ids.  Every `plan` call starts from shallow copies
+    of these lists.  A node's leg ids are a tuple, which no call can write
+    into, and which the garbage collector stops tracking, so networks kept
+    alive cost it no per-node work.
     """
 
     def __init__(
@@ -446,7 +463,7 @@ class TensorNetwork:
         open_legs: Sequence[tuple[Hashable, int]],
     ):
         self.nodes = dict(nodes)
-        self.bonds = tuple(map(_as_binding, bonds))
+        self.bonds = tuple([b if type(b) is LegBinding else _as_binding(b) for b in bonds])
         self.open_legs = tuple((n, l) for n, l in open_legs)
         self._validate()
 
@@ -462,7 +479,7 @@ class TensorNetwork:
                  for na, la, nb, lb in self.bonds],
                 [(node, operator.index(leg)) for node, leg in self.open_legs],
             )
-        self._ranks, self._partner, self._ends, self._open_ids = numbered
+        self._legs, self._owner, self._partner, self._ends, self._open_ids = numbered
 
     def _raise_first_fault(self) -> None:
         """Raise ValueError naming the first bad claim, if there is one."""
@@ -515,9 +532,10 @@ class TensorNetwork:
         in one merge per wire.  That keeps the peak within max(n + 1, 4) for
         an n-wire state and 2n for an operator.
 
-        The walk runs on lists of ints: the leg ids the network numbered
-        when it was built (see `TensorNetwork`), whose partner list it
-        copies.
+        The walk runs on ints alone: the leg ids the network numbered when
+        it was built (see `TensorNetwork`).  It starts from shallow copies
+        of the network's lists, each node's leg ids a shared tuple, and
+        gives every merged or traced cluster a new list.
         """
         if order is None:
             order = range(len(self.bonds))
@@ -530,11 +548,8 @@ class TensorNetwork:
         # Cluster k starts as node k with its legs; a merged cluster keeps
         # the smaller id, so ids ascend in first-seen node order.  owner
         # maps each leg to its cluster and stays current for live legs.
-        clusters: list[list[int] | None] = []
-        owner: list[int] = []
-        for cid, rank in enumerate(self._ranks):
-            clusters.append(list(range(len(owner), len(owner) + rank)))
-            owner += [cid] * rank
+        clusters: list[Sequence[int] | None] = self._legs.copy()
+        owner = self._owner.copy()
         # Each leg's partner: the leg it is bonded to, _OPEN, or _SUMMED
         # once its bond has been contracted.
         partner = self._partner.copy()
@@ -569,21 +584,26 @@ class TensorNetwork:
                     for k in shared_b:
                         z = legs_b[k]
                         partner[partner[z]] = partner[z] = _SUMMED
-                    merged = [z for z in legs_a + legs_b if partner[z] != _SUMMED]
+                    merged = [z for z in (*legs_a, *legs_b) if partner[z] != _SUMMED]
                     break
             else:  # x-y is the only bond between the clusters
                 partner[x] = partner[y] = _SUMMED
                 ia, ib = legs_a.index(x), legs_b.index(y)
                 shared_a, shared_b = (ia,), (ib,)
-                merged = legs_a[:ia] + legs_a[ia + 1:] + legs_b[:ib] + legs_b[ib + 1:]
-            if len(merged) > MAX_RANK:  # tested here: a call per merge costs
-                check_rank(len(merged), "a merge in the contraction plan")
-            keep, gone = (ca, cb) if ca < cb else (cb, ca)
-            for z in clusters[gone]:
-                owner[z] = keep
-            clusters[gone] = None
-            clusters[keep] = merged
-            steps.append(_new_step(("merge", len(merged), ca, cb, shared_a, shared_b)))
+                merged = [*legs_a, *legs_b]
+                del merged[len(legs_a) + ib], merged[ia]
+            rank = len(merged)
+            if rank > MAX_RANK:  # tested here: a call per merge costs
+                check_rank(rank, "a merge in the contraction plan")
+            if ca < cb:
+                for z in legs_b:
+                    owner[z] = ca
+                clusters[ca], clusters[cb] = merged, None
+            else:
+                for z in legs_a:
+                    owner[z] = cb
+                clusters[cb], clusters[ca] = merged, None
+            steps.append(_new_step(("merge", rank, ca, cb, shared_a, shared_b)))
 
         live = [cid for cid, legs in enumerate(clusters) if legs is not None]
         if not live:
@@ -591,7 +611,7 @@ class TensorNetwork:
         first, *rest = live
         result_legs = clusters[first]
         for cid in rest:
-            result_legs += clusters[cid]
+            result_legs = [*result_legs, *clusters[cid]]
             steps.append(_new_step(("merge", len(result_legs), first, cid, (), ())))
         slot = {z: k for k, z in enumerate(self._open_ids)}
         perm = tuple(slot[z] for z in result_legs)
@@ -609,8 +629,11 @@ class TensorNetwork:
         for kind, rank, a, b, legs_a, legs_b in body:
             if kind == "merge":
                 merged = contract_pair(tensors[a], legs_a, tensors[b], legs_b)
-                tensors[max(a, b)] = None  # absorbed: released right away
-                tensors[min(a, b)] = merged
+                # The absorbed cluster is released right away.
+                if a < b:
+                    tensors[a], tensors[b] = merged, None
+                else:
+                    tensors[b], tensors[a] = merged, None
             else:  # "trace"
                 traced = np.trace(tensors[a].array, axis1=legs_a[0], axis2=legs_a[1])
                 tensors[a] = Tensor(rank, traced)

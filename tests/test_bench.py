@@ -40,6 +40,18 @@ def test_plan_figures_count_the_merges_contract_runs(circuit, monkeypatch, kerne
     assert figures["peak_rank"] == max(rank for _, rank in calls)
 
 
+def test_batch_row_reports_per_circuit_figures(kernel_runs):
+    circuits = bench.batch_circuits(3, 0)
+    assert [(10 <= c.width <= 12, 30 <= len(c.ops) <= 50) for c in circuits] == [(True, True)] * 3
+    row = bench.batch_row("batch-3", circuits)
+    assert row["name"] == "batch-3" and row["circuits"] == 3
+    assert all(row[f"{phase}_us"] > 0 for phase in ("compile", "plan", "contract"))
+    plans = [compile_circuit(c).plan() for c in circuits]
+    assert row["merges"] == sum(s.kind == "merge" for steps in plans for s in steps) / 3
+    # The row contracts each circuit once, and only there runs the kernel.
+    assert 0 < row["kernel_merges"] == len(kernel_runs) / 3 < row["merges"]
+
+
 def test_relation_suite_row_restores_plan():
     plan = TensorNetwork.plan
     row = bench.relation_suite_row()

@@ -1,5 +1,6 @@
 """Circuit parsing, the two controlled-NOT constructions, and compilation."""
 
+import hashlib
 import itertools
 import random
 
@@ -228,6 +229,41 @@ class TestCompile:
         got = np.array(circuit_state(circ).data)
         want = oracles.dense_simulate(circ).amplitudes
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _structure_corpus():
+    """A state and an operator over the same gates, four of each per width
+    1-12, every gate NOT included, from seeded inputs."""
+    rng = random.Random(19)
+    gates = oracles.CLIFFORD_GATES + ("NOT",)
+    for width in range(1, 13):
+        for _ in range(4):
+            ops = oracles.random_clifford_circuit(
+                width, rng.randrange(5, 40), rng.randrange(1 << 30), gates=gates).ops
+            yield Circuit(width, ops, format(rng.randrange(1 << width), f"0{width}b"))
+            yield Circuit(width, ops, None)
+
+
+def test_compiled_structure_is_pinned():
+    # One digest over each network's node names, the accessor whose tensor
+    # each node is, its bonds, open legs and plan steps, recorded before
+    # compile and plan shed their per-node calls: a faster compile or plan
+    # must leave every one of them as it is.
+    accessors = {
+        gen.copy_tensor(): "copy_tensor", gen.xor_tensor(): "xor_tensor",
+        gen.hadamard(): "hadamard", gen.ket_zero(): "ket_zero",
+        gen.ket_one(): "ket_one", gen.identity_map(): "identity_map",
+        **{gen.t_vector(k): f"t_vector({k})" for k in range(4)},
+    }
+    digest = hashlib.sha256()
+    for circuit in _structure_corpus():
+        net = compile_circuit(circuit)
+        nodes = [(name, accessors[node]) for name, node in net.nodes.items()]
+        bonds = [tuple(bond) for bond in net.bonds]
+        steps = [tuple(step) for step in net.plan()]
+        digest.update(repr((nodes, bonds, net.open_legs, steps)).encode())
+    assert digest.hexdigest() == (
+        "98f95804857dbc4353dfb2df45a7a1834b185e82fcdc99dd7e088c8a5412e2a6")
 
 
 class TestGateProducts:

@@ -144,6 +144,23 @@ class TestSimulate:
     def test_missing_file_exits_2(self):
         assert cli.main(["simulate", "/nonexistent/file.circ"]) == 2
 
+    # Numbers are ASCII decimal digits only; int() would take each of these.
+    @pytest.mark.parametrize("text, message", [
+        ("wires \u0663\nH \u0660\nCN \u0660 \u0662\n",
+         "line 1: bad wires header 'wires \u0663'"),
+        ("wires 3\nH \u0660\n", "line 2: bad wire list in 'H \u0660'"),
+        ("wires 11\nH 1_0\n", "line 2: bad wire list in 'H 1_0'"),
+        ("wires 4\nX +3\n", "line 2: bad wire list in 'X +3'"),
+        ("wires \u00b2\nH 0\n", "line 1: bad wires header 'wires \u00b2'"),
+    ], ids=["arabic-indic-header", "arabic-indic-wire", "underscore", "plus", "superscript"])
+    def test_wire_numbers_are_ascii_digits(self, text, message, tmp_path, capsys):
+        path = tmp_path / "digits.circ"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin.circ"
         path.write_bytes(b"# \xff\xfe\nwires 1\nH 0\n")
@@ -328,6 +345,15 @@ class TestEntropy:
         path = tmp_path / "short.tab"
         path.write_text("bits 2\n00 00\n01 01\n10 10\n")
         assert cli.main(["entropy", str(path)]) == 2
+
+    def test_superscript_bits_header_exits_2(self, tmp_path, capsys):
+        # '\u00b2' passes str.isdigit() but is no number int() reads.
+        path = tmp_path / "square.tab"
+        path.write_text("bits \u00b2\n0 0\n1 1\n", encoding="utf-8")
+        assert cli.main(["entropy", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 1: expected `bits n` header\n"
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin.tab"

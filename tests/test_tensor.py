@@ -676,6 +676,26 @@ class TestPlan:
             PlanStep("permute", 2, 0, legs_a=(0, 1)),
         ]
 
+    @pytest.mark.parametrize("net", [
+        compile_circuit(Circuit(3, (), "010")),
+        compile_circuit(Circuit(3, (GateApp("H", (1,)), GateApp("CN", (1, 2))))),
+        TensorNetwork(
+            {"k": gen.ket_zero(), "c": gen.copy_tensor(), "h": gen.hadamard()},
+            [("c", 0, "c", 1)],
+            [("h", 1), ("c", 2), ("k", 0), ("h", 0)],
+        ),
+    ], ids=["three-kets", "lone-anchor-first", "trace-then-outer"])
+    def test_plan_is_reentrant(self, net):
+        # Each plan ends in outer products of several clusters, the first
+        # of them a node no step merged: every call starts from the
+        # network's own leg lists, and none may write into them.
+        steps = net.plan()
+        assert steps[-2].kind == "merge" and steps[-2].legs_a == ()
+        assert net.plan() == steps
+        fresh = TensorNetwork(net.nodes, net.bonds, net.open_legs)
+        assert np.array_equal(net.contract().array, fresh.contract().array)
+        assert net.plan() == fresh.plan() == steps
+
     def test_network_without_nodes_is_the_unit(self):
         net = TensorNetwork({}, [], [])
         assert net.plan() == [PlanStep("unit", 0)]
