@@ -15,7 +15,9 @@ costs 2**(r + k) complex multiply-adds, the figure perfbench reports as
 ``tensor.contract_pair.flops``, stored or not; traces and the final
 permutation are not counted.  The batch row compiles, plans and contracts
 ``BATCH_SIZE`` seeded circuits shaped like perfbench's contract-ordered
-workload (10-12 wires, depth 30-50, from |0...0>), each phase timed over
+workload (10-12 wires, depth 30-50, from |0...0>), and builds each
+compiled network once more on its own (``network_us``, the walk that
+numbers and checks the legs), each phase timed over
 the whole batch, and reports microseconds per circuit for each phase (a
 field ending in ``_us``) with the merges and kernel merges per circuit:
 on circuits this small the time is the fixed cost of each node and merge,
@@ -138,11 +140,15 @@ def batch_circuits(count: int, seed: int) -> list[Circuit]:
 
 
 def batch_row(name: str, circuits: list[Circuit]) -> dict:
-    """Microseconds per circuit of compile, plan and contract (which runs
-    its own plan), each phase timed over the whole batch, and the merges
-    and kernel merges per circuit."""
+    """Microseconds per circuit of compile, network construction (the
+    compiled nodes, bonds and open legs built into a `TensorNetwork` again:
+    the numbering walk that checks every leg claim), plan and contract
+    (which runs its own plan), each phase timed over the whole batch, and
+    the merges and kernel merges per circuit."""
     count = len(circuits)
     compile_s, nets = timed(lambda: [compile_circuit(c) for c in circuits])
+    network_s, _ = timed(lambda: [TensorNetwork(net.nodes, net.bonds, net.open_legs)
+                                  for net in nets])
     plan_s, plans = timed(lambda: [net.plan() for net in nets])
     contract_s, _ = timed(lambda: [net.contract() for net in nets])
     figures = [plan_figures(net, steps) for net, steps in zip(nets, plans)]
@@ -150,6 +156,7 @@ def batch_row(name: str, circuits: list[Circuit]) -> dict:
         "name": name,
         "circuits": count,
         "compile_us": 1e6 * compile_s / count,
+        "network_us": 1e6 * network_s / count,
         "plan_us": 1e6 * plan_s / count,
         "contract_us": 1e6 * contract_s / count,
         "merges": sum(f["merges"] for f in figures) / count,

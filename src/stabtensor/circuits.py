@@ -41,7 +41,7 @@ from functools import partial
 
 from stabtensor import generators as gen
 from stabtensor.tensor import (
-    LegBinding, Tensor, TensorNetwork, check_rank, contract_pair, store_product,
+    LegBinding, Tensor, TensorNetwork, as_int, check_rank, contract_pair, store_product,
     stored_merges,
 )
 
@@ -68,6 +68,11 @@ class GateApp:
             raise ValueError(
                 f"{self.gate} takes {GATE_ARITY[self.gate]} wire(s), got {self.wires}"
             )
+        for w in self.wires:
+            if type(w) is not int:  # an integer of another type, or a fault
+                ints = tuple([as_int(v, f"{self.gate} wire") for v in self.wires])
+                object.__setattr__(self, "wires", ints)
+                break
         if len(set(self.wires)) != len(self.wires):
             raise ValueError(f"{self.gate} wires must be distinct, got {self.wires}")
 
@@ -79,6 +84,7 @@ class Circuit:
     input: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "width", as_int(self.width, "circuit width"))
         if self.width < 1:
             raise ValueError("circuit needs at least one wire")
         for op in self.ops:

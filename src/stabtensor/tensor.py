@@ -152,14 +152,12 @@ def tensor_from_fn(rank: int, fn: Callable[..., complex]) -> Tensor:
     return Tensor(rank, data)
 
 
-def _require_int_legs(legs_a: Sequence[int], legs_b: Sequence[int]) -> None:
-    """Raise ValueError naming the first leg that is not an integer."""
-    for side, legs in (("first", legs_a), ("second", legs_b)):
-        for p in legs:
-            try:
-                operator.index(p)
-            except TypeError:
-                raise ValueError(f"{side} leg {p!r} is not an integer") from None
+def as_int(value, what: str) -> int:
+    """`value` as the int `operator.index` makes of it, or a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
@@ -248,34 +246,38 @@ def contract_pair(
     `store_product`: each merge of a one-gate network of `compile_circuit`,
     over the generator tensors, the identity anchor and the input kets)
     returns that product and runs no kernel; the table is probed here
-    directly, as `stored_product` would.  A leg that is not an integer is a
-    ValueError, stored operands or not.
+    directly, as `stored_product` would.
+
+    A leg is anything `operator.index` accepts, used as that int; any
+    other leg is a ValueError, stored operands or not (a float 0.0 matches
+    the key of leg 0, so types are checked before the table is probed).
     """
+    pairs = len(legs_a)
+    if pairs != len(legs_b):
+        raise ValueError(f"leg lists differ in length: {pairs} vs {len(legs_b)}")
+    ints_a, ints_b = legs_a, legs_b
+    for p in legs_a:
+        if type(p) is not int:
+            ints_a = [as_int(q, "first leg") for q in legs_a]
+            break
+    for p in legs_b:
+        if type(p) is not int:
+            ints_b = [as_int(q, "second leg") for q in legs_b]
+            break
     try:
         known = _PRODUCTS.get((a, legs_a, b, legs_b))
     except TypeError:  # unhashable legs
         known = None
     if known is not None:
-        # A float leg hashes and compares as the int it equals: (0.0,) == (0,).
-        for p in legs_a:
-            if type(p) is not int:
-                _require_int_legs(legs_a, legs_b)
-        for p in legs_b:
-            if type(p) is not int:
-                _require_int_legs(legs_a, legs_b)
         return known
-    pairs = len(legs_a)
-    if pairs != len(legs_b):
-        raise ValueError(f"leg lists differ in length: {pairs} vs {len(legs_b)}")
     rank_a, rank_b = a._rank, b._rank
-    free_a = [p for p in range(rank_a) if p not in legs_a]
-    free_b = [p for p in range(rank_b) if p not in legs_b]
+    free_a = [p for p in range(rank_a) if p not in ints_a]
+    free_b = [p for p in range(rank_b) if p not in ints_b]
     out_rank = len(free_a) + len(free_b)
     # Each side's free legs and legs number at least its rank, and exactly
     # its rank when its legs are distinct and in range, so the sums agree
-    # only then; otherwise find the offending leg.
+    # only then; otherwise name the offending leg as the caller passed it.
     if out_rank + 2 * pairs != rank_a + rank_b:
-        _require_int_legs(legs_a, legs_b)
         _check_legs(legs_a, rank_a, "first")
         _check_legs(legs_b, rank_b, "second")
     if out_rank > MAX_RANK:  # tested here: a call per merge costs
@@ -283,12 +285,8 @@ def contract_pair(
     # np.tensordot's own steps, without its generic argument handling:
     # summed legs last in a and first in b, both flattened to 2-D, one dot.
     summed = 1 << pairs
-    try:
-        mat_a = a._array.transpose((*free_a, *legs_a)).reshape(-1, summed)
-        mat_b = b._array.transpose((*legs_b, *free_b)).reshape(summed, -1)
-    except TypeError:  # a float leg equal to a valid one passes the count above
-        _require_int_legs(legs_a, legs_b)
-        raise
+    mat_a = a._array.transpose((*free_a, *ints_a)).reshape(-1, summed)
+    mat_b = b._array.transpose((*ints_b, *free_b)).reshape(summed, -1)
     return _wrap_result(out_rank, np.dot(mat_a, mat_b))
 
 
@@ -379,75 +377,113 @@ _OPEN, _SUMMED = -1, -2
 
 def _number_legs(
     nodes: dict[Hashable, Tensor], bonds: Iterable, open_legs: Iterable
-) -> tuple[list[tuple[int, ...]], list[int], list[int], list[tuple[int, int]], list[int]] | None:
-    """Number the legs of a network and check its claims on them, or None.
+) -> tuple[list[tuple[int, ...]], list[int], list[int], list[tuple[int, int]], list[int]]:
+    """Number the legs of a network, checking each claim on them as it is read.
 
     Leg k of the i-th node is the sum of the earlier nodes' ranks plus k.
     Returns `plan`'s start lists: each node's leg ids, as a tuple, and each
     leg's node index.  Then each leg's partner (the leg bonded to it, or
-    _OPEN), each bond's two leg ids and the open legs' ids.  None when a
-    claim names an unknown node or a leg that is not an int in range,
-    claims a leg twice (a bond from a leg to itself included), or a leg
-    is left unclaimed; `_raise_first_fault` words the error.
+    _OPEN), each bond's two leg ids and the open legs' ids.  A claim that
+    is not a plain int in range on a new leg goes to `_claim`; a leg left
+    unclaimed is a ValueError.
     """
     span: dict[Hashable, tuple[int, int]] = {}
     total = 0
-    for node, tensor in nodes.items():
-        rank = tensor._rank
-        span[node] = (total, rank)
-        total += rank
+    try:
+        for node, tensor in nodes.items():
+            rank = tensor._rank
+            span[node] = (total, rank)
+            total += rank
+    except AttributeError:
+        raise TypeError(f"node {node!r} is a {type(tensor).__name__}, not a Tensor") from None
     ids = tuple(range(total))
     legs = [ids[first:first + rank] for first, rank in span.values()]
     owner = [cid for cid, node_legs in enumerate(legs) for _ in node_legs]
     partner: list[int | None] = [None] * total
     ends: list[tuple[int, int]] = []
     open_ids: list[int] = []
-    try:
-        for node_a, leg_a, node_b, leg_b in bonds:
+    for node_a, leg_a, node_b, leg_b in bonds:
+        try:
             first_a, rank_a = span[node_a]
             first_b, rank_b = span[node_b]
-            if (type(leg_a) is not int or type(leg_b) is not int
-                    or not 0 <= leg_a < rank_a or not 0 <= leg_b < rank_b):
-                return None
-            x, y = first_a + leg_a, first_b + leg_b
-            if partner[x] is not None or partner[y] is not None or x == y:
-                return None
-            partner[x], partner[y] = y, x
-            ends.append((x, y))
-        for node, leg in open_legs:
+        except KeyError:  # an unknown node: no leg is in range
+            first_a = rank_a = first_b = rank_b = 0
+        if (type(leg_a) is not int or type(leg_b) is not int
+                or not 0 <= leg_a < rank_a or not 0 <= leg_b < rank_b
+                or partner[x := first_a + leg_a] is not None
+                or partner[y := first_b + leg_b] is not None or x == y):
+            x = _claim(span, partner, node_a, leg_a, "bond")
+            y = _claim(span, partner, node_b, leg_b, "bond")  # after x is marked claimed
+        partner[x], partner[y] = y, x
+        ends.append((x, y))
+    for node, leg in open_legs:
+        try:
             first, rank = span[node]
-            if type(leg) is not int or not 0 <= leg < rank:
-                return None
-            x = first + leg
-            if partner[x] is not None:
-                return None
-            partner[x] = _OPEN
-            open_ids.append(x)
-    except KeyError:  # an unknown node
-        return None
+        except KeyError:
+            first = rank = 0
+        if type(leg) is not int or not 0 <= leg < rank or partner[x := first + leg] is not None:
+            x = _claim(span, partner, node, leg, "open leg")
+        partner[x] = _OPEN
+        open_ids.append(x)
     if 2 * len(ends) + len(open_ids) != total:  # each claim took a new leg
-        return None  # a dangling leg
+        x = partner.index(None)
+        node = list(span)[owner[x]]
+        raise ValueError(f"dangling leg ({node!r}, {x - span[node][0]})")
     return legs, owner, partner, ends, open_ids
 
 
+def _claim(span: dict, partner: list, node: Hashable, leg, what: str) -> int:
+    """The id of `leg` of `node`, claimed by `what` (a bond or an open leg)
+    and marked in `_number_legs`'s `partner` (None while unclaimed), or a
+    ValueError naming the fault.  `span` holds each node's first id and rank."""
+    if node not in span:
+        raise ValueError(f"{what} references unknown node {node!r}")
+    first, rank = span[node]
+    try:
+        k = operator.index(leg)
+    except TypeError:
+        raise ValueError(
+            f"{what} references leg {leg!r} of node {node!r}, which is not an integer"
+        ) from None
+    if not 0 <= k < rank:
+        raise ValueError(f"{what} references leg {leg} of node {node!r} (rank {rank})")
+    if partner[first + k] is not None:
+        raise ValueError(f"leg {(node, leg)} used more than once")
+    partner[first + k] = _OPEN
+    return first + k
+
+
 def _as_binding(bond) -> LegBinding:
-    if isinstance(bond, LegBinding):
-        return bond
-    if len(bond) == 4:
-        return LegBinding(*bond)
-    (na, la), (nb, lb) = bond
+    try:
+        if len(bond) == 4:
+            return LegBinding(*bond)
+        (na, la), (nb, lb) = bond
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"bond {bond!r} is neither (node, leg, node, leg) nor ((node, leg), (node, leg))"
+        ) from None
     return LegBinding(na, la, nb, lb)
+
+
+def _open_leg(leg) -> tuple[Hashable, int]:
+    try:
+        node, k = leg
+    except (TypeError, ValueError):
+        raise ValueError(f"open leg {leg!r} is not a (node, leg) pair") from None
+    return node, k
 
 
 class TensorNetwork:
     """Nodes, bonds between legs, and an ordered list of open legs.
 
     Every leg of every node must appear in exactly one bond or exactly one
-    open-leg slot.  The open-leg order fixes the leg order of the
-    contracted result.
+    open-leg slot; a leg is anything `operator.index` accepts, used as that
+    int.  The open-leg order fixes the leg order of the contracted result.
 
-    Legs are numbered once, when the network is built, by the same walk
-    that validates it: leg k of the i-th node gets the sum of the earlier
+    Legs are numbered once, when the network is built, by one walk that
+    checks each claim as it reads it, bonds (side a, then b) before open
+    legs: the first fault is a ValueError naming it, then the first leg
+    left unclaimed.  Leg k of the i-th node gets the sum of the earlier
     nodes' ranks plus k.  The network keeps what `plan` starts from: each
     node's leg ids, each leg's node and partner, each bond's two leg ids
     and the open legs' ids.  Every `plan` call starts from shallow copies
@@ -464,56 +500,13 @@ class TensorNetwork:
     ):
         self.nodes = dict(nodes)
         self.bonds = tuple([b if type(b) is LegBinding else _as_binding(b) for b in bonds])
-        self.open_legs = tuple((n, l) for n, l in open_legs)
-        self._validate()
-
-    def _validate(self) -> None:
+        try:
+            self.open_legs = tuple([(n, l) for n, l in open_legs])
+        except (TypeError, ValueError):  # an open leg that is not a pair: name it
+            self.open_legs = tuple(map(_open_leg, open_legs))
+            raise
         numbered = _number_legs(self.nodes, self.bonds, self.open_legs)
-        if numbered is None:
-            self._raise_first_fault()
-            # Only a leg's type was amiss: an integer that is not an int,
-            # such as a numpy integer or a bool.
-            numbered = _number_legs(
-                self.nodes,
-                [(na, operator.index(la), nb, operator.index(lb))
-                 for na, la, nb, lb in self.bonds],
-                [(node, operator.index(leg)) for node, leg in self.open_legs],
-            )
         self._legs, self._owner, self._partner, self._ends, self._open_ids = numbered
-
-    def _raise_first_fault(self) -> None:
-        """Raise ValueError naming the first bad claim, if there is one."""
-        seen: set[tuple[Hashable, int]] = set()
-
-        def claim(node, leg, what):
-            if node not in self.nodes:
-                raise ValueError(f"{what} references unknown node {node!r}")
-            try:
-                operator.index(leg)
-            except TypeError:
-                raise ValueError(
-                    f"{what} references leg {leg!r} of node {node!r}, "
-                    f"which is not an integer"
-                ) from None
-            if not 0 <= leg < self.nodes[node].rank:
-                raise ValueError(
-                    f"{what} references leg {leg} of node {node!r} "
-                    f"(rank {self.nodes[node].rank})"
-                )
-            key = (node, leg)
-            if key in seen:
-                raise ValueError(f"leg {key} used more than once")
-            seen.add(key)
-
-        for bond in self.bonds:
-            claim(bond.node_a, bond.leg_a, "bond")
-            claim(bond.node_b, bond.leg_b, "bond")
-        for node, leg in self.open_legs:
-            claim(node, leg, "open leg")
-        for node, tensor in self.nodes.items():
-            for leg in range(tensor.rank):
-                if (node, leg) not in seen:
-                    raise ValueError(f"dangling leg ({node!r}, {leg})")
 
     def plan(self, order: Sequence[int] | None = None) -> list[PlanStep]:
         """The steps `contract` runs, decided on leg positions alone.

@@ -45,7 +45,7 @@ def test_batch_row_reports_per_circuit_figures(kernel_runs):
     assert [(10 <= c.width <= 12, 30 <= len(c.ops) <= 50) for c in circuits] == [(True, True)] * 3
     row = bench.batch_row("batch-3", circuits)
     assert row["name"] == "batch-3" and row["circuits"] == 3
-    assert all(row[f"{phase}_us"] > 0 for phase in ("compile", "plan", "contract"))
+    assert all(row[f"{phase}_us"] > 0 for phase in ("compile", "network", "plan", "contract"))
     plans = [compile_circuit(c).plan() for c in circuits]
     assert row["merges"] == sum(s.kind == "merge" for steps in plans for s in steps) / 3
     # The row contracts each circuit once, and only there runs the kernel.

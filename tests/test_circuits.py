@@ -65,6 +65,29 @@ class TestParsing:
         with pytest.raises(CircuitParseError):
             parse_circuit("wires 2\nH zero\n")
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: GateApp("H", (1.0,)), "^H wire 1.0 is not an integer$"),
+        (lambda: GateApp("H", ("1",)), "^H wire '1' is not an integer$"),
+        (lambda: GateApp("CN", (0, np.True_)), r"^CN wire np.True_ is not an integer$"),
+        (lambda: Circuit(2.0, ()), "^circuit width 2.0 is not an integer$"),
+        (lambda: Circuit("2", ()), "^circuit width '2' is not an integer$"),
+    ], ids=["float-wire", "str-wire", "numpy-bool-wire", "float-width", "str-width"])
+    def test_non_integer_wire_or_width_is_named(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_integer_wires_and_width_of_other_types_are_ints(self):
+        # A numpy integer or a bool is taken as the int it equals, so every
+        # simulator sees the same circuit.
+        odd = Circuit(np.int64(2), (GateApp("H", (np.int64(1),)), GateApp("CN", (True, 0))), "00")
+        plain = Circuit(2, (GateApp("H", (1,)), GateApp("CN", (1, 0))), "00")
+        assert odd == plain
+        assert type(odd.width) is int and {type(w) for op in odd.ops for w in op.wires} == {int}
+        assert np.array_equal(circuit_state(odd).array, circuit_state(plain).array)
+        assert np.array_equal(circuit_unitary(odd).array, circuit_unitary(plain).array)
+        assert np.array_equal(oracles.dense_simulate(odd).amplitudes,
+                              oracles.dense_simulate(plain).amplitudes)
+
 
 class TestFeynmanNetwork:
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Core tensor operations: construction, contraction, networks, scalar equality."""
 
+import collections
+import hashlib
 import itertools
 import math
 import random
@@ -16,6 +18,7 @@ from stabtensor import tensor
 from stabtensor.circuits import Circuit, GateApp, compile_circuit
 from stabtensor.tensor import (
     MAX_RANK,
+    LegBinding,
     PlanStep,
     RankBudgetError,
     Tensor,
@@ -164,24 +167,48 @@ class TestContractPair:
             contract_pair(gen.copy_tensor(), (0, 0), Tensor(2, (1, 0, 0, 1)), (0, 1))
         with pytest.raises(ValueError, match="^duplicate second leg 1$"):
             contract_pair(gen.copy_tensor(), (0, 2), gen.copy_tensor(), (1, 1))
+        # named as the caller passed it
+        with pytest.raises(ValueError, match="^duplicate first leg False$"):
+            contract_pair(gen.copy_tensor(), (0, False), Tensor(2, (1, 0, 0, 1)), (0, 1))
 
     @pytest.mark.parametrize("a", [gen.t_vector(1), gen.hadamard()], ids=["stored", "built"])
-    def test_non_integer_leg_is_named(self, a):
+    def test_non_integer_leg_is_named(self, a, kernel_runs):
         # t1 with the copy tensor over (0,), (0,) is a stored product; a
         # float 0.0 equals 0 as a key, and must not reach it.
         b = gen.copy_tensor()
-        assert (tensor.stored_product(a, (0,), b, (0,)) is None) == (a is gen.hadamard())
+        stored = tensor.stored_product(a, (0,), b, (0,))
+        assert (stored is None) == (a is gen.hadamard())
         for legs_a, legs_b, bad in [
             ([0.0], [0], "first leg 0.0"), ((0.0,), (0,), "first leg 0.0"),
             ((0,), (0.5,), "second leg 0.5"), ((0,), ("0",), "second leg '0'"),
+            ((np.False_,), (0,), f"first leg {re.escape(repr(np.False_))}"),
         ]:
             with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
                 contract_pair(a, legs_a, b, legs_b)
-        assert contract_pair(a, [np.int64(0)], b, [0]).rank == a.rank + 1
+        assert kernel_runs == []
+        # Integers of other types are used as their int values; in a tuple
+        # they meet the stored product, in a list (never stored) the kernel.
+        want = contract_pair(a, [0], b, [0])
+        for legs_a in ([np.int64(0)], [False], (np.int64(0),), (False,)):
+            got = contract_pair(a, legs_a, b, (0,))
+            assert np.array_equal(got.array, want.array)
+            assert (got is stored) == (stored is not None and type(legs_a) is tuple)
+        assert len(kernel_runs) == (3 if stored is None else 1) + 2
+
+    def test_bool_leg_is_its_int(self, kernel_runs):
+        # A bool leg reaches the kernel's transposes as the int it equals.
+        out = contract_pair(Tensor(2, [1, 2, 3, 4]), (True,), Tensor(1, [1, 1]), (0,))
+        assert out.data == (3, 7) and kernel_runs == [1]
+        stored = tensor.stored_product(gen.ket_zero(), (0,), gen.hadamard(), (1,))
+        assert contract_pair(gen.ket_zero(), (0,), gen.hadamard(), (True,)) is stored
+        assert kernel_runs == [1]
 
     def test_mismatched_leg_counts(self):
         with pytest.raises(ValueError, match="^leg lists differ in length: 2 vs 1$"):
             contract_pair(gen.copy_tensor(), (0, 1), gen.ket_zero(), (0,))
+        # checked before the legs' types
+        with pytest.raises(ValueError, match="^leg lists differ in length: 1 vs 0$"):
+            contract_pair(gen.copy_tensor(), (0.5,), gen.ket_zero(), ())
 
     def test_overflowing_result_is_rejected(self):
         big = Tensor(1, (1e308, 1e308))
@@ -496,6 +523,23 @@ class TestNetworks:
         with pytest.raises(ValueError, match=message):
             TensorNetwork(*net_args)
 
+    @pytest.mark.parametrize("net_args,error,message", [
+        (({"a": gen.hadamard()}, [("a", 0, "a")], [("a", 1)]), ValueError,
+         r"^bond \('a', 0, 'a'\) is neither \(node, leg, node, leg\) "
+         r"nor \(\(node, leg\), \(node, leg\)\)$"),
+        (({"a": gen.ket_zero()}, [0], []), ValueError, r"^bond 0 is neither "),
+        (({"a": gen.ket_zero()}, [], [("a",)]), ValueError,
+         r"^open leg \('a',\) is not a \(node, leg\) pair$"),
+        (({"a": gen.ket_zero()}, [], [("a", 0, 0)]), ValueError,
+         r"^open leg \('a', 0, 0\) is not a \(node, leg\) pair$"),
+        (({"a": gen.ket_zero(), "b": (1, 0)}, [], [("a", 0), ("b", 0)]), TypeError,
+         r"^node 'b' is a tuple, not a Tensor$"),
+    ], ids=["three-field-bond", "int-bond", "one-field-open-leg", "three-field-open-leg",
+            "tuple-node"])
+    def test_malformed_network_shape_is_named(self, net_args, error, message):
+        with pytest.raises(error, match=message):
+            TensorNetwork(*net_args)
+
     def test_bad_order_rejected(self):
         net = _feynman_network()
         with pytest.raises(ValueError):
@@ -515,6 +559,87 @@ class TestNetworks:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite amplitude"):
                 net.contract()
+
+
+_CORPUS_TENSORS = (gen.ket_zero(), gen.hadamard(), gen.copy_tensor(), gen.xor_tensor())
+
+
+def _corpus_leg(rng, leg, rank):
+    """A stand-in for leg `leg` of a rank-`rank` node: some are the same
+    integer in another type, the rest faults."""
+    return rng.choice([
+        float(leg), leg + 0.5, -1, bool(leg % 2), np.int64(leg), np.int64(rank),
+        np.bool_(leg % 2), str(leg), rank, leg + 1,
+    ])
+
+
+def _seeded_network_args(rng):
+    """Nodes, bonds and open legs of a network over 1-5 generator tensors,
+    every leg bonded or open, then edited 0-2 times: a leg replaced (see
+    `_corpus_leg`), a node unknown, a self-bond or an extra open leg
+    added, one claim copied onto another, or a claim dropped."""
+    names = rng.sample("abcde", rng.randint(1, 5))
+    nodes = {name: rng.choice(_CORPUS_TENSORS) for name in names}
+    refs = [[name, leg] for name, t in nodes.items() for leg in range(t.rank)]
+    rng.shuffle(refs)
+    n_open = rng.randint(0, len(refs))
+    n_open += (len(refs) - n_open) % 2
+    open_legs, paired = refs[:n_open], refs[n_open:]
+    bonds = [paired[k] + paired[k + 1] for k in range(0, len(paired), 2)]
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        # Each claim as (its list, the offset of its node in that list).
+        claims = [(o, 0) for o in open_legs] + [(b, s) for b in bonds for s in (0, 2)]
+        name = rng.choice(names)
+        leg = rng.randrange(max(nodes[name].rank, 1))
+        edit = rng.choice(["leg", "leg", "node", "self-bond", "extra", "copy", "drop"])
+        if edit in ("leg", "node", "copy") and claims:
+            claim, at = rng.choice(claims)
+            if edit == "leg":
+                rank = nodes[claim[at]].rank if claim[at] in nodes else 1
+                was = claim[at + 1] if type(claim[at + 1]) is int else 0
+                claim[at + 1] = _corpus_leg(rng, was, rank)
+            elif edit == "node":
+                claim[at] = "z"
+            else:
+                source, s = rng.choice(claims)
+                claim[at:at + 2] = source[s:s + 2]
+        elif edit == "self-bond":
+            bonds.insert(rng.randint(0, len(bonds)), [name, leg, name, leg])
+        elif edit == "extra":
+            open_legs.insert(rng.randint(0, len(open_legs)), [name, leg])
+        elif edit == "drop" and claims:
+            group = rng.choice([g for g in (open_legs, bonds) if g])
+            del group[rng.randrange(len(group))]
+    shaped = [rng.choice([tuple(b), ((b[0], b[1]), (b[2], b[3])), LegBinding(*b)])
+              for b in bonds]
+    return nodes, shaped, [tuple(o) for o in open_legs]
+
+
+# sha256 of the records `test_network_faults_and_plans_are_pinned` hashes.
+_CORPUS_DIGEST = "0b92009abdf5f6c2fdd4102b58a5493ce8a8a69297647abab6aca09bd573373e"
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="messages quote numpy scalars by repr, which numpy 2 changed")
+def test_network_faults_and_plans_are_pinned():
+    # Every network of a seeded corpus, valid or not, gives the recorded
+    # error type and message, or the recorded plan.
+    rng = random.Random(20)
+    records, kinds = [], collections.Counter()
+    for _ in range(3000):
+        try:
+            record = repr(TensorNetwork(*_seeded_network_args(rng)).plan())
+            kinds["valid"] += 1
+        except ValueError as exc:
+            record = f"{type(exc).__name__}: {exc}"
+            kinds[re.sub(r".*(unknown node|not an integer|\(rank|more than once|dangling).*",
+                         r"\1", record)] += 1
+        records.append(record)
+    assert sorted(kinds) == sorted(
+        ["valid", "unknown node", "not an integer", "(rank", "more than once", "dangling"])
+    assert min(kinds.values()) >= 100
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == _CORPUS_DIGEST
 
 
 def _corpus():
