@@ -1,8 +1,10 @@
 """Gate-list circuits and their compilation to tensor networks.
 
-`compile_circuit` is the one place the gates are built from the generator
-tensors (single-wire gates by the table `SINGLE_WIRE_STEPS`), and the
-decomposition is canonical and fixed:
+Every gate is one block of generator tensors in the table `GATE_BLOCKS`:
+its nodes, its internal bonds, and where each of its wires enters and
+leaves it.  `compile_circuit` builds every gate from that table through one
+loop; the single-wire blocks are built at import from the words of
+`SINGLE_WIRE_STEPS`.  The decomposition is canonical and fixed:
 
     H    native Hadamard tensor
     S    copy tensor with (1, i) contracted into one leg (diagonal lift)
@@ -12,8 +14,8 @@ decomposition is canonical and fixed:
     CN   copy tensor on the control wire feeding the XOR tensor on the target
     NOT  XOR tensor with the constant |1> on one input
 
-Each gate declares its internal bonds before the bond that attaches it
-to its wire, so the merges inside a gate block involve that block's
+Each gate declares its internal bonds before the bonds that attach it to
+its wires, so the merges inside a gate block involve that block's
 generator tensors alone and are the same in every circuit.  At import,
 each one-gate network is contracted once as an operator and once as a
 state on every input bit pattern, and all its merges are stored
@@ -45,7 +47,52 @@ from stabtensor.tensor import (
     stored_merges,
 )
 
-GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
+# Single-wire gates as the steps they take along their wire: "H" is a
+# Hadamard node, k a copy node with the phase vector t{k} on leg 0, which
+# is the diagonal lift diag(1, i**k).
+SINGLE_WIRE_STEPS = {
+    "H": ("H",), "S": (1,), "X": ("H", 2, "H"), "Y": (3, "H", 2, "H", 1), "Z": (2,),
+}
+
+
+def _word_block(word: tuple) -> tuple:
+    """The gate block of a single-wire word (see `GATE_BLOCKS`).
+
+    The wire enters an H node at leg 1 and leaves it at leg 0; it enters a
+    copy node at leg 2 and leaves it at leg 1.  Each step declares its
+    phase-vector bond, then the chain bond from the previous step's exit.
+    """
+    tags: list[str] = []
+    inner: list[tuple[int, int, int, int]] = []
+    for step in word:
+        node = len(tags)
+        if step == "H":
+            tags.append("H")
+            leg_in, leg_out = 1, 0
+        else:
+            tags += ("copy", f"t{step}")
+            inner.append((node + 1, 0, node, 0))
+            leg_in, leg_out = 2, 1
+        if node:
+            inner.append((*end, node, leg_in))
+        else:
+            entry = (node, leg_in)
+        end = (node, leg_out)
+    return tuple(tags), tuple(inner), ((*entry, *end),)
+
+
+# Each gate as one block of generator tensors: its nodes by generator tag;
+# its internal bonds (node, leg, node, leg) between node positions, declared
+# before the block meets its wires; and for each wire the (node, leg) where
+# the wire enters and the (node, leg) where it leaves.
+GATE_BLOCKS = {gate: _word_block(word) for gate, word in SINGLE_WIRE_STEPS.items()}
+# NOT: the constant |1> on xor leg 2; the wire enters xor leg 1, leaves leg 0.
+GATE_BLOCKS["NOT"] = (("xor", "one"), ((1, 0, 0, 2),), ((0, 1, 0, 0),))
+# CN: copy leg 2 feeds xor leg 2; the control enters copy leg 0 and leaves
+# leg 1, the target enters xor leg 1 and leaves leg 0.
+GATE_BLOCKS["CN"] = (("copy", "xor"), ((0, 2, 1, 2),), ((0, 0, 0, 1), (1, 1, 1, 0)))
+
+GATE_ARITY = {gate: len(wires) for gate, (_, _, wires) in GATE_BLOCKS.items()}
 
 # A LegBinding from a tuple of its four fields, without NamedTuple's
 # per-call argument handling.
@@ -170,14 +217,6 @@ def cn_index_contraction() -> Tensor:
     return contract_pair(gen.copy_tensor(), (2,), gen.xor_tensor(), (0,))
 
 
-# Single-wire gates as the steps they take along their wire: "H" is a
-# Hadamard node, k a copy node with the phase vector t{k} on leg 0, which
-# is the diagonal lift diag(1, i**k).
-SINGLE_WIRE_STEPS = {
-    "H": ("H",), "S": (1,), "Z": (2,), "X": ("H", 2, "H"), "Y": (3, "H", 2, "H", 1),
-}
-
-
 def compile_circuit(circuit: Circuit) -> TensorNetwork:
     """Compile a circuit to a network over the generator tensors only.
 
@@ -186,75 +225,47 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     (out_0..out_{n-1}, in_0..in_{n-1}).
     """
     # Each accessor is read once per call, and still at call time.
-    copy, xor, hadamard, one = gen.copy_tensor(), gen.xor_tensor(), gen.hadamard(), gen.ket_one()
-    phase = {1: gen.t_vector(1), 2: gen.t_vector(2), 3: gen.t_vector(3)}
+    tensors = {
+        "copy": gen.copy_tensor(), "xor": gen.xor_tensor(), "H": gen.hadamard(),
+        "t1": gen.t_vector(1), "t2": gen.t_vector(2), "t3": gen.t_vector(3),
+        "one": gen.ket_one(),
+    }
+    if circuit.input is None:
+        # Anchor each open input on an identity node so inputs stay legs.
+        tensors["id"] = gen.identity_map()
+        starts = ["id"] * circuit.width
+        in_legs = [(f"{k}:id", 1) for k in range(circuit.width)]
+    else:
+        tensors["in0"], tensors["in1"] = gen.ket_zero(), tensors["one"]
+        starts = ["in" + bit for bit in circuit.input]
+        in_legs = []
     # Node k is named f"{k}:{tag}".
     nodes: dict[str, Tensor] = {}
     bonds: list[LegBinding] = []
     # the dangling output end of each wire
     cur: list[tuple[str, int]] = []
-    in_legs: list[tuple[str, int]] = []
+    for k, tag in enumerate(starts):
+        name = f"{k}:{tag}"
+        nodes[name] = tensors[tag]
+        cur.append((name, 0))
 
-    if circuit.input is not None:
-        kets = {"0": gen.ket_zero(), "1": one}
-        for k, bit in enumerate(circuit.input):
-            name = f"{k}:in{bit}"
-            nodes[name] = kets[bit]
-            cur.append((name, 0))
-    else:
-        # Anchor each open input on an identity node so inputs stay legs.
-        identity = gen.identity_map()
-        for k in range(circuit.width):
-            name = f"{k}:id"
-            nodes[name] = identity
-            cur.append((name, 0))
-            in_legs.append((name, 1))
-
-    # Each gate declares its internal bonds, then bonds its entry leg to
-    # the end of each wire it acts on; its exit leg becomes that end.
+    # Each gate declares its internal bonds, then bonds the end of each wire
+    # it acts on to that wire's entry leg; the wire's exit leg becomes its end.
     k = circuit.width
     for op in circuit.ops:
-        gate, wires = op.gate, op.wires
-        w = wires[0]
-        if gate == "CN":
-            d, x = f"{k}:copy", f"{k + 1}:xor"
-            k += 2
-            nodes[d] = copy
-            nodes[x] = xor
-            t = wires[1]
-            bonds += (
-                _new_bond((d, 2, x, 2)),
-                _new_bond((*cur[w], d, 0)),  # control
-                _new_bond((*cur[t], x, 1)),  # target
-            )
-            cur[w], cur[t] = (d, 1), (x, 0)
-        elif gate == "NOT":
-            x, o = f"{k}:xor", f"{k + 1}:one"
-            k += 2
-            nodes[x] = xor
-            nodes[o] = one
-            bonds += (_new_bond((o, 0, x, 2)), _new_bond((*cur[w], x, 1)))
-            cur[w] = (x, 0)
-        else:
-            entry = end = None
-            for step in SINGLE_WIRE_STEPS[gate]:
-                if step == "H":
-                    node, in_leg, out_leg = f"{k}:H", 1, 0
-                    k += 1
-                    nodes[node] = hadamard
-                else:
-                    node, t, in_leg, out_leg = f"{k}:copy", f"{k + 1}:t{step}", 2, 1
-                    k += 2
-                    nodes[node] = copy
-                    nodes[t] = phase[step]
-                    bonds.append(_new_bond((t, 0, node, 0)))
-                if end is None:
-                    entry = (node, in_leg)
-                else:
-                    bonds.append(_new_bond((*end, node, in_leg)))
-                end = (node, out_leg)
-            bonds.append(_new_bond((*cur[w], *entry)))
-            cur[w] = end
+        tags, inner, ends = GATE_BLOCKS[op.gate]
+        names = []
+        for tag in tags:
+            names.append(name := f"{k}:{tag}")
+            nodes[name] = tensors[tag]
+            k += 1
+        for i, a, j, b in inner:
+            bonds.append(_new_bond((names[i], a, names[j], b)))
+        wires = op.wires
+        for n, (i, a, j, b) in enumerate(ends):
+            w = wires[n]
+            bonds.append(_new_bond((*cur[w], names[i], a)))
+            cur[w] = (names[j], b)
 
     return TensorNetwork(nodes, bonds, cur + in_legs)
 

@@ -406,7 +406,7 @@ def _number_legs(
         try:
             first_a, rank_a = span[node_a]
             first_b, rank_b = span[node_b]
-        except KeyError:  # an unknown node: no leg is in range
+        except (KeyError, TypeError):  # an unknown or unhashable node: no leg is in range
             first_a = rank_a = first_b = rank_b = 0
         if (type(leg_a) is not int or type(leg_b) is not int
                 or not 0 <= leg_a < rank_a or not 0 <= leg_b < rank_b
@@ -419,7 +419,7 @@ def _number_legs(
     for node, leg in open_legs:
         try:
             first, rank = span[node]
-        except KeyError:
+        except (KeyError, TypeError):
             first = rank = 0
         if type(leg) is not int or not 0 <= leg < rank or partner[x := first + leg] is not None:
             x = _claim(span, partner, node, leg, "open leg")
@@ -436,9 +436,10 @@ def _claim(span: dict, partner: list, node: Hashable, leg, what: str) -> int:
     """The id of `leg` of `node`, claimed by `what` (a bond or an open leg)
     and marked in `_number_legs`'s `partner` (None while unclaimed), or a
     ValueError naming the fault.  `span` holds each node's first id and rank."""
-    if node not in span:
-        raise ValueError(f"{what} references unknown node {node!r}")
-    first, rank = span[node]
+    try:
+        first, rank = span[node]
+    except (KeyError, TypeError):  # a name that cannot be hashed is no node's
+        raise ValueError(f"{what} references unknown node {node!r}") from None
     try:
         k = operator.index(leg)
     except TypeError:
@@ -500,11 +501,9 @@ class TensorNetwork:
     ):
         self.nodes = dict(nodes)
         self.bonds = tuple([b if type(b) is LegBinding else _as_binding(b) for b in bonds])
-        try:
-            self.open_legs = tuple([(n, l) for n, l in open_legs])
-        except (TypeError, ValueError):  # an open leg that is not a pair: name it
-            self.open_legs = tuple(map(_open_leg, open_legs))
-            raise
+        self.open_legs = tuple([
+            leg if type(leg) is tuple and len(leg) == 2 else _open_leg(leg) for leg in open_legs
+        ])
         numbered = _number_legs(self.nodes, self.bonds, self.open_legs)
         self._legs, self._owner, self._partner, self._ends, self._open_ids = numbered
 

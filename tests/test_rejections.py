@@ -1,0 +1,92 @@
+"""Every input-rejection path, with its exception type and exact message.
+
+Each case is a bad input to one public constructor, parser or helper; the
+valid neighbours of these inputs are tested beside the code they exercise.
+"""
+
+import re
+
+import pytest
+
+from stabtensor import generators as gen
+from stabtensor import kernel_backend, oracles, tensor
+from stabtensor.boolfn import (
+    BooleanLinearForm, TruthTable, hadamard_power, parse_truth_table,
+)
+from stabtensor.circuits import Circuit, CircuitParseError, GateApp, parse_circuit
+from stabtensor.tensor import Tensor, max_abs_diff, max_scaled_diff, tensor_from_fn
+
+REJECTIONS = {
+    "gate-unknown": (lambda: GateApp("T", (0,)), ValueError, "unknown gate 'T'"),
+    "gate-wire-count": (lambda: GateApp("CN", (0,)), ValueError,
+                        "CN takes 2 wire(s), got (0,)"),
+    "circuit-width-0": (lambda: Circuit(0), ValueError, "circuit needs at least one wire"),
+    "parse-duplicate-wires": (lambda: parse_circuit("wires 2\nwires 2\n"),
+                              CircuitParseError, "line 2: duplicate wires header"),
+    "parse-wires-0": (lambda: parse_circuit("wires 0\n"), CircuitParseError,
+                      "line 1: wires must be >= 1"),
+    "parse-duplicate-input": (lambda: parse_circuit("wires 1\ninput 0\ninput 1\n"),
+                              CircuitParseError, "line 3: duplicate input line"),
+    "parse-malformed-input": (lambda: parse_circuit("wires 2\ninput 0 1\n"),
+                              CircuitParseError, "line 2: bad input line 'input 0 1'"),
+    "parse-no-header": (lambda: parse_circuit("# nothing but a comment\n\n"),
+                        CircuitParseError, "missing `wires N` header"),
+    "table-n-0": (lambda: TruthTable(0, ()), ValueError, "truth table needs n >= 1"),
+    "table-output-range": (lambda: TruthTable(1, (0, 2)), ValueError,
+                           "output 2 is not an 1-bit value"),
+    "table-bits-0": (lambda: parse_truth_table("bits 0\n"), ValueError,
+                     "line 1: bits must be >= 1"),
+    "table-three-fields": (lambda: parse_truth_table("bits 1\n0 1 1\n"), ValueError,
+                           "line 2: expected `input_bits output_bits`"),
+    "table-bad-input": (lambda: parse_truth_table("bits 1\n2 0\n"), ValueError,
+                        "line 2: bad input bits '2'"),
+    "table-empty": (lambda: parse_truth_table(""), ValueError, "missing `bits n` header"),
+    "form-empty": (lambda: BooleanLinearForm(""), ValueError,
+                   "coefficients '' must be a nonempty bit string"),
+    "form-not-bits": (lambda: BooleanLinearForm("012"), ValueError,
+                      "coefficients '012' must be a nonempty bit string"),
+    "form-c0": (lambda: BooleanLinearForm("1", 2), ValueError, "c0 must be 0 or 1, got 2"),
+    "hadamard-power-0": (lambda: hadamard_power(0), ValueError, "n must be >= 1"),
+    "tensor-rank": (lambda: Tensor(-1, []), ValueError, "rank must be non-negative, got -1"),
+    "tensor-from-fn-rank": (lambda: tensor_from_fn(-1, complex), ValueError,
+                            "rank must be non-negative, got -1"),
+    "index-count": (lambda: gen.hadamard()[(0,)], IndexError, "expected 2 indices, got 1"),
+    "index-bit": (lambda: gen.hadamard()[(0, 2)], IndexError,
+                  "leg index must be 0 or 1, got 2"),
+    "item-rank": (lambda: gen.ket_zero().item(), ValueError, "item() on rank-1 tensor"),
+    "abs-diff-rank": (lambda: max_abs_diff(gen.ket_zero(), gen.hadamard()), ValueError,
+                      "shape mismatch: rank 1 vs 2"),
+    "scaled-diff-rank": (lambda: max_scaled_diff(gen.hadamard(), 1, gen.ket_zero()),
+                         ValueError, "shape mismatch: rank 2 vs 1"),
+    "tableau-width-0": (lambda: oracles.StabilizerTableau(0), ValueError,
+                        "tableau needs at least one qubit"),
+    "pauli-state-type": (lambda: oracles.pauli_expectations("01", ["Z"]), TypeError,
+                         "unsupported state type str"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_rejection_is_named(name):
+    build, error, message = REJECTIONS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        build()
+    assert type(caught.value) is error
+
+
+def test_comments_and_blank_lines_in_a_truth_table_are_skipped():
+    assert parse_truth_table("# g\n\nbits 1\n  \n# rows\n0 1\n1 0\n") == TruthTable(1, (1, 0))
+
+
+def test_tensor_repr_lists_small_tensors_only():
+    assert repr(Tensor(1, (1, 0))) == "Tensor(rank=1, data=((1+0j), 0j))"
+    assert repr(gen.copy_tensor()) == "Tensor(rank=3, <8 entries>)"
+
+
+def test_legs_in_a_list_are_never_stored():
+    t1, copy = gen.t_vector(1), gen.copy_tensor()
+    assert tensor.stored_product(t1, (0,), copy, (0,)) is not None
+    assert tensor.stored_product(t1, [0], copy, [0]) is None
+
+
+def test_numpy_is_the_only_backend():
+    assert kernel_backend() == "numpy"

@@ -450,6 +450,24 @@ class TestNetworks:
         with pytest.raises(ValueError, match="^bond references unknown node 'm'$"):
             TensorNetwork({"n": gen.ket_zero()}, [(("n", 0), ("m", 0))], [])
 
+    @pytest.mark.parametrize("claims, message", [
+        (([], [(["a"], 0), ("a", 1)]), r"^open leg references unknown node \['a'\]$"),
+        (([("a", 0, ["b"], 0)], [("a", 1)]), r"^bond references unknown node \['b'\]$"),
+        (([(("a", 0), (["a"], 1))], []), r"^bond references unknown node \['a'\]$"),
+        (([], [("a", 0), 5]), r"^open leg 5 is not a \(node, leg\) pair$"),
+    ], ids=["open-leg", "bond", "bond-pairs", "open-leg-not-a-pair"])
+    @pytest.mark.parametrize("feed", [list, iter], ids=["list", "iterator"])
+    def test_malformed_claims_are_named(self, claims, message, feed):
+        # An unhashable node name is an unknown node; the claims may be
+        # read only once.
+        bonds, open_legs = claims
+        with pytest.raises(ValueError, match=message):
+            TensorNetwork({"a": gen.identity_map()}, feed(bonds), feed(open_legs))
+
+    def test_open_legs_may_be_any_pairs(self):
+        net = TensorNetwork({"a": gen.identity_map()}, [], iter([["a", 1], ("a", 0)]))
+        assert net.open_legs == (("a", 1), ("a", 0))
+
     def test_leg_out_of_range_rejected(self):
         with pytest.raises(
             ValueError, match=r"^bond references leg 1 of node 'n' \(rank 1\)$"
