@@ -58,6 +58,11 @@ MUTANTS = [
     Mutant("phase-on-copy-leg-1", "src/stabtensor/circuits.py",
            "inner.append((node + 1, 0, node, 0))\n            leg_in, leg_out = 2, 1",
            "inner.append((node + 1, 0, node, 1))\n            leg_in, leg_out = 2, 0"),
+    # The relation table (relations.RELATIONS).
+    Mutant("unit-laws-xor-unit-ket1", "src/stabtensor/relations.py",
+           '(("xor", "ket0", "copy", "plus")', '(("xor", "ket1", "copy", "plus")'),
+    Mutant("copy-laws-right-side-ket0", "src/stabtensor/relations.py",
+           '(("ket0", "ket0", "ket1", "ket1")', '(("ket0", "ket0", "ket0", "ket1")'),
     # Faults named in CHANGES.md.
     Mutant("tableau-cn-sign-dropped", "src/stabtensor/oracles.py",
            "            self.r ^= (\n"

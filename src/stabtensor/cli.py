@@ -1,6 +1,8 @@
 """Command-line interface: verify, simulate, entropy, polarity.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Structured
+Exit codes: 0 success, 1 verification failure, 2 input error; also 1,
+with nothing on stderr, when the reader closes stdout before all output is
+written (say `stabtensor simulate F | head -1`).  Structured
 output (`--format records`) is line-delimited with stable field order so
 runs can be diffed byte-for-byte.
 
@@ -310,7 +312,15 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device, so that
+        # the flush at exit cannot raise again, and exit 1 in silence.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

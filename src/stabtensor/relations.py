@@ -6,6 +6,10 @@ whether the identity holds exactly, holds up to one scalar, or fails.
 Unnormalised conventions make global scalars conventional, so reports
 keep the fitted scalar explicitly instead of hiding it.
 
+The seven relation families between copy and XOR are data: each is one
+entry of `RELATIONS`, a pair of diagrams over the generators, and
+`verify_relation` contracts both and compares them.
+
 Two laws side by side are one law between tensor-product diagrams, so a
 family of two (the XOR and the copy law, or copy on |0> and on |1>) is
 one compare: each side is one network whose halves are disconnected
@@ -44,17 +48,6 @@ from stabtensor.tensor import (
     max_scaled_diff,
     tensor_from_fn,
 )
-
-RELATION_FAMILIES = (
-    "associativity",
-    "unit-laws",
-    "symmetry",
-    "bialgebra",
-    "copy-laws",
-    "unit-scalar",
-    "hopf",
-)
-
 
 class RelationStatus(enum.Enum):
     EXACT_HOLD = "ExactHold"
@@ -113,106 +106,81 @@ def _net(nodes, bonds, open_legs) -> Tensor:
     return TensorNetwork(nodes, bonds, open_legs).contract()
 
 
+# Each relation family as its two sides, each side one diagram over the
+# generators, held as `circuits.GATE_BLOCKS` holds a gate: its nodes by
+# generator tag, its bonds (node, leg, node, leg) between node positions,
+# and its open legs (node, leg) in order.  In a family of two laws, the
+# first law's nodes and open legs come first.
+RELATIONS = {
+    # xor.(xor x id) = xor.(id x xor);  (copy x id).copy = (id x copy).copy
+    "associativity": (
+        (("xor", "xor", "copy", "copy"), ((0, 1, 1, 0), (3, 0, 2, 1)),
+         ((0, 0), (1, 1), (1, 2), (0, 2), (3, 1), (3, 2), (2, 2), (2, 0))),
+        (("xor", "xor", "copy", "copy"), ((0, 2, 1, 0), (3, 0, 2, 2)),
+         ((0, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (2, 0))),
+    ),
+    # xor with |0> on one input = id;  (<+| x id).copy = id
+    "unit-laws": (
+        (("xor", "ket0", "copy", "plus"), ((0, 1, 1, 0), (3, 0, 2, 1)),
+         ((0, 0), (0, 2), (2, 2), (2, 0))),
+        (("id", "id"), (), ((0, 0), (0, 1), (1, 0), (1, 1))),
+    ),
+    # xor.swap = xor;  swap.copy = copy
+    "symmetry": (
+        (("xor", "copy"), (), ((0, 0), (0, 2), (0, 1), (1, 0), (1, 2), (1, 1))),
+        (("xor", "copy"), (), ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))),
+    ),
+    # copy.xor = (xor x xor).(id x swap x id).(copy x copy)
+    "bialgebra": (
+        (("xor", "copy"), ((1, 0, 0, 0),), ((1, 1), (1, 2), (0, 1), (0, 2))),
+        (("copy", "copy", "xor", "xor"),
+         ((2, 1, 0, 1), (2, 2, 1, 1), (3, 1, 0, 2), (3, 2, 1, 2)),
+         ((2, 0), (3, 0), (0, 0), (1, 0))),
+    ),
+    # copy |0> = |00>;  copy |1> = |11>
+    "copy-laws": (
+        (("copy", "ket0", "copy", "ket1"), ((0, 0, 1, 0), (2, 0, 3, 0)),
+         ((0, 1), (0, 2), (2, 1), (2, 2))),
+        (("ket0", "ket0", "ket1", "ket1"), (), ((0, 0), (1, 0), (2, 0), (3, 0))),
+    ),
+    # <+|0> = 1: the empty diagram is the scalar 1
+    "unit-scalar": ((("plus", "ket0"), ((0, 0, 1, 0),), ()), ((), (), ())),
+    # xor.copy = |0><+|
+    "hopf": (
+        (("copy", "xor"), ((0, 1, 1, 1), (0, 2, 1, 2)), ((1, 0), (0, 0))),
+        (("ket0", "plus"), (), ((0, 0), (1, 0))),
+    ),
+}
+
+RELATION_FAMILIES = tuple(RELATIONS)
+
+
 def verify_relation(
     relation_id: str,
     tol: float = DEFAULT_TOL,
     copy: Tensor | None = None,
 ) -> RelationReport:
-    """Check one of the seven relation families between copy and XOR.
+    """Check one of the seven relation families between copy and XOR:
+    contract both sides of its entry in `RELATIONS` and compare them.
 
     `copy` defaults to the copy generator; the self-test injects a
-    corrupted one to confirm the suite detects violations.  In a family
-    of two laws, the open legs of the first half come first.
+    corrupted one to confirm the suite detects violations.
     """
-    d = copy if copy is not None else gen.copy_tensor()
-    x = gen.xor_tensor()
-    k0 = gen.ket_zero()
-    k1 = gen.ket_one()
-    plus = gen.plus_covector()
-    ident = gen.identity_map()
-
-    if relation_id == "associativity":
-        # xor.(xor x id) = xor.(id x xor);  (copy x id).copy = (id x copy).copy
-        nodes = {"x1": x, "x2": x, "d1": d, "d2": d}
-        lhs = _net(
-            nodes,
-            [(("x1", 1), ("x2", 0)), (("d2", 0), ("d1", 1))],
-            [("x1", 0), ("x2", 1), ("x2", 2), ("x1", 2),
-             ("d2", 1), ("d2", 2), ("d1", 2), ("d1", 0)],
-        )
-        rhs = _net(
-            nodes,
-            [(("x1", 2), ("x2", 0)), (("d2", 0), ("d1", 2))],
-            [("x1", 0), ("x1", 1), ("x2", 1), ("x2", 2),
-             ("d1", 1), ("d2", 1), ("d2", 2), ("d1", 0)],
-        )
-        return compare(relation_id, lhs, rhs, tol)
-
-    if relation_id == "unit-laws":
-        # xor with |0> on one input = id;  (<+| x id).copy = id
-        lhs = _net(
-            {"x": x, "z": k0, "d": d, "p": plus},
-            [(("x", 1), ("z", 0)), (("p", 0), ("d", 1))],
-            [("x", 0), ("x", 2), ("d", 2), ("d", 0)],
-        )
-        rhs = _net({"i1": ident, "i2": ident}, [], [("i1", 0), ("i1", 1), ("i2", 0), ("i2", 1)])
-        return compare(relation_id, lhs, rhs, tol)
-
-    if relation_id == "symmetry":
-        # xor.swap = xor;  swap.copy = copy
-        nodes = {"x": x, "d": d}
-        lhs = _net(nodes, [], [("x", 0), ("x", 2), ("x", 1), ("d", 0), ("d", 2), ("d", 1)])
-        rhs = _net(nodes, [], [("x", 0), ("x", 1), ("x", 2), ("d", 0), ("d", 1), ("d", 2)])
-        return compare(relation_id, lhs, rhs, tol)
-
-    if relation_id == "bialgebra":
-        # copy.xor = (xor x xor).(id x swap x id).(copy x copy)
-        lhs = _net(
-            {"x": x, "d": d},
-            [(("d", 0), ("x", 0))],
-            [("d", 1), ("d", 2), ("x", 1), ("x", 2)],
-        )
-        rhs = _net(
-            {"d1": d, "d2": d, "x1": x, "x2": x},
-            [
-                (("x1", 1), ("d1", 1)),
-                (("x1", 2), ("d2", 1)),
-                (("x2", 1), ("d1", 2)),
-                (("x2", 2), ("d2", 2)),
-            ],
-            [("x1", 0), ("x2", 0), ("d1", 0), ("d2", 0)],
-        )
-        return compare(relation_id, lhs, rhs, tol)
-
-    if relation_id == "copy-laws":
-        # copy |0> = |00>;  copy |1> = |11>
-        lhs = _net(
-            {"d0": d, "z": k0, "d1": d, "o": k1},
-            [(("d0", 0), ("z", 0)), (("d1", 0), ("o", 0))],
-            [("d0", 1), ("d0", 2), ("d1", 1), ("d1", 2)],
-        )
-        rhs = _net(
-            {"a0": k0, "b0": k0, "a1": k1, "b1": k1}, [],
-            [("a0", 0), ("b0", 0), ("a1", 0), ("b1", 0)],
-        )
-        return compare(relation_id, lhs, rhs, tol)
-
-    if relation_id == "unit-scalar":
-        # <+|0> = 1
-        lhs = _net({"p": plus, "z": k0}, [(("p", 0), ("z", 0))], [])
-        return compare(relation_id, lhs, Tensor(0, (1,)), tol)
-
-    if relation_id == "hopf":
-        # xor.copy = |0><+|
-        lhs = _net(
-            {"d": d, "x": x},
-            [(("d", 1), ("x", 1)), (("d", 2), ("x", 2))],
-            [("x", 0), ("d", 0)],
-        )
-        rhs = _net({"z": k0, "p": plus}, [], [("z", 0), ("p", 0)])
-        return compare(relation_id, lhs, rhs, tol)
-
-    raise ValueError(f"unknown relation {relation_id!r}")
+    try:
+        sides = RELATIONS[relation_id]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown relation {relation_id!r}") from None
+    # Each accessor is read once per call, and still at call time.
+    tensors = {
+        "copy": copy if copy is not None else gen.copy_tensor(), "xor": gen.xor_tensor(),
+        "ket0": gen.ket_zero(), "ket1": gen.ket_one(), "plus": gen.plus_covector(),
+        "id": gen.identity_map(),
+    }
+    lhs, rhs = (
+        _net({k: tensors[tag] for k, tag in enumerate(tags)}, bonds, open_legs)
+        for tags, bonds, open_legs in sides
+    )
+    return compare(relation_id, lhs, rhs, tol)
 
 
 def verify_xor_in_hadamard_basis(tol: float = DEFAULT_TOL) -> RelationReport:

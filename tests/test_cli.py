@@ -270,6 +270,22 @@ class TestSimulate:
         state = circuit_state(circuits.parse_circuit(path.read_text()))
         assert out.getvalue() == _line_loop_output("records", state)
 
+    def test_closed_pipe_exits_1_without_a_traceback(self, tmp_path):
+        # Each of GHZ-17's two write blocks is far larger than a pipe
+        # buffer, so the first write is still blocked when the pipe closes.
+        ops = "".join(f"CN {w} {w + 1}\n" for w in range(16))
+        path = tmp_path / "ghz17.circ"
+        path.write_text("wires 17\nH 0\n" + ops)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stabtensor.cli", "--format", "records", "simulate",
+             str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        assert proc.stdout.readline() == b"state wires=17\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), stderr) == (1, "")
+
     def test_width_above_rank_budget_exits_2(self, tmp_path, capsys):
         path = tmp_path / "wide.circ"
         path.write_text("wires 28\nH 0\n")

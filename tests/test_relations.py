@@ -1,6 +1,8 @@
 """The relation-checking suite: statuses, recorded scalars, determinism."""
 
+import hashlib
 import math
+import re
 
 import pytest
 
@@ -87,6 +89,32 @@ def _patch_generator(monkeypatch, accessor, tensor, *args):
     """Make `gen.<accessor>(*args)` return `tensor`; other calls read the real one."""
     real = getattr(gen, accessor)
     monkeypatch.setattr(gen, accessor, lambda *a: tensor if a == args else real(*a))
+
+
+# sha256 of the records of all seven families: as shipped, then under each
+# single-entry flip of copy (through `copy=`), then under each single-entry
+# flip of xor (through the accessor).  Every line is ExactHold or Fails with
+# lambda 1.0+0.0j or -, so the digest does not depend on the BLAS in use.
+FAMILY_RECORDS_SHA256 = "a74176f8026b83fbb2688474c421f5cec027cbfba611c80f657271992e897972"
+
+
+def test_family_records_are_pinned(monkeypatch):
+    def records(copy=None):
+        return [relations.verify_relation(rid, copy=copy).record()
+                for rid in relations.RELATION_FAMILIES]
+
+    lines = records()
+    for k in range(8):
+        lines += records(copy=_flipped(copy_tensor(), k))
+    xor = xor_tensor()
+    for k in range(8):
+        monkeypatch.setattr(gen, "xor_tensor", lambda t=_flipped(xor, k): t)
+        lines += records()
+    assert len(lines) == 119
+    for line in lines:
+        assert re.search(r" status=(ExactHold lambda=1\.0\+0\.0j|Fails lambda=-) ", line), line
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FAMILY_RECORDS_SHA256
 
 
 def _clifford(rid):
