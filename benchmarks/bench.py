@@ -8,7 +8,7 @@ Uses the standard library and numpy only, and one BLAS thread.
 Each circuit row times ``compile_circuit``, ``TensorNetwork.plan`` and
 ``TensorNetwork.contract`` (which runs its own plan) separately, and reads
 from the plan its merges, its kernel merges (the merges that run the
-kernel: not those that return a stored gate product, see
+kernel: not those that return a stored block product, see
 ``tensor.stored_product``), its peak rank and its FLOPs.  A merge into
 rank r over k leg pairs had operands whose ranks sum to r + 2k, so it
 costs 2**(r + k) complex multiply-adds, the figure perfbench reports as

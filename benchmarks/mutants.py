@@ -56,8 +56,14 @@ MUTANTS = [
            '(("xor", "one"), ((1, 0, 0, 2),), ((0, 1, 0, 0),))',
            '(("xor", "one"), ((1, 0, 0, 1),), ((0, 2, 0, 0),))'),
     Mutant("phase-on-copy-leg-1", "src/stabtensor/circuits.py",
-           "inner.append((node + 1, 0, node, 0))\n            leg_in, leg_out = 2, 1",
-           "inner.append((node + 1, 0, node, 1))\n            leg_in, leg_out = 2, 0"),
+           "inner.append((node + 1, 0, node, 0))\n        leg_in, leg_out = 2, 1",
+           "inner.append((node + 1, 0, node, 1))\n        leg_in, leg_out = 2, 0"),
+    # The run products and run ends (circuits.compile_circuit).
+    Mutant("run-product-composed-backwards", "src/stabtensor/circuits.py",
+           "_followed_by(e, f) for e in", "_followed_by(f, e) for e in"),
+    Mutant("not-leaves-its-wire-run-open", "src/stabtensor/circuits.py",
+           "        for w in op.wires:\n            if run[w]:",
+           "        for w in op.wires if op.gate == \"CN\" else ():\n            if run[w]:"),
     # The relation table (relations.RELATIONS).
     Mutant("unit-laws-xor-unit-ket1", "src/stabtensor/relations.py",
            '(("xor", "ket0", "copy", "plus")', '(("xor", "ket1", "copy", "plus")'),

@@ -2,9 +2,7 @@
 
 Every gate is one block of generator tensors in the table `GATE_BLOCKS`:
 its nodes, its internal bonds, and where each of its wires enters and
-leaves it.  `compile_circuit` builds every gate from that table through one
-loop; the single-wire blocks are built at import from the words of
-`SINGLE_WIRE_STEPS`.  The decomposition is canonical and fixed:
+leaves it.  A block is built from generators only:
 
     H    native Hadamard tensor
     S    copy tensor with (1, i) contracted into one leg (diagonal lift)
@@ -14,15 +12,26 @@ loop; the single-wire blocks are built at import from the words of
     CN   copy tensor on the control wire feeding the XOR tensor on the target
     NOT  XOR tensor with the constant |1> on one input
 
-Each gate declares its internal bonds before the bonds that attach it to
-its wires, so the merges inside a gate block involve that block's
-generator tensors alone and are the same in every circuit.  At import,
-each one-gate network is contracted once as an operator and once as a
-state on every input bit pattern, and all its merges are stored
-(`tensor.store_product`), those with the shared identity anchor or
-input ket that the first gate on each wire meets included:
-`contract_pair` returns them without running the kernel, while every
-merge still goes through it.
+The single-wire gates generate a group of 192 matrices (24 up to a global
+phase).  At import a shortest-path search over the steps H and diag(1, i**k)
+gives each of them its shortest word (`WORDS`, costs in nodes) and the
+integer table of which element each gate leads to from each element.  The
+words for H, S, Z, X and Y are the five above (`SINGLE_WIRE_STEPS`).
+`compile_circuit` keeps one element per wire, one lookup per single-wire
+gate; a CN or NOT ends the runs on its wires.  Each run that is not the
+identity becomes one word block, and an identity run becomes no node: the
+paper's relations (H H = I, phases compose pointwise through the copy
+tensor) make the word equal to the gates it replaces.
+
+Each block declares its internal bonds before the bonds that attach it to
+its wires, so the merges inside a block involve that block's generator
+tensors alone and are the same in every circuit.  At import every merge of
+each one-word network, and of each one-gate CN and NOT network, is stored
+(`tensor.store_product`), as an operator and as a state on every input bit
+pattern, those with the shared identity anchor or input ket that the first
+block on each wire meets included: `contract_pair` returns them without
+running the kernel, while every merge still goes through it.  The table
+does not grow after import.
 
 Each generator is read through its `generators` accessor once per call,
 at call time, so patching one (say `generators.xor_tensor`) reaches
@@ -49,43 +58,128 @@ from stabtensor.tensor import (
 
 # Single-wire gates as the steps they take along their wire: "H" is a
 # Hadamard node, k a copy node with the phase vector t{k} on leg 0, which
-# is the diagonal lift diag(1, i**k).
-SINGLE_WIRE_STEPS = {
-    "H": ("H",), "S": (1,), "X": ("H", 2, "H"), "Y": (3, "H", 2, "H", 1), "Z": (2,),
+# is the diagonal lift diag(1, i**k).  A step costs its nodes.
+STEP_COST = {"H": 1, 1: 2, 2: 2, 3: 2}
+_PHASES = {1: 1j, 2: -1, 3: -1j}
+
+# A single-wire element (a 2x2 matrix) held exactly as (a, b, c, d, h): its
+# entries a, b, c, d (row-major) are Gaussian integers over sqrt(2)**h, h
+# as small as it can be, so equal matrices are equal keys.  Each
+# single-wire gate's matrix, the textbook one of `oracles.GATE_MATRICES`:
+_GATE_MATRICES = {
+    "H": (1, 1, 1, -1, 1), "S": (1, 0, 0, 1j, 0), "X": (0, 1, 1, 0, 0),
+    "Y": (0, -1j, 1j, 0, 0), "Z": (1, 0, 0, -1, 0),
 }
 
 
-def _word_block(word: tuple) -> tuple:
-    """The gate block of a single-wire word (see `GATE_BLOCKS`).
+def _then(matrix: tuple, step) -> tuple:
+    """The element `matrix` followed by `step`: the step's matrix times it."""
+    a, b, c, d, h = matrix
+    if step != "H":
+        phase = _PHASES[step]
+        return a, b, c * phase, d * phase, h
+    a, b, c, d = a + c, b + d, a - c, b - d
+    # Every entry even can only follow an earlier H (H H is 2I over 2), and
+    # one halving then leaves h least.
+    if h and not (a.real % 2 or a.imag % 2 or b.real % 2 or b.imag % 2
+                  or c.real % 2 or c.imag % 2 or d.real % 2 or d.imag % 2):
+        return a / 2, b / 2, c / 2, d / 2, h - 1
+    return a, b, c, d, h + 1
+
+
+def _search_words() -> tuple:
+    """Every element the steps generate, each with its shortest word.
+
+    A shortest-path search from the identity, costs in nodes (`STEP_COST`),
+    one bucket per cost, each taken first in, first out, steps in
+    `STEP_COST` order.  An element keeps the first of its cheapest reaches:
+    its parent's word plus one step, so the words are prefix-closed.
+    Returns, in the order the search settles them (the identity first,
+    every parent before its children), each element's matrix, word and
+    parent; and for each step, the element it leads to from each element.
+    """
+    settled: dict[tuple, int] = {}
+    matrices, words, parents, leads = [], [], [], []
+    # Each bucket holds (matrix, parent, step) for each reach at its cost.
+    buckets: list[list] = [[((1, 0, 0, 1, 0), -1, None)]]
+    for cost, bucket in enumerate(buckets):  # buckets grows as it is walked
+        for matrix, parent, step in bucket:
+            if matrix in settled:
+                continue
+            element = settled[matrix] = len(matrices)
+            matrices.append(matrix)
+            parents.append(parent)
+            words.append(() if parent < 0 else (*words[parent], step))
+            leads.append(row := [_then(matrix, step) for step in STEP_COST])
+            for (step, step_cost), after in zip(STEP_COST.items(), row):
+                if after not in settled:
+                    while len(buckets) <= cost + step_cost:
+                        buckets.append([])
+                    buckets[cost + step_cost].append((after, element, step))
+    steps = {step: tuple([settled[row[k]] for row in leads]) for k, step in enumerate(STEP_COST)}
+    return tuple(matrices), tuple(words), tuple(parents), steps
+
+
+# Element e is ELEMENTS[e], its shortest word WORDS[e] (the identity, 0,
+# has the empty word) and its parent the element of WORDS[e][:-1];
+# _STEPS[step][e] is the element of WORDS[e] followed by `step`.
+ELEMENTS, WORDS, _PARENTS, _STEPS = _search_words()
+_GATE_ELEMENTS = {gate: ELEMENTS.index(m) for gate, m in _GATE_MATRICES.items()}
+SINGLE_WIRE_STEPS = {gate: WORDS[e] for gate, e in _GATE_ELEMENTS.items()}
+
+
+def _followed_by(e: int, f: int) -> int:
+    """The element of element e's word followed by element f's word."""
+    for step in WORDS[f]:
+        e = _STEPS[step][e]
+    return e
+
+
+# The run products: _RUN_AFTER[gate][e] is element e followed by the gate.
+_RUN_AFTER = {
+    gate: tuple([_followed_by(e, f) for e in range(len(WORDS))])
+    for gate, f in _GATE_ELEMENTS.items()
+}
+
+
+def _word_block(parent: tuple | None, step) -> tuple:
+    """The gate block of a word: its parent word's block (None for the empty
+    word) followed by `step` (see `GATE_BLOCKS`).
 
     The wire enters an H node at leg 1 and leaves it at leg 0; it enters a
-    copy node at leg 2 and leaves it at leg 1.  Each step declares its
-    phase-vector bond, then the chain bond from the previous step's exit.
+    copy node at leg 2 and leaves it at leg 1.  The step declares its
+    phase-vector bond, then the chain bond from the parent's exit.
     """
-    tags: list[str] = []
-    inner: list[tuple[int, int, int, int]] = []
-    for step in word:
-        node = len(tags)
-        if step == "H":
-            tags.append("H")
-            leg_in, leg_out = 1, 0
-        else:
-            tags += ("copy", f"t{step}")
-            inner.append((node + 1, 0, node, 0))
-            leg_in, leg_out = 2, 1
-        if node:
-            inner.append((*end, node, leg_in))
-        else:
-            entry = (node, leg_in)
-        end = (node, leg_out)
-    return tuple(tags), tuple(inner), ((*entry, *end),)
+    tags, inner, ends = parent or ((), (), None)
+    tags, inner = list(tags), list(inner)
+    node = len(tags)
+    if step == "H":
+        tags.append("H")
+        leg_in, leg_out = 1, 0
+    else:
+        tags += ("copy", f"t{step}")
+        inner.append((node + 1, 0, node, 0))
+        leg_in, leg_out = 2, 1
+    if ends:
+        ((i, a, j, b),) = ends
+        inner.append((j, b, node, leg_in))
+    else:
+        i, a = node, leg_in
+    return tuple(tags), tuple(inner), ((i, a, node, leg_out),)
 
 
 # Each gate as one block of generator tensors: its nodes by generator tag;
 # its internal bonds (node, leg, node, leg) between node positions, declared
 # before the block meets its wires; and for each wire the (node, leg) where
-# the wire enters and the (node, leg) where it leaves.
-GATE_BLOCKS = {gate: _word_block(word) for gate, word in SINGLE_WIRE_STEPS.items()}
+# the wire enters and the (node, leg) where it leaves.  WORD_BLOCKS[e] is
+# element e's word's block (None for the identity), built from its
+# parent's; the five single-wire gates' blocks are among them.
+WORD_BLOCKS = [None]
+for _word, _parent in zip(WORDS[1:], _PARENTS[1:]):
+    WORD_BLOCKS.append(_word_block(WORD_BLOCKS[_parent], _word[-1]))
+WORD_BLOCKS = tuple(WORD_BLOCKS)
+del _word, _parent
+GATE_BLOCKS = {gate: WORD_BLOCKS[e] for gate, e in _GATE_ELEMENTS.items()}
 # NOT: the constant |1> on xor leg 2; the wire enters xor leg 1, leaves leg 0.
 GATE_BLOCKS["NOT"] = (("xor", "one"), ((1, 0, 0, 2),), ((0, 1, 0, 0),))
 # CN: copy leg 2 feeds xor leg 2; the control enters copy leg 0 and leaves
@@ -218,7 +312,8 @@ def cn_index_contraction() -> Tensor:
 
 
 def compile_circuit(circuit: Circuit) -> TensorNetwork:
-    """Compile a circuit to a network over the generator tensors only.
+    """Compile a circuit to a network over the generator tensors only: one
+    block per CN and NOT, and one word block per run of single-wire gates.
 
     With an input string the open legs are the output wires 0..width-1.
     Without one the result is the circuit operator with open legs
@@ -249,11 +344,32 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
         nodes[name] = tensors[tag]
         cur.append((name, 0))
 
-    # Each gate declares its internal bonds, then bonds the end of each wire
-    # it acts on to that wire's entry leg; the wire's exit leg becomes its end.
-    k = circuit.width
+    # Each wire's run of single-wire gates is one element, a lookup per
+    # gate.  A CN or NOT ends the run on each of its wires: the run becomes
+    # one word block, or no block if it is the identity.  So do the runs
+    # left at the end, wire by wire.
+    blocks = []
+    run = [0] * circuit.width
     for op in circuit.ops:
-        tags, inner, ends = GATE_BLOCKS[op.gate]
+        after = _RUN_AFTER.get(op.gate)
+        if after is not None:
+            w = op.wires[0]
+            run[w] = after[run[w]]
+            continue
+        for w in op.wires:
+            if run[w]:
+                blocks.append((WORD_BLOCKS[run[w]], (w,)))
+                run[w] = 0
+        blocks.append((GATE_BLOCKS[op.gate], op.wires))
+    for w, element in enumerate(run):
+        if element:
+            blocks.append((WORD_BLOCKS[element], (w,)))
+
+    # Each block declares its internal bonds, then bonds the end of each
+    # wire it acts on to that wire's entry leg; the wire's exit leg becomes
+    # its end.
+    k = circuit.width
+    for (tags, inner, ends), wires in blocks:
         names = []
         for tag in tags:
             names.append(name := f"{k}:{tag}")
@@ -261,7 +377,6 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
             k += 1
         for i, a, j, b in inner:
             bonds.append(_new_bond((names[i], a, names[j], b)))
-        wires = op.wires
         for n, (i, a, j, b) in enumerate(ends):
             w = wires[n]
             bonds.append(_new_bond((*cur[w], names[i], a)))
@@ -270,25 +385,58 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     return TensorNetwork(nodes, bonds, cur + in_legs)
 
 
-def _store_gate_products() -> None:
-    """Contract each one-gate network once, as an operator and as a state
-    on every input bit pattern, storing every merge (see
-    `tensor.store_product`).
+def _store_products() -> None:
+    """Store every merge of each one-word network and of each one-gate CN
+    or NOT network, as an operator and as a state on every input bit
+    pattern (see `tensor.store_product`).
 
     Every node is a shared constant, the identity anchors and input kets
-    included, and every gate declares its internal bonds first: these are
-    the merges inside each gate block of any compiled circuit, and those
-    that join an operator's anchor or a state's input ket to the first
-    gate on its wire.
+    included, and every block declares its internal bonds first: these are
+    the merges inside each block of any compiled circuit, and those that
+    join an operator's anchor or a state's input ket to the first block on
+    its wire.
+
+    The words are walked as the tree they form, parents first, with no
+    network built.  Inside a word, each phase step's vector meets its copy
+    node, then the chain merge joins the step to its parent word's
+    product, whose legs are (exit, entry) after one step and (entry, exit)
+    after more.  The word's product then meets each input ket and the
+    identity anchor at its entry leg.  CN and NOT are contracted as
+    networks.
+
+    The walk writes out by hand the leg layout of `_word_block` (phase
+    vector on copy leg 0, wire through H legs 1 -> 0 and copy legs 2 -> 1)
+    and the merge order `TensorNetwork.plan` gives a word block.  An edit
+    to either that the walk does not follow leaves compiled merges
+    unstored: slower, not wrong.  TestWordTable's
+    test_each_word_contracts_to_its_element_with_every_merge_stored
+    catches it.
     """
-    for gate, arity in GATE_ARITY.items():
+    copy = gen.copy_tensor()
+    step_tensors = {"H": gen.hadamard()}
+    for k in (1, 2, 3):
+        step_tensors[k] = store_product(gen.t_vector(k), (0,), copy, (0,))
+    products, entries = [None], []
+    for word, parent in zip(WORDS[1:], _PARENTS[1:]):
+        product = step_tensors[word[-1]]
+        if parent:
+            exit_leg = 0 if len(word) == 2 else 1
+            product = store_product(products[parent], (exit_leg,), product, (1,))
+        products.append(product)
+        entries.append((product, (1,) if len(word) == 1 else (0,)))
+    starts = (gen.ket_zero(), gen.ket_one(), gen.identity_map())
+    for start in starts:
+        for product, entry in entries:
+            store_product(start, (0,), product, entry)
+    for gate in ("NOT", "CN"):
+        arity = GATE_ARITY[gate]
         ops = (GateApp(gate, tuple(range(arity))),)
         for bits in (None, *map("".join, itertools.product("01", repeat=arity))):
             net = compile_circuit(Circuit(arity, ops, bits))
             stored_merges(list(net.nodes.values()), net.plan(), store_product)
 
 
-_store_gate_products()
+_store_products()
 
 
 def circuit_state(circuit: Circuit) -> Tensor:

@@ -174,7 +174,7 @@ def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
 # contract_pair(a, legs_a, b, legs_b).  Tensor keeps object identity for
 # == and hash, so a key matches only the very operands it holds.  Filled
 # by `store_product` while `circuits` is imported, with every merge of
-# each one-gate network, operator and state, and never after.
+# each one-word and one-gate network, operator and state, and never after.
 _PRODUCTS: dict[tuple, Tensor] = {}
 
 
@@ -197,8 +197,8 @@ def store_product(
 ) -> Tensor:
     """Contract a with b and store the product for later calls to return.
 
-    Only `circuits` calls this, at import, for every merge of its one-gate
-    networks; the table does not grow after that.
+    Only `circuits` calls this, at import, for every merge of its one-word
+    and one-gate networks; the table does not grow after that.
     """
     product = contract_pair(a, legs_a, b, legs_b)
     _PRODUCTS[(a, legs_a, b, legs_b)] = product
@@ -243,8 +243,9 @@ def contract_pair(
     MAX_RANK.  The result wraps the kernel's own output array, uncopied.
 
     A call whose operands are the very tensors of a stored product (see
-    `store_product`: each merge of a one-gate network of `compile_circuit`,
-    over the generator tensors, the identity anchor and the input kets)
+    `store_product`: each merge of a one-word or one-gate network of
+    `compile_circuit`, over the generator tensors, the identity anchor and
+    the input kets)
     returns that product and runs no kernel; the table is probed here
     directly, as `stored_product` would.
 
@@ -518,8 +519,9 @@ class TensorNetwork:
         the last step puts the open legs in declared order.  Raises
         RankBudgetError at the first step whose result rank would exceed
         MAX_RANK, before any tensor is touched.  Compiled circuits declare
-        their bonds gate by gate, each gate's internal bonds before the bond
-        that attaches it to its wire: every gate block is merged on its own
+        their bonds block by block (a CN, a NOT or one word for a run of
+        single-wire gates), each block's internal bonds before the bond
+        that attaches it to its wire: every block is merged on its own
         (`contract_pair` returns those merges stored), then joins the state
         in one merge per wire.  That keeps the peak within max(n + 1, 4) for
         an n-wire state and 2n for an operator.

@@ -225,9 +225,11 @@ class TestCompile:
         monkeypatch.setattr(tensor, "_wrap_result", recording_wrap)
         ops = tuple(GateApp(g, (0,)) for g in ("H", "S", "Z", "X", "Y", "NOT"))
         ops += (GateApp("CN", (0, 1)),)
+        # Two input nodes; the run H S Z X Y is one element, whose word
+        # (2, H, 3, H, 2, H) has 9 nodes; NOT and CN have 2 each.
         for bits in ("01", None):
             net = compile_circuit(Circuit(2, ops, bits))
-            assert len(net.nodes) == 23
+            assert len(net.nodes) == 15
         assert built == []
 
     def test_compiled_operator_is_unitary(self):
@@ -269,9 +271,11 @@ def _structure_corpus():
 
 def test_compiled_structure_is_pinned():
     # One digest over each network's node names, the accessor whose tensor
-    # each node is, its bonds, open legs and plan steps, recorded before
-    # compile and plan shed their per-node calls: a faster compile or plan
-    # must leave every one of them as it is.
+    # each node is, its bonds, open legs and plan steps: a faster compile or
+    # plan must leave every one of them as it is.  Recorded when each run
+    # of single-wire gates became one word block (the corpus's nodes fell
+    # from 7368 to 5420 and its merges from 7272 to 5324), after every
+    # network was checked to contract to the gate-by-gate one's result.
     accessors = {
         gen.copy_tensor(): "copy_tensor", gen.xor_tensor(): "xor_tensor",
         gen.hadamard(): "hadamard", gen.ket_zero(): "ket_zero",
@@ -286,25 +290,27 @@ def test_compiled_structure_is_pinned():
         steps = [tuple(step) for step in net.plan()]
         digest.update(repr((nodes, bonds, net.open_legs, steps)).encode())
     assert digest.hexdigest() == (
-        "98f95804857dbc4353dfb2df45a7a1834b185e82fcdc99dd7e088c8a5412e2a6")
+        "7ef6f405930007360a1e565ea9ecf3d1337a9cf40e097cd4a3c16d571d497e36")
 
 
 class TestGateProducts:
-    """Every merge of each one-gate network, as an operator and as a state
-    on every input bit pattern, is contracted once, at import: the merges
-    inside the gate block and those with the identity anchors and the input
-    kets."""
+    """Every merge of each one-word network and of the one-gate CN and NOT
+    networks, as an operator and as a state on every input bit pattern, is
+    contracted once, at import: the merges inside the block and those with
+    the identity anchors and the input kets."""
 
     def test_table_is_filled_at_import_and_never_grows(self, capsys):
-        # Inside the blocks: S, Z and NOT one merge each and CN one; X adds
-        # two to Z's, and Y five: its t3 merge and four more (its t2 and t1
-        # merges are Z's and S's).  That is 11.  With the anchors: one more
-        # for each of H, S, Z, X, Y and NOT, and two for CN, one per wire:
-        # 19.  With the kets: two more for each of H, S, Z, X, Y and NOT,
-        # one per input bit, and six for CN: two for the control's ket, then
-        # four for the target's ket on each control result.  That is 37.
+        # Inside the 191 words of the single-wire elements other than the
+        # identity: three merges of a phase vector into its copy node, and
+        # one chain merge for each of the 187 words of two steps or more.
+        # With the anchors and kets: three for each word, one per input bit
+        # and one for the anchor.  That is 3 + 187 + 573 = 763.  NOT adds
+        # one merge inside, one with the anchor and two with the kets: 4.
+        # CN adds one inside, two with the anchors, and six with the kets:
+        # two for the control's ket, then four for the target's ket on each
+        # control result: 9.  That is 776.
         stored = dict(tensor._PRODUCTS)
-        assert len(stored) == 37
+        assert len(stored) == 776
         assert cli.main(["--format", "records", "verify"]) == 0
         capsys.readouterr()
         gates = oracles.CLIFFORD_GATES + ("NOT",)
@@ -314,24 +320,33 @@ class TestGateProducts:
                                                                 f"0{circ.width}b")))
         assert tensor._PRODUCTS == stored
 
-    def test_stored_products_are_the_kernels_results(self):
+    def test_stored_products_are_the_kernels_results(self, kernel_runs):
+        # Bit for bit, signed zeros included: the kernel's run on copies of
+        # the operands, which no stored product answers.
         for (a, legs_a, b, legs_b), product in tensor._PRODUCTS.items():
             want = np.tensordot(a.array, b.array, (legs_a, legs_b))
             assert np.array_equal(product.array, want)
+            built = contract_pair(Tensor(a.rank, a.array), legs_a, Tensor(b.rank, b.array), legs_b)
+            assert built.array.tobytes() == product.array.tobytes()
             assert not product.array.flags.writeable
+        assert len(kernel_runs) == len(tensor._PRODUCTS)
 
     @pytest.mark.parametrize("gate", ["H", "S", "Z", "X", "Y", "NOT"])
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_k_copies_of_a_gate_run_the_kernel_k_times(self, kernel_runs, gate, k):
-        # Each copy joins the wire in one merge and runs the kernel there,
-        # except the first: it meets the input ket or the identity anchor in
-        # a stored merge.  So k - 1 runs, for a state and an operator alike.
+        # k copies of a single-wire gate are one run: one word block, whose
+        # merges and whose merge with the input ket or the identity anchor
+        # are stored, or no block when the run is the identity.  So no
+        # kernel runs.  Each NOT is a block of its own and joins the wire in
+        # one merge that runs the kernel, except the first, which meets the
+        # ket or the anchor in a stored merge: k - 1 runs.  For a state and
+        # an operator alike.
         ops = (GateApp(gate, (0,)),) * k
         for build, circ in ((circuit_state, Circuit(1, ops, "1")),
                             (circuit_unitary, Circuit(1, ops))):
             kernel_runs.clear()
             got = build(circ).array.reshape(-1)
-            assert len(kernel_runs) == k - 1
+            assert len(kernel_runs) == (k - 1 if gate == "NOT" else 0)
             want = np.linalg.matrix_power(oracles.GATE_MATRICES[gate], k)
             want = want[:, 1] if circ.input else want.reshape(-1)
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -378,6 +393,67 @@ class TestGateProducts:
             ("2:copy", 1, "4:H", 1), ("0:id", 0, "1:H", 1),
         )
         assert net.open_legs == (("4:H", 0), ("0:id", 1))
+
+
+def _element_matrix(element) -> np.ndarray:
+    """An element of `circuits.ELEMENTS` as a complex 2x2 matrix."""
+    *entries, h = element
+    return np.array(entries, dtype=complex).reshape(2, 2) / np.sqrt(2) ** h
+
+
+def _spelled(word) -> tuple:
+    """Single-wire gates whose run is `word`'s element: H for each H step,
+    k copies of S for each phase step k."""
+    return tuple(GateApp("H" if step == "H" else "S", (0,))
+                 for step in word for _ in range(1 if step == "H" else step))
+
+
+class TestWordTable:
+    """The shortest-word table `compile_circuit` writes each run with.  Its
+    one-word networks are contracted here only: `verify` would pay for
+    about 576 networks per call."""
+
+    def test_words_are_a_prefix_closed_shortest_table(self):
+        words = circuits.WORDS
+        assert len(words) == len(set(words)) == len(set(circuits.ELEMENTS)) == 192
+        assert words[0] == () and all(word[:-1] in words for word in words[1:])
+        # Closed under every step, and no step leads to an element whose
+        # word costs more than one step beyond the word it left: so no
+        # shorter word exists for any element.
+        cost = {}
+        for word, element in zip(words, circuits.ELEMENTS):
+            key = tuple(np.round(_element_matrix(element), 9).ravel())
+            cost[key] = sum(circuits.STEP_COST[s] for s in word)
+        steps = {"H": oracles.GATE_MATRICES["H"], **{k: np.diag([1, 1j ** k]) for k in (1, 2, 3)}}
+        for element in circuits.ELEMENTS:
+            matrix = _element_matrix(element)
+            here = cost[tuple(np.round(matrix, 9).ravel())]
+            for step, step_cost in circuits.STEP_COST.items():
+                assert cost[tuple(np.round(steps[step] @ matrix, 9).ravel())] <= here + step_cost
+        assert max(cost.values()) <= 15
+        assert circuits.SINGLE_WIRE_STEPS == {
+            "H": ("H",), "S": (1,), "X": ("H", 2, "H"), "Y": (3, "H", 2, "H", 1), "Z": (2,),
+        }
+        assert circuits.GATE_ARITY == {
+            "H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
+
+    def test_each_gate_element_is_its_textbook_matrix(self):
+        for gate, word in circuits.SINGLE_WIRE_STEPS.items():
+            element = circuits.ELEMENTS[circuits.WORDS.index(word)]
+            np.testing.assert_allclose(
+                _element_matrix(element), oracles.GATE_MATRICES[gate], rtol=0, atol=1e-15)
+
+    def test_each_word_contracts_to_its_element_with_every_merge_stored(self, kernel_runs):
+        for word, element in zip(circuits.WORDS[1:], circuits.ELEMENTS[1:]):
+            ops = _spelled(word)
+            for bits in (None, "0", "1"):
+                net = compile_circuit(Circuit(1, ops, bits))
+                assert len(net.nodes) == 1 + sum(circuits.STEP_COST[s] for s in word)
+                stored = tensor.stored_merges(list(net.nodes.values()), net.plan())
+                assert None not in stored, (word, bits)
+            got = circuit_unitary(Circuit(1, ops)).array
+            np.testing.assert_allclose(got, _element_matrix(element), rtol=0, atol=1e-15)
+        assert kernel_runs == []
 
 
 @pytest.mark.parametrize("width", range(7, 13))

@@ -1,6 +1,8 @@
 """Properties over generated inputs: the oracles agree with the engine, the
-bond order does not change a state, the CLI never ends in a traceback, and
-a malformed network claim is a ValueError or TypeError.
+bond order does not change a state, writing each wire's run of single-wire
+gates as one word does not change a state or an operator, the CLI never
+ends in a traceback, and a malformed network claim is a ValueError or
+TypeError.
 
 Every property runs a fixed, bounded set of examples (`derandomize=True`,
 no example database), so a run is repeatable and the module stays short.
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 
 from stabtensor import cli, oracles
 from stabtensor import generators as gen
-from stabtensor.circuits import Circuit, GateApp, circuit_state, compile_circuit
+from stabtensor.circuits import (
+    SINGLE_WIRE_STEPS, Circuit, GateApp, circuit_state, circuit_unitary, compile_circuit,
+)
 from stabtensor.tensor import TensorNetwork
 
 GATES = oracles.CLIFFORD_GATES + ("NOT",)
@@ -60,6 +64,42 @@ def test_any_bond_order_gives_the_same_state(circuit, data):
     order = data.draw(st.permutations(range(len(net.bonds))))
     got = net.contract(order).array
     np.testing.assert_allclose(got, net.contract().array, rtol=0, atol=1e-12)
+
+
+@st.composite
+def run_heavy_circuits(draw, max_width=6):
+    """Runs of up to 8 single-wire gates, each on a drawn wire, so runs on
+    different wires interleave; after a run, now and then a NOT on its wire
+    or a CN on it and another wire."""
+    width = draw(st.integers(1, max_width))
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        w = draw(st.integers(0, width - 1))
+        run = draw(st.lists(st.sampled_from(sorted(SINGLE_WIRE_STEPS)), max_size=8))
+        ops += [GateApp(gate, (w,)) for gate in run]
+        end = draw(st.sampled_from(["NOT", "CN", None]))
+        if end == "NOT":
+            ops.append(GateApp("NOT", (w,)))
+        elif end == "CN" and width > 1:
+            other = draw(st.sampled_from([v for v in range(width) if v != w]))
+            ops.append(GateApp("CN", draw(st.permutations((w, other)))))
+    bits = draw(st.text("01", min_size=width, max_size=width))
+    return Circuit(width, tuple(ops), bits)
+
+
+@bounded(100)
+@given(run_heavy_circuits())
+def test_single_wire_runs_rewrite_to_the_same_state_and_operator(circuit):
+    dense = oracles.dense_simulate(circuit)
+    got = circuit_state(circuit).array.reshape(-1)
+    np.testing.assert_allclose(got, dense.amplitudes, rtol=0, atol=1e-12)
+    n = circuit.width
+    if n <= 4:
+        u = circuit_unitary(circuit).array.reshape(1 << n, 1 << n)
+        for col in range(1 << n):
+            column = Circuit(n, circuit.ops, format(col, f"0{n}b"))
+            np.testing.assert_allclose(
+                u[:, col], oracles.dense_simulate(column).amplitudes, rtol=0, atol=1e-12)
 
 
 WIRE_TOKENS = ["0", "1", "5", "-1", "x", "1_0", "\u0663", ""]
