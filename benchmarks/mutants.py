@@ -55,20 +55,26 @@ MUTANTS = [
     Mutant("not-constant-on-xor-leg-1", "src/stabtensor/circuits.py",
            '(("xor", "one"), ((1, 0, 0, 2),), ((0, 1, 0, 0),))',
            '(("xor", "one"), ((1, 0, 0, 1),), ((0, 2, 0, 0),))'),
+    # The word walk (circuits._walk_words): each word's block and products.
     Mutant("phase-on-copy-leg-1", "src/stabtensor/circuits.py",
-           "inner.append((node + 1, 0, node, 0))\n        leg_in, leg_out = 2, 1",
-           "inner.append((node + 1, 0, node, 1))\n        leg_in, leg_out = 2, 0"),
+           'tags, enter, leave, phase = (*tags, "copy", f"t{step}"), 2, 1, 0',
+           'tags, enter, leave, phase = (*tags, "copy", f"t{step}"), 2, 0, 1'),
+    Mutant("one-step-product-legs-swapped", "src/stabtensor/circuits.py",
+           "products.append((alone, legs.index(leave), legs.index(enter)))",
+           "products.append((alone, legs.index(enter), legs.index(leave)))"),
     # The run products and run ends (circuits.compile_circuit).
     Mutant("run-product-composed-backwards", "src/stabtensor/circuits.py",
            "_followed_by(e, f) for e in", "_followed_by(f, e) for e in"),
     Mutant("not-leaves-its-wire-run-open", "src/stabtensor/circuits.py",
            "        for w in op.wires:\n            if run[w]:",
            "        for w in op.wires if op.gate == \"CN\" else ():\n            if run[w]:"),
-    # The relation table (relations.RELATIONS).
+    # The relation tables (relations.RELATIONS and the Hadamard-basis pairs).
     Mutant("unit-laws-xor-unit-ket1", "src/stabtensor/relations.py",
            '(("xor", "ket0", "copy", "plus")', '(("xor", "ket1", "copy", "plus")'),
     Mutant("copy-laws-right-side-ket0", "src/stabtensor/relations.py",
            '(("ket0", "ket0", "ket1", "ket1")', '(("ket0", "ket0", "ket0", "ket1")'),
+    Mutant("xor-hadamard-conjugation-id-for-h", "src/stabtensor/relations.py",
+           '(("copy", "H", "H", "H")', '(("copy", "H", "H", "id")'),
     # Faults named in CHANGES.md.
     Mutant("tableau-cn-sign-dropped", "src/stabtensor/oracles.py",
            "            self.r ^= (\n"

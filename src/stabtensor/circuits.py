@@ -1,8 +1,9 @@
 """Gate-list circuits and their compilation to tensor networks.
 
-Every gate is one block of generator tensors in the table `GATE_BLOCKS`:
-its nodes, its internal bonds, and where each of its wires enters and
-leaves it.  A block is built from generators only:
+Every gate is built as a block of generator tensors: its nodes, its
+internal bonds, and where each of its wires enters and leaves it.  CN and
+NOT are the table `GATE_BLOCKS`; a run of single-wire gates is one word
+block (`WORD_BLOCKS`).  Built from generators only:
 
     H    native Hadamard tensor
     S    copy tensor with (1, i) contracted into one leg (diagonal lift)
@@ -25,12 +26,15 @@ tensor) make the word equal to the gates it replaces.
 
 Each block declares its internal bonds before the bonds that attach it to
 its wires, so the merges inside a block involve that block's generator
-tensors alone and are the same in every circuit.  At import every merge of
-each one-word network, and of each one-gate CN and NOT network, is stored
-(`tensor.store_product`), as an operator and as a state on every input bit
-pattern, those with the shared identity anchor or input ket that the first
-block on each wire meets included: `contract_pair` returns them without
-running the kernel, while every merge still goes through it.  The table
+tensors alone and are the same in every circuit.  At import this module
+fills `tensor`'s table of stored products (`tensor.store_product`) with
+every merge of each one-word network and of each one-gate CN and NOT
+network, as an operator and as a state on every input bit pattern: the
+merges inside each block, and those that join the first block on each
+wire to the shared identity anchor or input ket it meets.  Each word's
+block and the merges inside it come from one walk over the words' tree
+(`_walk_words`).  `contract_pair` returns a stored product without
+running the kernel, while every merge still goes through it; the table
 does not grow after import.
 
 Each generator is read through its `generators` accessor once per call,
@@ -60,7 +64,6 @@ from stabtensor.tensor import (
 # Hadamard node, k a copy node with the phase vector t{k} on leg 0, which
 # is the diagonal lift diag(1, i**k).  A step costs its nodes.
 STEP_COST = {"H": 1, 1: 2, 2: 2, 3: 2}
-_PHASES = {1: 1j, 2: -1, 3: -1j}
 
 # A single-wire element (a 2x2 matrix) held exactly as (a, b, c, d, h): its
 # entries a, b, c, d (row-major) are Gaussian integers over sqrt(2)**h, h
@@ -76,7 +79,7 @@ def _then(matrix: tuple, step) -> tuple:
     """The element `matrix` followed by `step`: the step's matrix times it."""
     a, b, c, d, h = matrix
     if step != "H":
-        phase = _PHASES[step]
+        phase = gen.I_POWERS[step]
         return a, b, c * phase, d * phase, h
     a, b, c, d = a + c, b + d, a - c, b - d
     # Every entry even can only follow an earlier H (H H is 2I over 2), and
@@ -142,51 +145,67 @@ _RUN_AFTER = {
 }
 
 
-def _word_block(parent: tuple | None, step) -> tuple:
-    """The gate block of a word: its parent word's block (None for the empty
-    word) followed by `step` (see `GATE_BLOCKS`).
+def _walk_words() -> tuple:
+    """Each word's block and its stored product, built together over the
+    words' tree, parents first.
 
-    The wire enters an H node at leg 1 and leaves it at leg 0; it enters a
-    copy node at leg 2 and leaves it at leg 1.  The step declares its
-    phase-vector bond, then the chain bond from the parent's exit.
+    A word is its parent word followed by one step.  The wire enters an H
+    node at leg 1 and leaves it at leg 0; it enters a copy node at leg 2
+    and leaves it at leg 1, the phase vector on leg 0.  The step declares
+    its phase-vector bond, then the chain bond from the parent's exit, and
+    its product makes those merges in that order, as `TensorNetwork.plan`
+    makes them in the block.  Returns the blocks (in `GATE_BLOCKS`' form) and,
+    for each word, its product with the product's exit and entry legs,
+    both indexed by element (None for the identity).
     """
-    tags, inner, ends = parent or ((), (), None)
-    tags, inner = list(tags), list(inner)
-    node = len(tags)
-    if step == "H":
-        tags.append("H")
-        leg_in, leg_out = 1, 0
-    else:
-        tags += ("copy", f"t{step}")
-        inner.append((node + 1, 0, node, 0))
-        leg_in, leg_out = 2, 1
-    if ends:
-        ((i, a, j, b),) = ends
-        inner.append((j, b, node, leg_in))
-    else:
-        i, a = node, leg_in
-    return tuple(tags), tuple(inner), ((i, a, node, leg_out),)
+    copy = gen.copy_tensor()
+    # Each step on its own, and that product's legs: its node's legs less
+    # the one its phase vector takes.
+    on_own = {"H": (gen.hadamard(), (0, 1))}
+    blocks, products = [None], [None]
+    for word, parent in zip(WORDS[1:], _PARENTS[1:]):
+        step = word[-1]
+        tags, inner, ends = blocks[parent] or ((), (), None)
+        node = len(tags)
+        if step == "H":
+            tags, enter, leave = (*tags, "H"), 1, 0
+        else:
+            tags, enter, leave, phase = (*tags, "copy", f"t{step}"), 2, 1, 0
+            inner += ((node + 1, 0, node, phase),)
+            if step not in on_own:
+                alone = store_product(gen.t_vector(step), (0,), copy, (phase,))
+                on_own[step] = alone, tuple(leg for leg in range(3) if leg != phase)
+        alone, legs = on_own[step]
+        if parent:
+            ((i, a, j, b),) = ends
+            inner += ((j, b, node, enter),)
+            last, out, _ = products[parent]
+            # contract_pair keeps the parent's entry leg, then the step's exit.
+            products.append((store_product(last, (out,), alone, (legs.index(enter),)), 1, 0))
+        else:
+            i, a = node, enter
+            products.append((alone, legs.index(leave), legs.index(enter)))
+        blocks.append((tags, inner, ((i, a, node, leave),)))
+    return tuple(blocks), tuple(products)
 
 
 # Each gate as one block of generator tensors: its nodes by generator tag;
 # its internal bonds (node, leg, node, leg) between node positions, declared
 # before the block meets its wires; and for each wire the (node, leg) where
 # the wire enters and the (node, leg) where it leaves.  WORD_BLOCKS[e] is
-# element e's word's block (None for the identity), built from its
-# parent's; the five single-wire gates' blocks are among them.
-WORD_BLOCKS = [None]
-for _word, _parent in zip(WORDS[1:], _PARENTS[1:]):
-    WORD_BLOCKS.append(_word_block(WORD_BLOCKS[_parent], _word[-1]))
-WORD_BLOCKS = tuple(WORD_BLOCKS)
-del _word, _parent
-GATE_BLOCKS = {gate: WORD_BLOCKS[e] for gate, e in _GATE_ELEMENTS.items()}
-# NOT: the constant |1> on xor leg 2; the wire enters xor leg 1, leaves leg 0.
-GATE_BLOCKS["NOT"] = (("xor", "one"), ((1, 0, 0, 2),), ((0, 1, 0, 0),))
-# CN: copy leg 2 feeds xor leg 2; the control enters copy leg 0 and leaves
-# leg 1, the target enters xor leg 1 and leaves leg 0.
-GATE_BLOCKS["CN"] = (("copy", "xor"), ((0, 2, 1, 2),), ((0, 0, 0, 1), (1, 1, 1, 0)))
+# element e's word's block (None for the identity), and the single-wire
+# gates' runs are written with them; GATE_BLOCKS holds the other two gates.
+WORD_BLOCKS, _WORD_PRODUCTS = _walk_words()
+GATE_BLOCKS = {
+    # NOT: the constant |1> on xor leg 2; the wire enters xor leg 1, leaves leg 0.
+    "NOT": (("xor", "one"), ((1, 0, 0, 2),), ((0, 1, 0, 0),)),
+    # CN: copy leg 2 feeds xor leg 2; the control enters copy leg 0 and leaves
+    # leg 1, the target enters xor leg 1 and leaves leg 0.
+    "CN": (("copy", "xor"), ((0, 2, 1, 2),), ((0, 0, 0, 1), (1, 1, 1, 0))),
+}
 
-GATE_ARITY = {gate: len(wires) for gate, (_, _, wires) in GATE_BLOCKS.items()}
+GATE_ARITY = dict.fromkeys(_GATE_ELEMENTS, 1) | {
+    gate: len(wires) for gate, (_, _, wires) in GATE_BLOCKS.items()}
 
 # A LegBinding from a tuple of its four fields, without NamedTuple's
 # per-call argument handling.
@@ -386,49 +405,14 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
 
 def _store_products() -> None:
-    """Store every merge of each one-word network and of each one-gate CN
-    or NOT network, as an operator and as a state on every input bit
-    pattern (see `tensor.store_product`).
-
-    Every node is a shared constant, the identity anchors and input kets
-    included, and every block declares its internal bonds first: these are
-    the merges inside each block of any compiled circuit, and those that
-    join an operator's anchor or a state's input ket to the first block on
-    its wire.
-
-    The words are walked as the tree they form, parents first, with no
-    network built.  Inside a word, each phase step's vector meets its copy
-    node, then the chain merge joins the step to its parent word's
-    product, whose legs are (exit, entry) after one step and (entry, exit)
-    after more.  The word's product then meets each input ket and the
-    identity anchor at its entry leg.  CN and NOT are contracted as
-    networks.
-
-    The walk writes out by hand the leg layout of `_word_block` (phase
-    vector on copy leg 0, wire through H legs 1 -> 0 and copy legs 2 -> 1)
-    and the merge order `TensorNetwork.plan` gives a word block.  An edit
-    to either that the walk does not follow leaves compiled merges
-    unstored: slower, not wrong.  TestWordTable's
-    test_each_word_contracts_to_its_element_with_every_merge_stored
-    catches it.
-    """
-    copy = gen.copy_tensor()
-    step_tensors = {"H": gen.hadamard()}
-    for k in (1, 2, 3):
-        step_tensors[k] = store_product(gen.t_vector(k), (0,), copy, (0,))
-    products, entries = [None], []
-    for word, parent in zip(WORDS[1:], _PARENTS[1:]):
-        product = step_tensors[word[-1]]
-        if parent:
-            exit_leg = 0 if len(word) == 2 else 1
-            product = store_product(products[parent], (exit_leg,), product, (1,))
-        products.append(product)
-        entries.append((product, (1,) if len(word) == 1 else (0,)))
-    starts = (gen.ket_zero(), gen.ket_one(), gen.identity_map())
-    for start in starts:
-        for product, entry in entries:
-            store_product(start, (0,), product, entry)
-    for gate in ("NOT", "CN"):
+    """Store each word's merge with each input ket and with the identity
+    anchor at its entry leg, and every merge of each one-gate CN or NOT
+    network, as an operator and as a state on every input bit pattern.
+    The merges inside each word were stored as `_walk_words` built it."""
+    for start in (gen.ket_zero(), gen.ket_one(), gen.identity_map()):
+        for product, _, entry in _WORD_PRODUCTS[1:]:
+            store_product(start, (0,), product, (entry,))
+    for gate in GATE_BLOCKS:
         arity = GATE_ARITY[gate]
         ops = (GateApp(gate, tuple(range(arity))),)
         for bits in (None, *map("".join, itertools.product("01", repeat=arity))):

@@ -8,7 +8,8 @@ keep the fitted scalar explicitly instead of hiding it.
 
 The seven relation families between copy and XOR are data: each is one
 entry of `RELATIONS`, a pair of diagrams over the generators, and
-`verify_relation` contracts both and compares them.
+`verify_relation` contracts both and compares them.  The two laws in the
+Hadamard basis are diagram pairs too, contracted and compared the same way.
 
 Two laws side by side are one law between tensor-product diagrams, so a
 family of two (the XOR and the copy law, or copy on |0> and on |1>) is
@@ -102,10 +103,6 @@ def compare(
     return RelationReport(relation_id, RelationStatus.FAILS, None, raw, expected_mismatch)
 
 
-def _net(nodes, bonds, open_legs) -> Tensor:
-    return TensorNetwork(nodes, bonds, open_legs).contract()
-
-
 # Each relation family as its two sides, each side one diagram over the
 # generators, held as `circuits.GATE_BLOCKS` holds a gate: its nodes by
 # generator tag, its bonds (node, leg, node, leg) between node positions,
@@ -155,6 +152,37 @@ RELATIONS = {
 RELATION_FAMILIES = tuple(RELATIONS)
 
 
+# The two laws in the Hadamard basis, held the same way ("H" a Hadamard
+# node) and each reported on its own; both hold up to one scalar.
+# xor = copy with H on all three legs
+_XOR_IN_HADAMARD_BASIS = (
+    (("xor",), (), ((0, 0), (0, 1), (0, 2))),
+    (("copy", "H", "H", "H"), ((0, 0, 1, 0), (0, 1, 2, 0), (0, 2, 3, 0)),
+     ((1, 1), (2, 1), (3, 1))),
+)
+# xor with H on leg 0 = copy with H on legs 1 and 2
+_XOR_COPIES_PLUS_MINUS = (
+    (("xor", "H"), ((0, 0, 1, 0),), ((0, 1), (0, 2), (1, 1))),
+    (("copy", "H", "H"), ((1, 1, 0, 1), (2, 1, 0, 2)), ((1, 0), (2, 0), (0, 0))),
+)
+
+
+def _compare_sides(relation_id: str, sides, tol: float, copy=None) -> RelationReport:
+    """Contract both diagrams of `sides`, a pair held as in `RELATIONS`, and
+    compare them; `copy` stands in for the copy generator when given."""
+    # Each accessor is read once per call, and still at call time.
+    tensors = {
+        "copy": copy if copy is not None else gen.copy_tensor(), "xor": gen.xor_tensor(),
+        "ket0": gen.ket_zero(), "ket1": gen.ket_one(), "plus": gen.plus_covector(),
+        "id": gen.identity_map(), "H": gen.hadamard(),
+    }
+    lhs, rhs = (
+        TensorNetwork({k: tensors[tag] for k, tag in enumerate(tags)}, bonds, open_legs).contract()
+        for tags, bonds, open_legs in sides
+    )
+    return compare(relation_id, lhs, rhs, tol)
+
+
 def verify_relation(
     relation_id: str,
     tol: float = DEFAULT_TOL,
@@ -170,29 +198,12 @@ def verify_relation(
         sides = RELATIONS[relation_id]
     except (KeyError, TypeError):
         raise ValueError(f"unknown relation {relation_id!r}") from None
-    # Each accessor is read once per call, and still at call time.
-    tensors = {
-        "copy": copy if copy is not None else gen.copy_tensor(), "xor": gen.xor_tensor(),
-        "ket0": gen.ket_zero(), "ket1": gen.ket_one(), "plus": gen.plus_covector(),
-        "id": gen.identity_map(),
-    }
-    lhs, rhs = (
-        _net({k: tensors[tag] for k, tag in enumerate(tags)}, bonds, open_legs)
-        for tags, bonds, open_legs in sides
-    )
-    return compare(relation_id, lhs, rhs, tol)
+    return _compare_sides(relation_id, sides, tol, copy)
 
 
 def verify_xor_in_hadamard_basis(tol: float = DEFAULT_TOL) -> RelationReport:
     """XOR against the copy tensor conjugated by Hadamard on all three legs."""
-    h = gen.hadamard()
-    lhs = _net({"x": gen.xor_tensor()}, [], [("x", 0), ("x", 1), ("x", 2)])
-    rhs = _net(
-        {"d": gen.copy_tensor(), "h0": h, "h1": h, "h2": h},
-        [(("d", 0), ("h0", 0)), (("d", 1), ("h1", 0)), (("d", 2), ("h2", 0))],
-        [("h0", 1), ("h1", 1), ("h2", 1)],
-    )
-    return compare("xor-hadamard-conjugation", lhs, rhs, tol)
+    return _compare_sides("xor-hadamard-conjugation", _XOR_IN_HADAMARD_BASIS, tol)
 
 
 def verify_xor_copies_plus_minus(tol: float = DEFAULT_TOL) -> RelationReport:
@@ -201,18 +212,7 @@ def verify_xor_copies_plus_minus(tol: float = DEFAULT_TOL) -> RelationReport:
     Leg k of both sides picks the basis vector H|k>, so the one scalar that
     `compare` fits over the whole tensor serves |+> and |-> alike.
     """
-    h = gen.hadamard()
-    lhs = _net(
-        {"x": gen.xor_tensor(), "h": h},
-        [(("x", 0), ("h", 0))],
-        [("x", 1), ("x", 2), ("h", 1)],
-    )
-    rhs = _net(
-        {"d": gen.copy_tensor(), "h1": h, "h2": h},
-        [(("h1", 1), ("d", 1)), (("h2", 1), ("d", 2))],
-        [("h1", 0), ("h2", 0), ("d", 0)],
-    )
-    return compare("xor-copies-plus-minus", lhs, rhs, tol)
+    return _compare_sides("xor-copies-plus-minus", _XOR_COPIES_PLUS_MINUS, tol)
 
 
 def compiled_cn() -> Tensor:

@@ -173,8 +173,7 @@ def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
 # Products of constant tensors: (a, legs_a, b, legs_b) maps to
 # contract_pair(a, legs_a, b, legs_b).  Tensor keeps object identity for
 # == and hash, so a key matches only the very operands it holds.  Filled
-# by `store_product` while `circuits` is imported, with every merge of
-# each one-word and one-gate network, operator and state, and never after.
+# by `store_product` at import, and never grown after.
 _PRODUCTS: dict[tuple, Tensor] = {}
 
 
@@ -197,8 +196,7 @@ def store_product(
 ) -> Tensor:
     """Contract a with b and store the product for later calls to return.
 
-    Only `circuits` calls this, at import, for every merge of its one-word
-    and one-gate networks; the table does not grow after that.
+    Called at import only; the table does not grow after that.
     """
     product = contract_pair(a, legs_a, b, legs_b)
     _PRODUCTS[(a, legs_a, b, legs_b)] = product
@@ -243,11 +241,8 @@ def contract_pair(
     MAX_RANK.  The result wraps the kernel's own output array, uncopied.
 
     A call whose operands are the very tensors of a stored product (see
-    `store_product`: each merge of a one-word or one-gate network of
-    `compile_circuit`, over the generator tensors, the identity anchor and
-    the input kets)
-    returns that product and runs no kernel; the table is probed here
-    directly, as `stored_product` would.
+    `store_product`) returns that product and runs no kernel; the table is
+    probed here directly, as `stored_product` would.
 
     A leg is anything `operator.index` accepts, used as that int; any
     other leg is a ValueError, stored operands or not (a float 0.0 matches
