@@ -48,26 +48,28 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # The gate table (circuits.GATE_BLOCKS).
+    # The CN block (circuits.CN_BLOCK).
     Mutant("cn-wires-swapped", "src/stabtensor/circuits.py",
            "((0, 0, 0, 1), (1, 1, 1, 0)))",
            "((1, 1, 1, 0), (0, 0, 0, 1)))"),
+    # The step table (circuits._STEP_NODES) and the word search's N step.
     Mutant("not-constant-on-xor-leg-1", "src/stabtensor/circuits.py",
-           '(("xor", "one"), ((1, 0, 0, 2),), ((0, 1, 0, 0),))',
-           '(("xor", "one"), ((1, 0, 0, 1),), ((0, 2, 0, 0),))'),
-    # The word walk (circuits._walk_words): each word's block and products.
+           '"N": ("xor", "one", 2, 1, 0),', '"N": ("xor", "one", 1, 2, 0),'),
     Mutant("phase-on-copy-leg-1", "src/stabtensor/circuits.py",
-           'tags, enter, leave, phase = (*tags, "copy", f"t{step}"), 2, 1, 0',
-           'tags, enter, leave, phase = (*tags, "copy", f"t{step}"), 2, 0, 1'),
+           '("copy", f"t{k}", 0, 2, 1)', '("copy", f"t{k}", 1, 2, 0)'),
+    Mutant("not-step-swaps-columns", "src/stabtensor/circuits.py",
+           "return c, d, a, b, h", "return b, a, d, c, h"),
+    # The word walk (circuits._walk_words): each word's block and products.
     Mutant("one-step-product-legs-swapped", "src/stabtensor/circuits.py",
            "products.append((alone, legs.index(leave), legs.index(enter)))",
            "products.append((alone, legs.index(enter), legs.index(leave)))"),
-    # The run products and run ends (circuits.compile_circuit).
+    # The run products (circuits._RUN_AFTER).
     Mutant("run-product-composed-backwards", "src/stabtensor/circuits.py",
            "_followed_by(e, f) for e in", "_followed_by(f, e) for e in"),
-    Mutant("not-leaves-its-wire-run-open", "src/stabtensor/circuits.py",
+    # The run ends (circuits.compile_circuit): a CN ends the runs on both wires.
+    Mutant("cn-leaves-target-run-open", "src/stabtensor/circuits.py",
            "        for w in op.wires:\n            if run[w]:",
-           "        for w in op.wires if op.gate == \"CN\" else ():\n            if run[w]:"),
+           "        for w in op.wires[:1]:\n            if run[w]:"),
     # The relation tables (relations.RELATIONS and the Hadamard-basis pairs).
     Mutant("unit-laws-xor-unit-ket1", "src/stabtensor/relations.py",
            '(("xor", "ket0", "copy", "plus")', '(("xor", "ket1", "copy", "plus")'),

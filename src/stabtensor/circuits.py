@@ -1,38 +1,39 @@
 """Gate-list circuits and their compilation to tensor networks.
 
 Every gate is built as a block of generator tensors: its nodes, its
-internal bonds, and where each of its wires enters and leaves it.  CN and
-NOT are the table `GATE_BLOCKS`; a run of single-wire gates is one word
-block (`WORD_BLOCKS`).  Built from generators only:
+internal bonds, and where each of its wires enters and leaves it.  CN is
+the block `CN_BLOCK`; a run of single-wire gates is one word block
+(`WORD_BLOCKS`).  Built from generators only:
 
     H    native Hadamard tensor
     S    copy tensor with (1, i) contracted into one leg (diagonal lift)
     Z    diagonal lift of (1, -1)
-    X    H Z H
+    NOT  XOR tensor with the constant |1> on one input
+    X    NOT (the same matrix)
     Y    S X S^3
     CN   copy tensor on the control wire feeding the XOR tensor on the target
-    NOT  XOR tensor with the constant |1> on one input
 
 The single-wire gates generate a group of 192 matrices (24 up to a global
-phase).  At import a shortest-path search over the steps H and diag(1, i**k)
-gives each of them its shortest word (`WORDS`, costs in nodes) and the
-integer table of which element each gate leads to from each element.  The
-words for H, S, Z, X and Y are the five above (`SINGLE_WIRE_STEPS`).
-`compile_circuit` keeps one element per wire, one lookup per single-wire
-gate; a CN or NOT ends the runs on its wires.  Each run that is not the
-identity becomes one word block, and an identity run becomes no node: the
-paper's relations (H H = I, phases compose pointwise through the copy
-tensor) make the word equal to the gates it replaces.
+phase).  At import a shortest-path search over the steps H, diag(1, i**k)
+and NOT gives each of them its shortest word (`WORDS`, costs in nodes) and
+the integer table of which element each gate leads to from each element.
+The words for H, S, Z, NOT, X and Y are the six above
+(`SINGLE_WIRE_STEPS`).  `compile_circuit` keeps one element per wire, one
+lookup per single-wire gate; a CN ends the runs on its wires.  Each run
+that is not the identity becomes one word block, and an identity run
+becomes no node: the paper's relations (H H = I, phases compose pointwise
+through the copy tensor, NOT NOT = I through the XOR tensor) make the word
+equal to the gates it replaces.
 
 Each block declares its internal bonds before the bonds that attach it to
 its wires, so the merges inside a block involve that block's generator
 tensors alone and are the same in every circuit.  At import this module
 fills `tensor`'s table of stored products (`tensor.store_product`) with
-every merge of each one-word network and of each one-gate CN and NOT
-network, as an operator and as a state on every input bit pattern: the
-merges inside each block, and those that join the first block on each
-wire to the shared identity anchor or input ket it meets.  Each word's
-block and the merges inside it come from one walk over the words' tree
+every merge of each one-word network and of the one-gate CN network, as
+an operator and as a state on every input bit pattern: the merges inside
+each block, and those that join the first block on each wire to the
+shared identity anchor or input ket it meets.  Each word's block and the
+merges inside it come from one walk over the words' tree
 (`_walk_words`).  `contract_pair` returns a stored product without
 running the kernel, while every merge still goes through it; the table
 does not grow after import.
@@ -50,7 +51,6 @@ verification suite reports the comparison instead of assuming either.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -62,8 +62,17 @@ from stabtensor.tensor import (
 
 # Single-wire gates as the steps they take along their wire: "H" is a
 # Hadamard node, k a copy node with the phase vector t{k} on leg 0, which
-# is the diagonal lift diag(1, i**k).  A step costs its nodes.
-STEP_COST = {"H": 1, 1: 2, 2: 2, 3: 2}
+# is the diagonal lift diag(1, i**k), and "N" (NOT) an xor node with the
+# constant |1> on leg 2.  Each step's nodes: its generator's tag, the
+# constant bonded into one of its legs (its tag and that leg, or None),
+# and the legs the wire enters and leaves it by.
+_STEP_NODES = {
+    "H": ("H", None, None, 1, 0),
+    **{k: ("copy", f"t{k}", 0, 2, 1) for k in (1, 2, 3)},
+    "N": ("xor", "one", 2, 1, 0),
+}
+# A step costs its nodes.
+STEP_COST = {step: 2 if constant else 1 for step, (_, constant, *_) in _STEP_NODES.items()}
 
 # A single-wire element (a 2x2 matrix) held exactly as (a, b, c, d, h): its
 # entries a, b, c, d (row-major) are Gaussian integers over sqrt(2)**h, h
@@ -71,13 +80,15 @@ STEP_COST = {"H": 1, 1: 2, 2: 2, 3: 2}
 # single-wire gate's matrix, the textbook one of `oracles.GATE_MATRICES`:
 _GATE_MATRICES = {
     "H": (1, 1, 1, -1, 1), "S": (1, 0, 0, 1j, 0), "X": (0, 1, 1, 0, 0),
-    "Y": (0, -1j, 1j, 0, 0), "Z": (1, 0, 0, -1, 0),
+    "Y": (0, -1j, 1j, 0, 0), "Z": (1, 0, 0, -1, 0), "NOT": (0, 1, 1, 0, 0),
 }
 
 
 def _then(matrix: tuple, step) -> tuple:
     """The element `matrix` followed by `step`: the step's matrix times it."""
     a, b, c, d, h = matrix
+    if step == "N":
+        return c, d, a, b, h
     if step != "H":
         phase = gen.I_POWERS[step]
         return a, b, c * phase, d * phase, h
@@ -145,37 +156,41 @@ _RUN_AFTER = {
 }
 
 
+def _generator_tensors() -> dict:
+    """Each node tag's generator, each accessor read once, at call time."""
+    return {
+        "copy": gen.copy_tensor(), "xor": gen.xor_tensor(), "H": gen.hadamard(),
+        "t1": gen.t_vector(1), "t2": gen.t_vector(2), "t3": gen.t_vector(3),
+        "one": gen.ket_one(),
+    }
+
+
 def _walk_words() -> tuple:
     """Each word's block and its stored product, built together over the
     words' tree, parents first.
 
-    A word is its parent word followed by one step.  The wire enters an H
-    node at leg 1 and leaves it at leg 0; it enters a copy node at leg 2
-    and leaves it at leg 1, the phase vector on leg 0.  The step declares
-    its phase-vector bond, then the chain bond from the parent's exit, and
-    its product makes those merges in that order, as `TensorNetwork.plan`
-    makes them in the block.  Returns the blocks (in `GATE_BLOCKS`' form) and,
-    for each word, its product with the product's exit and entry legs,
-    both indexed by element (None for the identity).
+    A word is its parent word followed by one step, whose nodes and legs
+    are its row of `_STEP_NODES`.  The step declares its constant's bond,
+    then the chain bond from the parent's exit, and its product makes
+    those merges in that order, as `TensorNetwork.plan` makes them in the
+    block.  Returns the blocks (in `CN_BLOCK`'s form) and, for each word,
+    its product with the product's exit and entry legs, both indexed by
+    element (None for the identity).
     """
-    copy = gen.copy_tensor()
-    # Each step on its own, and that product's legs: its node's legs less
-    # the one its phase vector takes.
-    on_own = {"H": (gen.hadamard(), (0, 1))}
+    tensors = _generator_tensors()
     blocks, products = [None], [None]
     for word, parent in zip(WORDS[1:], _PARENTS[1:]):
-        step = word[-1]
+        tag, constant, at, enter, leave = _STEP_NODES[word[-1]]
         tags, inner, ends = blocks[parent] or ((), (), None)
-        node = len(tags)
-        if step == "H":
-            tags, enter, leave = (*tags, "H"), 1, 0
-        else:
-            tags, enter, leave, phase = (*tags, "copy", f"t{step}"), 2, 1, 0
-            inner += ((node + 1, 0, node, phase),)
-            if step not in on_own:
-                alone = store_product(gen.t_vector(step), (0,), copy, (phase,))
-                on_own[step] = alone, tuple(leg for leg in range(3) if leg != phase)
-        alone, legs = on_own[step]
+        node, alone = len(tags), tensors[tag]
+        # The step on its own, and that product's legs: its node's legs
+        # less the one its constant takes.
+        legs = [leg for leg in range(alone.rank) if leg != at]
+        tags += (tag,)
+        if constant:
+            tags += (constant,)
+            inner += ((node + 1, 0, node, at),)
+            alone = store_product(tensors[constant], (0,), alone, (at,))
         if parent:
             ((i, a, j, b),) = ends
             inner += ((j, b, node, enter),)
@@ -194,18 +209,13 @@ def _walk_words() -> tuple:
 # before the block meets its wires; and for each wire the (node, leg) where
 # the wire enters and the (node, leg) where it leaves.  WORD_BLOCKS[e] is
 # element e's word's block (None for the identity), and the single-wire
-# gates' runs are written with them; GATE_BLOCKS holds the other two gates.
+# gates' runs are written with them; CN is the one other block.
 WORD_BLOCKS, _WORD_PRODUCTS = _walk_words()
-GATE_BLOCKS = {
-    # NOT: the constant |1> on xor leg 2; the wire enters xor leg 1, leaves leg 0.
-    "NOT": (("xor", "one"), ((1, 0, 0, 2),), ((0, 1, 0, 0),)),
-    # CN: copy leg 2 feeds xor leg 2; the control enters copy leg 0 and leaves
-    # leg 1, the target enters xor leg 1 and leaves leg 0.
-    "CN": (("copy", "xor"), ((0, 2, 1, 2),), ((0, 0, 0, 1), (1, 1, 1, 0))),
-}
+# CN: copy leg 2 feeds xor leg 2; the control enters copy leg 0 and leaves
+# leg 1, the target enters xor leg 1 and leaves leg 0.
+CN_BLOCK = (("copy", "xor"), ((0, 2, 1, 2),), ((0, 0, 0, 1), (1, 1, 1, 0)))
 
-GATE_ARITY = dict.fromkeys(_GATE_ELEMENTS, 1) | {
-    gate: len(wires) for gate, (_, _, wires) in GATE_BLOCKS.items()}
+GATE_ARITY = dict.fromkeys(_GATE_ELEMENTS, 1) | {"CN": 2}
 
 # A LegBinding from a tuple of its four fields, without NamedTuple's
 # per-call argument handling.
@@ -332,18 +342,13 @@ def cn_index_contraction() -> Tensor:
 
 def compile_circuit(circuit: Circuit) -> TensorNetwork:
     """Compile a circuit to a network over the generator tensors only: one
-    block per CN and NOT, and one word block per run of single-wire gates.
+    block per CN, and one word block per run of single-wire gates.
 
     With an input string the open legs are the output wires 0..width-1.
     Without one the result is the circuit operator with open legs
     (out_0..out_{n-1}, in_0..in_{n-1}).
     """
-    # Each accessor is read once per call, and still at call time.
-    tensors = {
-        "copy": gen.copy_tensor(), "xor": gen.xor_tensor(), "H": gen.hadamard(),
-        "t1": gen.t_vector(1), "t2": gen.t_vector(2), "t3": gen.t_vector(3),
-        "one": gen.ket_one(),
-    }
+    tensors = _generator_tensors()
     if circuit.input is None:
         # Anchor each open input on an identity node so inputs stay legs.
         tensors["id"] = gen.identity_map()
@@ -364,9 +369,9 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
         cur.append((name, 0))
 
     # Each wire's run of single-wire gates is one element, a lookup per
-    # gate.  A CN or NOT ends the run on each of its wires: the run becomes
-    # one word block, or no block if it is the identity.  So do the runs
-    # left at the end, wire by wire.
+    # gate.  A CN ends the run on each of its wires: the run becomes one
+    # word block, or no block if it is the identity.  So do the runs left
+    # at the end, wire by wire.
     blocks = []
     run = [0] * circuit.width
     for op in circuit.ops:
@@ -379,7 +384,7 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
             if run[w]:
                 blocks.append((WORD_BLOCKS[run[w]], (w,)))
                 run[w] = 0
-        blocks.append((GATE_BLOCKS[op.gate], op.wires))
+        blocks.append((CN_BLOCK, op.wires))
     for w, element in enumerate(run):
         if element:
             blocks.append((WORD_BLOCKS[element], (w,)))
@@ -406,18 +411,15 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
 def _store_products() -> None:
     """Store each word's merge with each input ket and with the identity
-    anchor at its entry leg, and every merge of each one-gate CN or NOT
-    network, as an operator and as a state on every input bit pattern.
-    The merges inside each word were stored as `_walk_words` built it."""
+    anchor at its entry leg, and every merge of the one-gate CN network,
+    as an operator and as a state on every input bit pattern.  The merges
+    inside each word were stored as `_walk_words` built it."""
     for start in (gen.ket_zero(), gen.ket_one(), gen.identity_map()):
         for product, _, entry in _WORD_PRODUCTS[1:]:
             store_product(start, (0,), product, (entry,))
-    for gate in GATE_BLOCKS:
-        arity = GATE_ARITY[gate]
-        ops = (GateApp(gate, tuple(range(arity))),)
-        for bits in (None, *map("".join, itertools.product("01", repeat=arity))):
-            net = compile_circuit(Circuit(arity, ops, bits))
-            stored_merges(list(net.nodes.values()), net.plan(), store_product)
+    for bits in (None, "00", "01", "10", "11"):
+        net = compile_circuit(Circuit(2, (GateApp("CN", (0, 1)),), bits))
+        stored_merges(list(net.nodes.values()), net.plan(), store_product)
 
 
 _store_products()

@@ -104,7 +104,7 @@ def compare(
 
 
 # Each relation family as its two sides, each side one diagram over the
-# generators, held as `circuits.GATE_BLOCKS` holds a gate: its nodes by
+# generators, held as `circuits.CN_BLOCK` holds a gate: its nodes by
 # generator tag, its bonds (node, leg, node, leg) between node positions,
 # and its open legs (node, leg) in order.  In a family of two laws, the
 # first law's nodes and open legs come first.
@@ -222,14 +222,14 @@ def compiled_cn() -> Tensor:
 
 
 def verify_clifford_recovery(tol: float = DEFAULT_TOL) -> list[RelationReport]:
-    """Check the networks `compile_circuit` builds for S, Z, X, Y, NOT and
-    CN against the oracles' textbook matrices, and the compiled CN for
+    """Check the networks `compile_circuit` builds for H, S, Z, X, Y, NOT
+    and CN against the oracles' textbook matrices, and the compiled CN for
     unitarity."""
     reports = [
         compare(f"clifford-{gate}",
                 circuit_unitary(Circuit(1, (GateApp(gate, (0,)),))),
                 Tensor(2, GATE_MATRICES[gate]), tol)
-        for gate in ("S", "Z", "X", "Y", "NOT")
+        for gate in ("H", "S", "Z", "X", "Y", "NOT")
     ]
 
     cn_op = compiled_cn()

@@ -142,9 +142,14 @@ def _wrap_result(rank: int, arr: np.ndarray) -> Tensor:
 
 
 def tensor_from_fn(rank: int, fn: Callable[..., complex]) -> Tensor:
-    """Build a tensor by evaluating fn on every index tuple over {0,1}."""
+    """Build a tensor by evaluating fn on every index tuple over {0,1}.
+
+    A rank above the budget is refused (RankBudgetError) before fn is
+    called at all, not after its 2**rank calls.
+    """
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
+    check_rank(rank, "a tensor_from_fn result")
     data = []
     for flat in range(1 << rank):
         idx = tuple((flat >> (rank - 1 - k)) & 1 for k in range(rank))
@@ -514,7 +519,7 @@ class TensorNetwork:
         the last step puts the open legs in declared order.  Raises
         RankBudgetError at the first step whose result rank would exceed
         MAX_RANK, before any tensor is touched.  Compiled circuits declare
-        their bonds block by block (a CN, a NOT or one word for a run of
+        their bonds block by block (a CN or one word for a run of
         single-wire gates), each block's internal bonds before the bond
         that attaches it to its wire: every block is merged on its own
         (`contract_pair` returns those merges stored), then joins the state

@@ -225,11 +225,11 @@ class TestCompile:
         monkeypatch.setattr(tensor, "_wrap_result", recording_wrap)
         ops = tuple(GateApp(g, (0,)) for g in ("H", "S", "Z", "X", "Y", "NOT"))
         ops += (GateApp("CN", (0, 1)),)
-        # Two input nodes; the run H S Z X Y is one element, whose word
-        # (2, H, 3, H, 2, H) has 9 nodes; NOT and CN have 2 each.
+        # Two input nodes; the run H S Z X Y NOT is one element, whose word
+        # (H, N, 3) has 5 nodes; CN has 2.
         for bits in ("01", None):
             net = compile_circuit(Circuit(2, ops, bits))
-            assert len(net.nodes) == 15
+            assert len(net.nodes) == 9
         assert built == []
 
     def test_compiled_operator_is_unitary(self):
@@ -272,10 +272,10 @@ def _structure_corpus():
 def test_compiled_structure_is_pinned():
     # One digest over each network's node names, the accessor whose tensor
     # each node is, its bonds, open legs and plan steps: a faster compile or
-    # plan must leave every one of them as it is.  Recorded when each run
-    # of single-wire gates became one word block (the corpus's nodes fell
-    # from 7368 to 5420 and its merges from 7272 to 5324), after every
-    # network was checked to contract to the gate-by-gate one's result.
+    # plan must leave every one of them as it is.  Recorded when NOT became
+    # a step of its wire's run (the corpus's nodes fell from 5420 to 3952
+    # and its merges from 5324 to 3856), after every network was checked to
+    # contract to the earlier compile's result within 1e-12.
     accessors = {
         gen.copy_tensor(): "copy_tensor", gen.xor_tensor(): "xor_tensor",
         gen.hadamard(): "hadamard", gen.ket_zero(): "ket_zero",
@@ -290,27 +290,27 @@ def test_compiled_structure_is_pinned():
         steps = [tuple(step) for step in net.plan()]
         digest.update(repr((nodes, bonds, net.open_legs, steps)).encode())
     assert digest.hexdigest() == (
-        "7ef6f405930007360a1e565ea9ecf3d1337a9cf40e097cd4a3c16d571d497e36")
+        "d5db7bfb4bed5d82f786690a9b62242da04f6d1882c77884cb53336e7b53b51b")
 
 
 class TestGateProducts:
-    """Every merge of each one-word network and of the one-gate CN and NOT
-    networks, as an operator and as a state on every input bit pattern, is
-    contracted once, at import: the merges inside the block and those with
-    the identity anchors and the input kets."""
+    """Every merge of each one-word network and of the one-gate CN network,
+    as an operator and as a state on every input bit pattern, is contracted
+    once, at import: the merges inside the block and those with the
+    identity anchors and the input kets."""
 
     def test_table_is_filled_at_import_and_never_grows(self, capsys):
         # Inside the 191 words of the single-wire elements other than the
-        # identity: three merges of a phase vector into its copy node, and
-        # one chain merge for each of the 187 words of two steps or more.
-        # With the anchors and kets: three for each word, one per input bit
-        # and one for the anchor.  That is 3 + 187 + 573 = 763.  NOT adds
-        # one merge inside, one with the anchor and two with the kets: 4.
-        # CN adds one inside, two with the anchors, and six with the kets:
-        # two for the control's ket, then four for the target's ket on each
-        # control result: 9.  That is 776.
+        # identity: three merges of a phase vector into its copy node, one
+        # of the constant |1> into its xor node, and one chain merge for
+        # each of the 186 words of two steps or more.  With the anchors and
+        # kets: three for each word, one per input bit and one for the
+        # anchor.  That is 4 + 186 + 573 = 763.  CN adds one inside, two
+        # with the anchors, and six with the kets: two for the control's
+        # ket, then four for the target's ket on each control result: 9.
+        # That is 772.
         stored = dict(tensor._PRODUCTS)
-        assert len(stored) == 776
+        assert len(stored) == 772
         assert cli.main(["--format", "records", "verify"]) == 0
         capsys.readouterr()
         gates = oracles.CLIFFORD_GATES + ("NOT",)
@@ -337,16 +337,13 @@ class TestGateProducts:
         # k copies of a single-wire gate are one run: one word block, whose
         # merges and whose merge with the input ket or the identity anchor
         # are stored, or no block when the run is the identity.  So no
-        # kernel runs.  Each NOT is a block of its own and joins the wire in
-        # one merge that runs the kernel, except the first, which meets the
-        # ket or the anchor in a stored merge: k - 1 runs.  For a state and
-        # an operator alike.
+        # kernel runs, for a state and an operator alike.
         ops = (GateApp(gate, (0,)),) * k
         for build, circ in ((circuit_state, Circuit(1, ops, "1")),
                             (circuit_unitary, Circuit(1, ops))):
             kernel_runs.clear()
             got = build(circ).array.reshape(-1)
-            assert len(kernel_runs) == (k - 1 if gate == "NOT" else 0)
+            assert kernel_runs == []
             want = np.linalg.matrix_power(oracles.GATE_MATRICES[gate], k)
             want = want[:, 1] if circ.input else want.reshape(-1)
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -384,15 +381,22 @@ class TestGateProducts:
         assert kernel_runs == [2]
 
     def test_gate_bonds_come_before_the_bond_to_the_wire(self):
-        # X on wire 0 of an operator: H, copy and t2 are bonded among
-        # themselves first, then the first H to the wire's identity anchor.
+        # X on wire 0 of an operator: the constant |1> is bonded into the
+        # xor node first, then the xor node to the wire's identity anchor.
         net = compile_circuit(Circuit(1, (GateApp("X", (0,)),)))
-        assert list(net.nodes) == ["0:id", "1:H", "2:copy", "3:t2", "4:H"]
+        assert list(net.nodes) == ["0:id", "1:xor", "2:one"]
+        assert net.bonds == (("2:one", 0, "1:xor", 2), ("0:id", 0, "1:xor", 1))
+        assert net.open_legs == (("1:xor", 0), ("0:id", 1))
+        # Y, the word (3, N, 1): each step's constant, then its chain bond
+        # from the step before, and the first node to the anchor last.
+        net = compile_circuit(Circuit(1, (GateApp("Y", (0,)),)))
+        assert list(net.nodes) == [
+            "0:id", "1:copy", "2:t3", "3:xor", "4:one", "5:copy", "6:t1"]
         assert net.bonds == (
-            ("3:t2", 0, "2:copy", 0), ("1:H", 0, "2:copy", 2),
-            ("2:copy", 1, "4:H", 1), ("0:id", 0, "1:H", 1),
+            ("2:t3", 0, "1:copy", 0), ("4:one", 0, "3:xor", 2), ("1:copy", 1, "3:xor", 1),
+            ("6:t1", 0, "5:copy", 0), ("3:xor", 0, "5:copy", 2), ("0:id", 0, "1:copy", 2),
         )
-        assert net.open_legs == (("4:H", 0), ("0:id", 1))
+        assert net.open_legs == (("5:copy", 1), ("0:id", 1))
 
 
 def _element_matrix(element) -> np.ndarray:
@@ -403,9 +407,9 @@ def _element_matrix(element) -> np.ndarray:
 
 def _spelled(word) -> tuple:
     """Single-wire gates whose run is `word`'s element: H for each H step,
-    k copies of S for each phase step k."""
-    return tuple(GateApp("H" if step == "H" else "S", (0,))
-                 for step in word for _ in range(1 if step == "H" else step))
+    NOT for each N step, k copies of S for each phase step k."""
+    gates = {"H": ("H",), "N": ("NOT",), 1: ("S",), 2: ("S",) * 2, 3: ("S",) * 3}
+    return tuple(GateApp(gate, (0,)) for step in word for gate in gates[step])
 
 
 class TestWordTable:
@@ -424,15 +428,16 @@ class TestWordTable:
         for word, element in zip(words, circuits.ELEMENTS):
             key = tuple(np.round(_element_matrix(element), 9).ravel())
             cost[key] = sum(circuits.STEP_COST[s] for s in word)
-        steps = {"H": oracles.GATE_MATRICES["H"], **{k: np.diag([1, 1j ** k]) for k in (1, 2, 3)}}
+        steps = {"H": oracles.GATE_MATRICES["H"], **{k: np.diag([1, 1j ** k]) for k in (1, 2, 3)},
+                 "N": oracles.GATE_MATRICES["X"]}
         for element in circuits.ELEMENTS:
             matrix = _element_matrix(element)
             here = cost[tuple(np.round(matrix, 9).ravel())]
             for step, step_cost in circuits.STEP_COST.items():
                 assert cost[tuple(np.round(steps[step] @ matrix, 9).ravel())] <= here + step_cost
-        assert max(cost.values()) <= 15
+        assert max(cost.values()) <= 13
         assert circuits.SINGLE_WIRE_STEPS == {
-            "H": ("H",), "S": (1,), "X": ("H", 2, "H"), "Y": (3, "H", 2, "H", 1), "Z": (2,),
+            "H": ("H",), "S": (1,), "X": ("N",), "Y": (3, "N", 1), "Z": (2,), "NOT": ("N",),
         }
         assert circuits.GATE_ARITY == {
             "H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}

@@ -14,7 +14,9 @@ from stabtensor.boolfn import (
     BooleanLinearForm, TruthTable, hadamard_power, parse_truth_table,
 )
 from stabtensor.circuits import Circuit, CircuitParseError, GateApp, parse_circuit
-from stabtensor.tensor import Tensor, max_abs_diff, max_scaled_diff, tensor_from_fn
+from stabtensor.tensor import (
+    RankBudgetError, Tensor, max_abs_diff, max_scaled_diff, tensor_from_fn,
+)
 
 REJECTIONS = {
     "gate-unknown": (lambda: GateApp("T", (0,)), ValueError, "unknown gate 'T'"),
@@ -50,6 +52,10 @@ REJECTIONS = {
     "tensor-rank": (lambda: Tensor(-1, []), ValueError, "rank must be non-negative, got -1"),
     "tensor-from-fn-rank": (lambda: tensor_from_fn(-1, complex), ValueError,
                             "rank must be non-negative, got -1"),
+    # Refused before fn is called, not after its 2**25 calls.
+    "tensor-from-fn-over-budget": (lambda: tensor_from_fn(tensor.MAX_RANK + 1, complex),
+                                   RankBudgetError,
+                                   "a tensor_from_fn result has rank 25; the rank budget is 24"),
     "index-count": (lambda: gen.hadamard()[(0,)], IndexError, "expected 2 indices, got 1"),
     "index-bit": (lambda: gen.hadamard()[(0, 2)], IndexError,
                   "leg index must be 0 or 1, got 2"),

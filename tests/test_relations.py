@@ -65,6 +65,7 @@ def test_clifford_recovery_all_exact():
     reports = relations.verify_clifford_recovery()
     ids = [r.relation_id for r in reports]
     assert ids == [
+        "clifford-H",
         "clifford-S",
         "clifford-Z",
         "clifford-X",
@@ -138,15 +139,15 @@ def test_patched_xor_accessor_reaches_the_compiled_cn(monkeypatch):
         assert _clifford(rid).status is RelationStatus.FAILS
 
 
-def test_patched_hadamard_reaches_the_compiled_x(monkeypatch, capsys):
-    # The gate blocks' stored products are keyed by the generator objects,
-    # so a patched accessor's tensor is contracted afresh.  (-H) Z (-H) is
-    # still X; a Hadamard with its minus sign dropped makes X the zero map.
+def test_patched_hadamard_reaches_the_compiled_h(monkeypatch, capsys):
+    # The word blocks' stored products are keyed by the generator objects,
+    # so a patched accessor's tensor is contracted afresh: a Hadamard with
+    # its minus sign dropped makes the compiled H that unsigned matrix.
     unsigned = Tensor(2, [abs(v) for v in gen.hadamard().data])
     monkeypatch.setattr(gen, "hadamard", lambda: unsigned)
     assert cli.main(["--format", "records", "verify"]) == 1
     records = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("check=clifford-X status=Fails ") for line in records)
+    assert any(line.startswith("check=clifford-H status=Fails ") for line in records)
 
 
 def _verify_exit(capsys):
@@ -156,10 +157,12 @@ def _verify_exit(capsys):
 
 
 def test_not_built_on_ket0_fails_clifford_not(monkeypatch, capsys):
-    # NOT with |0> on the XOR's spare leg is the identity, itself unitary
+    # NOT with |0> on the XOR's spare leg is the identity, itself unitary;
+    # X and Y are written with the same N step
     monkeypatch.setattr(gen, "ket_one", gen.ket_zero)
     reports = relations.verify_clifford_recovery()
-    assert [r.relation_id for r in reports if not r.holds] == ["clifford-NOT"]
+    assert [r.relation_id for r in reports if not r.holds] == [
+        "clifford-X", "clifford-Y", "clifford-NOT"]
     assert _verify_exit(capsys) == 1
 
 
@@ -259,7 +262,7 @@ def test_every_report_is_one_compare(monkeypatch):
     monkeypatch.setattr(relations, "compare", counting)
     monkeypatch.setattr(boolfn, "compare", counting)
     reports = cli.verification_reports(DEFAULT_TOL)
-    assert len(reports) == 23
+    assert len(reports) == 24
     assert [id(r) for r in reports] == [id(r) for r in made]
 
 
