@@ -59,17 +59,25 @@ MUTANTS = [
            '("copy", f"t{k}", 0, 2, 1)', '("copy", f"t{k}", 1, 2, 0)'),
     Mutant("not-step-swaps-columns", "src/stabtensor/circuits.py",
            "return c, d, a, b, h", "return b, a, d, c, h"),
-    # The word walk (circuits._walk_words): each word's block and products.
-    Mutant("one-step-product-legs-swapped", "src/stabtensor/circuits.py",
-           "products.append((alone, legs.index(leave), legs.index(enter)))",
-           "products.append((alone, legs.index(enter), legs.index(leave)))"),
+    # The phases omega**g a run leaves beside its class word (circuits._SCALARS).
+    Mutant("omega-powers-conjugated", "src/stabtensor/circuits.py",
+           "(e, complex(a) * gen.SQRT_HALF ** h)",
+           "(e, complex(a).conjugate() * gen.SQRT_HALF ** h)"),
     # The run products (circuits._RUN_AFTER).
     Mutant("run-product-composed-backwards", "src/stabtensor/circuits.py",
            "_followed_by(e, f) for e in", "_followed_by(f, e) for e in"),
-    # The run ends (circuits.compile_circuit): a CN ends the runs on both wires.
+    # The run ends (circuits.compile_circuit): a CN ends the runs on both
+    # wires, and every run's phase joins the network's, a run of the
+    # identity class too.
     Mutant("cn-leaves-target-run-open", "src/stabtensor/circuits.py",
-           "        for w in op.wires:\n            if run[w]:",
-           "        for w in op.wires[:1]:\n            if run[w]:"),
+           "        for w in op.wires:\n            e, run[w] = run[w], 0",
+           "        for w in op.wires[:1]:\n            e, run[w] = run[w], 0"),
+    Mutant("identity-class-phase-dropped", "src/stabtensor/circuits.py",
+           "        phase += PHASE[element]\n        if WORD_BLOCKS[element]:\n",
+           "        if WORD_BLOCKS[element]:\n            phase += PHASE[element]\n"),
+    # The network's scalar (tensor.TensorNetwork), which carries that phase.
+    Mutant("phase-dropped", "src/stabtensor/tensor.py",
+           "        self.scalar = scalar\n", "        self.scalar = 1\n"),
     # The relation tables (relations.RELATIONS and the Hadamard-basis pairs).
     Mutant("unit-laws-xor-unit-ket1", "src/stabtensor/relations.py",
            '(("xor", "ket0", "copy", "plus")', '(("xor", "ket1", "copy", "plus")'),

@@ -3,40 +3,43 @@
 Every gate is built as a block of generator tensors: its nodes, its
 internal bonds, and where each of its wires enters and leaves it.  CN is
 the block `CN_BLOCK`; a run of single-wire gates is one word block
-(`WORD_BLOCKS`).  Built from generators only:
+(`WORD_BLOCKS`) and a phase.  Built from generators only:
 
     H    native Hadamard tensor
     S    copy tensor with (1, i) contracted into one leg (diagonal lift)
     Z    diagonal lift of (1, -1)
     NOT  XOR tensor with the constant |1> on one input
     X    NOT (the same matrix)
-    Y    S X S^3
+    Y    X Z, with the phase i
     CN   copy tensor on the control wire feeding the XOR tensor on the target
 
-The single-wire gates generate a group of 192 matrices (24 up to a global
-phase).  At import a shortest-path search over the steps H, diag(1, i**k)
-and NOT gives each of them its shortest word (`WORDS`, costs in nodes) and
-the integer table of which element each gate leads to from each element.
-The words for H, S, Z, NOT, X and Y are the six above
-(`SINGLE_WIRE_STEPS`).  `compile_circuit` keeps one element per wire, one
-lookup per single-wire gate; a CN ends the runs on its wires.  Each run
-that is not the identity becomes one word block, and an identity run
-becomes no node: the paper's relations (H H = I, phases compose pointwise
-through the copy tensor, NOT NOT = I through the XOR tensor) make the word
-equal to the gates it replaces.
+The single-wire gates generate a group of 192 matrices, 24 classes up to a
+global phase omega**g (omega = e**(i pi/4)).  At import a shortest-path
+search over the steps H, diag(1, i**k) and NOT gives each element its
+shortest word (`WORDS`, costs in nodes) and the integer table of which
+element each gate leads to from each element.  An element's class is the
+cheapest of its 8 multiples by omega**g (`CLASS`), and its phase the g
+that takes the class's element to it (`PHASE`).  The class words of H, S,
+Z, NOT, X and Y are the six above (`SINGLE_WIRE_STEPS`).
+`compile_circuit` keeps one element per wire, one lookup per single-wire
+gate; a CN ends the runs on its wires.  Each run becomes its class word's
+block, or no node in the identity class, and its phase joins the
+network's `scalar`, which multiplies the contracted result once: the
+paper's relations (H H = I, phases compose pointwise through the copy
+tensor, NOT NOT = I through the XOR tensor) make the word times that
+phase equal to the gates it replaces.
 
 Each block declares its internal bonds before the bonds that attach it to
 its wires, so the merges inside a block involve that block's generator
 tensors alone and are the same in every circuit.  At import this module
 fills `tensor`'s table of stored products (`tensor.store_product`) with
-every merge of each one-word network and of the one-gate CN network, as
-an operator and as a state on every input bit pattern: the merges inside
-each block, and those that join the first block on each wire to the
-shared identity anchor or input ket it meets.  Each word's block and the
-merges inside it come from one walk over the words' tree
-(`_walk_words`).  `contract_pair` returns a stored product without
-running the kernel, while every merge still goes through it; the table
-does not grow after import.
+every merge of each one-block network, CN's and each of the 23 class
+words', as an operator and as a state on every input bit pattern: the
+merges inside each block, and those that join the first block on each
+wire to the shared identity anchor or input ket it meets, 100 products.
+`contract_pair` returns a stored product without running the kernel,
+while every merge still goes through it; the table does not grow after
+import.
 
 Each generator is read through its `generators` accessor once per call,
 at call time, so patching one (say `generators.xor_tensor`) reaches
@@ -51,8 +54,10 @@ verification suite reports the comparison instead of assuming either.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 from stabtensor import generators as gen
 from stabtensor.tensor import (
@@ -139,7 +144,6 @@ def _search_words() -> tuple:
 # _STEPS[step][e] is the element of WORDS[e] followed by `step`.
 ELEMENTS, WORDS, _PARENTS, _STEPS = _search_words()
 _GATE_ELEMENTS = {gate: ELEMENTS.index(m) for gate, m in _GATE_MATRICES.items()}
-SINGLE_WIRE_STEPS = {gate: WORDS[e] for gate, e in _GATE_ELEMENTS.items()}
 
 
 def _followed_by(e: int, f: int) -> int:
@@ -147,6 +151,32 @@ def _followed_by(e: int, f: int) -> int:
     for step in WORDS[f]:
         e = _STEPS[step][e]
     return e
+
+
+# The 8 scalar elements, omega**g times the identity: by g, each element
+# and omega**g.
+_SCALARS = {
+    round(cmath.phase(a) * 4 / cmath.pi) % 8: (e, complex(a) * gen.SQRT_HALF ** h)
+    for e, (a, b, c, d, h) in enumerate(ELEMENTS) if b == c == 0 and a == d
+}
+
+
+def _classes() -> tuple:
+    """Each element's class up to a global phase, and its phase in it.
+
+    A class is an element's 8 multiples by the scalar elements.  CLASS[e]
+    is the first of e's class the search settled, so the cheapest, and
+    PHASE[e] the g for which element e is omega**g times CLASS[e].
+    """
+    found: dict[int, tuple] = {}
+    for e in range(len(ELEMENTS)):
+        if e not in found:
+            found.update({_followed_by(e, z): (e, g) for g, (z, _) in _SCALARS.items()})
+    return tuple(zip(*[found[e] for e in range(len(ELEMENTS))]))
+
+
+CLASS, PHASE = _classes()
+SINGLE_WIRE_STEPS = {gate: WORDS[CLASS[e]] for gate, e in _GATE_ELEMENTS.items()}
 
 
 # The run products: _RUN_AFTER[gate][e] is element e followed by the gate.
@@ -157,60 +187,52 @@ _RUN_AFTER = {
 
 
 def _generator_tensors() -> dict:
-    """Each node tag's generator, each accessor read once, at call time."""
-    return {
+    """Each node tag's generator, each accessor read once, at call time:
+    the gates' tags, the identity anchor and the input kets."""
+    tensors = {
         "copy": gen.copy_tensor(), "xor": gen.xor_tensor(), "H": gen.hadamard(),
         "t1": gen.t_vector(1), "t2": gen.t_vector(2), "t3": gen.t_vector(3),
-        "one": gen.ket_one(),
+        "one": gen.ket_one(), "id": gen.identity_map(), "in0": gen.ket_zero(),
     }
+    tensors["in1"] = tensors["one"]
+    return tensors
 
 
 def _walk_words() -> tuple:
-    """Each word's block and its stored product, built together over the
-    words' tree, parents first.
+    """Each element's block: its class word's, built over the class words'
+    tree, parents first.
 
-    A word is its parent word followed by one step, whose nodes and legs
-    are its row of `_STEP_NODES`.  The step declares its constant's bond,
-    then the chain bond from the parent's exit, and its product makes
-    those merges in that order, as `TensorNetwork.plan` makes them in the
-    block.  Returns the blocks (in `CN_BLOCK`'s form) and, for each word,
-    its product with the product's exit and entry legs, both indexed by
-    element (None for the identity).
+    The class words are prefix-closed, so each but the identity's empty
+    word is its parent class word followed by one step, whose nodes and
+    legs are its row of `_STEP_NODES`.  The step declares its constant's
+    bond, then the chain bond from the parent's exit.  Returns the blocks
+    (in `CN_BLOCK`'s form) indexed by element, None for the 8 scalar
+    elements.
     """
-    tensors = _generator_tensors()
-    blocks, products = [None], [None]
-    for word, parent in zip(WORDS[1:], _PARENTS[1:]):
-        tag, constant, at, enter, leave = _STEP_NODES[word[-1]]
-        tags, inner, ends = blocks[parent] or ((), (), None)
-        node, alone = len(tags), tensors[tag]
-        # The step on its own, and that product's legs: its node's legs
-        # less the one its constant takes.
-        legs = [leg for leg in range(alone.rank) if leg != at]
+    blocks = {0: None}
+    for e in sorted(set(CLASS))[1:]:
+        tag, constant, at, enter, leave = _STEP_NODES[WORDS[e][-1]]
+        tags, inner, ends = blocks[_PARENTS[e]] or ((), (), None)
+        node = len(tags)
         tags += (tag,)
         if constant:
             tags += (constant,)
             inner += ((node + 1, 0, node, at),)
-            alone = store_product(tensors[constant], (0,), alone, (at,))
-        if parent:
-            ((i, a, j, b),) = ends
+        # The block's entry: its parent's, else this step's.
+        ((i, a, j, b),) = ends or ((node, enter, None, None),)
+        if ends:
             inner += ((j, b, node, enter),)
-            last, out, _ = products[parent]
-            # contract_pair keeps the parent's entry leg, then the step's exit.
-            products.append((store_product(last, (out,), alone, (legs.index(enter),)), 1, 0))
-        else:
-            i, a = node, enter
-            products.append((alone, legs.index(leave), legs.index(enter)))
-        blocks.append((tags, inner, ((i, a, node, leave),)))
-    return tuple(blocks), tuple(products)
+        blocks[e] = (tags, inner, ((i, a, node, leave),))
+    return tuple([blocks[c] for c in CLASS])
 
 
 # Each gate as one block of generator tensors: its nodes by generator tag;
 # its internal bonds (node, leg, node, leg) between node positions, declared
 # before the block meets its wires; and for each wire the (node, leg) where
 # the wire enters and the (node, leg) where it leaves.  WORD_BLOCKS[e] is
-# element e's word's block (None for the identity), and the single-wire
-# gates' runs are written with them; CN is the one other block.
-WORD_BLOCKS, _WORD_PRODUCTS = _walk_words()
+# element e's class word's block (None in the identity class), and the
+# single-wire gates' runs are written with them; CN is the one other block.
+WORD_BLOCKS = _walk_words()
 # CN: copy leg 2 feeds xor leg 2; the control enters copy leg 0 and leaves
 # leg 1, the target enters xor leg 1 and leaves leg 0.
 CN_BLOCK = (("copy", "xor"), ((0, 2, 1, 2),), ((0, 0, 0, 1), (1, 1, 1, 0)))
@@ -348,31 +370,11 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     Without one the result is the circuit operator with open legs
     (out_0..out_{n-1}, in_0..in_{n-1}).
     """
-    tensors = _generator_tensors()
-    if circuit.input is None:
-        # Anchor each open input on an identity node so inputs stay legs.
-        tensors["id"] = gen.identity_map()
-        starts = ["id"] * circuit.width
-        in_legs = [(f"{k}:id", 1) for k in range(circuit.width)]
-    else:
-        tensors["in0"], tensors["in1"] = gen.ket_zero(), tensors["one"]
-        starts = ["in" + bit for bit in circuit.input]
-        in_legs = []
-    # Node k is named f"{k}:{tag}".
-    nodes: dict[str, Tensor] = {}
-    bonds: list[LegBinding] = []
-    # the dangling output end of each wire
-    cur: list[tuple[str, int]] = []
-    for k, tag in enumerate(starts):
-        name = f"{k}:{tag}"
-        nodes[name] = tensors[tag]
-        cur.append((name, 0))
-
     # Each wire's run of single-wire gates is one element, a lookup per
-    # gate.  A CN ends the run on each of its wires: the run becomes one
-    # word block, or no block if it is the identity.  So do the runs left
-    # at the end, wire by wire.
-    blocks = []
+    # gate.  A CN ends the run on each of its wires, and so does the end of
+    # the circuit: the run becomes its class's word block, or no block in
+    # the identity class, and its phase in the class joins the network's.
+    blocks, phase = [], 0
     run = [0] * circuit.width
     for op in circuit.ops:
         after = _RUN_AFTER.get(op.gate)
@@ -381,18 +383,37 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
             run[w] = after[run[w]]
             continue
         for w in op.wires:
-            if run[w]:
-                blocks.append((WORD_BLOCKS[run[w]], (w,)))
-                run[w] = 0
+            e, run[w] = run[w], 0
+            phase += PHASE[e]
+            if WORD_BLOCKS[e]:
+                blocks.append((WORD_BLOCKS[e], (w,)))
         blocks.append((CN_BLOCK, op.wires))
     for w, element in enumerate(run):
-        if element:
+        phase += PHASE[element]
+        if WORD_BLOCKS[element]:
             blocks.append((WORD_BLOCKS[element], (w,)))
+    return _network(circuit.width, circuit.input, blocks, _SCALARS[phase % 8][1])
+
+
+def _network(width: int, bits: str | None, blocks: list, scalar: complex = 1) -> TensorNetwork:
+    """The network of `blocks`, each a (block, wires) pair in circuit order,
+    on `width` wires that start from the input kets of `bits`, or from
+    identity anchors when `bits` is None; its result is scaled by `scalar`."""
+    tensors = _generator_tensors()
+    # Without input bits, each open input is anchored on an identity node
+    # so that inputs stay legs.
+    starts = ["id"] * width if bits is None else ["in" + bit for bit in bits]
+    in_legs = [(f"{k}:id", 1) for k in range(width)] if bits is None else []
+    # Node k is named f"{k}:{tag}"; cur holds the dangling output end of
+    # each wire.
+    nodes = {f"{k}:{tag}": tensors[tag] for k, tag in enumerate(starts)}
+    cur = [(name, 0) for name in nodes]
+    bonds: list[LegBinding] = []
 
     # Each block declares its internal bonds, then bonds the end of each
     # wire it acts on to that wire's entry leg; the wire's exit leg becomes
     # its end.
-    k = circuit.width
+    k = width
     for (tags, inner, ends), wires in blocks:
         names = []
         for tag in tags:
@@ -406,20 +427,19 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
             bonds.append(_new_bond((*cur[w], names[i], a)))
             cur[w] = (names[j], b)
 
-    return TensorNetwork(nodes, bonds, cur + in_legs)
+    return TensorNetwork(nodes, bonds, cur + in_legs, scalar)
 
 
 def _store_products() -> None:
-    """Store each word's merge with each input ket and with the identity
-    anchor at its entry leg, and every merge of the one-gate CN network,
-    as an operator and as a state on every input bit pattern.  The merges
-    inside each word were stored as `_walk_words` built it."""
-    for start in (gen.ket_zero(), gen.ket_one(), gen.identity_map()):
-        for product, _, entry in _WORD_PRODUCTS[1:]:
-            store_product(start, (0,), product, (entry,))
-    for bits in (None, "00", "01", "10", "11"):
-        net = compile_circuit(Circuit(2, (GateApp("CN", (0, 1)),), bits))
-        stored_merges(list(net.nodes.values()), net.plan(), store_product)
+    """Store every merge of each one-block network, CN's and each class
+    word's, as an operator and as a state on every input bit pattern: the
+    merges inside the block, and those that join it to the identity
+    anchors or input kets it meets."""
+    for block in (CN_BLOCK, *dict.fromkeys(filter(None, WORD_BLOCKS))):
+        wires = tuple(range(len(block[2])))
+        for bits in (None, *map("".join, product("01", repeat=len(wires)))):
+            net = _network(len(wires), bits, [(block, wires)])
+            stored_merges(list(net.nodes.values()), net.plan(), store_product)
 
 
 _store_products()

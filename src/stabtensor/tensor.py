@@ -476,11 +476,16 @@ def _open_leg(leg) -> tuple[Hashable, int]:
 
 
 class TensorNetwork:
-    """Nodes, bonds between legs, and an ordered list of open legs.
+    """Nodes, bonds between legs, an ordered list of open legs, and a
+    scalar.
 
     Every leg of every node must appear in exactly one bond or exactly one
     open-leg slot; a leg is anything `operator.index` accepts, used as that
-    int.  The open-leg order fixes the leg order of the contracted result.
+    int.  The open-leg order fixes the leg order of the contracted result,
+    and `scalar` (default 1) multiplies it, once, in the construction that
+    puts the open legs in order; a network without nodes contracts to the
+    scalar itself.  A compiled circuit carries its runs' global phase
+    there.
 
     Legs are numbered once, when the network is built, by one walk that
     checks each claim as it reads it, bonds (side a, then b) before open
@@ -499,8 +504,10 @@ class TensorNetwork:
         nodes: dict[Hashable, Tensor],
         bonds: Sequence,
         open_legs: Sequence[tuple[Hashable, int]],
+        scalar: complex = 1,
     ):
         self.nodes = dict(nodes)
+        self.scalar = scalar
         self.bonds = tuple([b if type(b) is LegBinding else _as_binding(b) for b in bonds])
         self.open_legs = tuple([
             leg if type(leg) is tuple and len(leg) == 2 else _open_leg(leg) for leg in open_legs
@@ -613,7 +620,8 @@ class TensorNetwork:
         return steps
 
     def contract(self, order: Sequence[int] | None = None) -> Tensor:
-        """Run `plan(order)` and return the open legs in declared order.
+        """Run `plan(order)` and return the open legs in declared order,
+        multiplied by the network's `scalar`.
 
         Nothing is contracted if the plan exceeds the rank budget.  The
         result is order-independent up to floating-point rounding.
@@ -632,5 +640,12 @@ class TensorNetwork:
                 traced = np.trace(tensors[a].array, axis1=legs_a[0], axis2=legs_a[1])
                 tensors[a] = Tensor(rank, traced)
         if last.kind == "unit":
-            return Tensor(0, (1,))
-        return permute_legs(tensors[last.a], last.legs_a)
+            return Tensor(0, (self.scalar,))
+        # permute_legs's inverse permutation, without its checks (the plan
+        # built the permutation), and the scalar in the same construction,
+        # multiplied only when it is not 1: this step runs once per contract.
+        source = [0] * last.rank
+        for k, p in enumerate(last.legs_a):
+            source[p] = k
+        out = tensors[last.a].array.transpose(source)
+        return Tensor(last.rank, out if self.scalar == 1 else self.scalar * out)

@@ -225,8 +225,8 @@ class TestCompile:
         monkeypatch.setattr(tensor, "_wrap_result", recording_wrap)
         ops = tuple(GateApp(g, (0,)) for g in ("H", "S", "Z", "X", "Y", "NOT"))
         ops += (GateApp("CN", (0, 1)),)
-        # Two input nodes; the run H S Z X Y NOT is one element, whose word
-        # (H, N, 3) has 5 nodes; CN has 2.
+        # Two input nodes; the run H S Z X Y NOT is one element, whose class
+        # word (H, 1, N) has 5 nodes; CN has 2.
         for bits in ("01", None):
             net = compile_circuit(Circuit(2, ops, bits))
             assert len(net.nodes) == 9
@@ -271,11 +271,11 @@ def _structure_corpus():
 
 def test_compiled_structure_is_pinned():
     # One digest over each network's node names, the accessor whose tensor
-    # each node is, its bonds, open legs and plan steps: a faster compile or
-    # plan must leave every one of them as it is.  Recorded when NOT became
-    # a step of its wire's run (the corpus's nodes fell from 5420 to 3952
-    # and its merges from 5324 to 3856), after every network was checked to
-    # contract to the earlier compile's result within 1e-12.
+    # each node is, its bonds, open legs, plan steps and scalar: a faster
+    # compile or plan must leave every one of them as it is.  Recorded when
+    # runs became class words with a phase (the corpus's nodes fell from
+    # 3952 to 3184 and its merges from 3856 to 3088), after every network
+    # was checked to contract to the earlier compile's result within 1e-12.
     accessors = {
         gen.copy_tensor(): "copy_tensor", gen.xor_tensor(): "xor_tensor",
         gen.hadamard(): "hadamard", gen.ket_zero(): "ket_zero",
@@ -288,29 +288,28 @@ def test_compiled_structure_is_pinned():
         nodes = [(name, accessors[node]) for name, node in net.nodes.items()]
         bonds = [tuple(bond) for bond in net.bonds]
         steps = [tuple(step) for step in net.plan()]
-        digest.update(repr((nodes, bonds, net.open_legs, steps)).encode())
+        digest.update(repr((nodes, bonds, net.open_legs, steps, net.scalar)).encode())
     assert digest.hexdigest() == (
-        "d5db7bfb4bed5d82f786690a9b62242da04f6d1882c77884cb53336e7b53b51b")
+        "1e52534610ac121d1e2763dd4de8a2606b9aaa180e412aa33cf13d5fcf42c746")
 
 
 class TestGateProducts:
-    """Every merge of each one-word network and of the one-gate CN network,
+    """Every merge of each one-block network, CN's and each class word's,
     as an operator and as a state on every input bit pattern, is contracted
     once, at import: the merges inside the block and those with the
     identity anchors and the input kets."""
 
     def test_table_is_filled_at_import_and_never_grows(self, capsys):
-        # Inside the 191 words of the single-wire elements other than the
-        # identity: three merges of a phase vector into its copy node, one
-        # of the constant |1> into its xor node, and one chain merge for
-        # each of the 186 words of two steps or more.  With the anchors and
-        # kets: three for each word, one per input bit and one for the
-        # anchor.  That is 4 + 186 + 573 = 763.  CN adds one inside, two
-        # with the anchors, and six with the kets: two for the control's
-        # ket, then four for the target's ket on each control result: 9.
-        # That is 772.
+        # Inside the 23 class words other than the identity's: three merges
+        # of a phase vector into its copy node, one of the constant |1> into
+        # its xor node, and one chain merge for each of the 18 words of two
+        # steps or more.  With the anchors and kets: three for each word,
+        # one per input bit and one for the anchor.  That is 4 + 18 + 69 =
+        # 91.  CN adds one inside, two with the anchors, and six with the
+        # kets: two for the control's ket, then four for the target's ket on
+        # each control result: 9.  That is 100.
         stored = dict(tensor._PRODUCTS)
-        assert len(stored) == 772
+        assert len(stored) == 100
         assert cli.main(["--format", "records", "verify"]) == 0
         capsys.readouterr()
         gates = oracles.CLIFFORD_GATES + ("NOT",)
@@ -336,8 +335,8 @@ class TestGateProducts:
     def test_k_copies_of_a_gate_run_the_kernel_k_times(self, kernel_runs, gate, k):
         # k copies of a single-wire gate are one run: one word block, whose
         # merges and whose merge with the input ket or the identity anchor
-        # are stored, or no block when the run is the identity.  So no
-        # kernel runs, for a state and an operator alike.
+        # are stored, or no block when the run is in the identity class.  So
+        # no kernel runs, for a state and an operator alike.
         ops = (GateApp(gate, (0,)),) * k
         for build, circ in ((circuit_state, Circuit(1, ops, "1")),
                             (circuit_unitary, Circuit(1, ops))):
@@ -387,16 +386,17 @@ class TestGateProducts:
         assert list(net.nodes) == ["0:id", "1:xor", "2:one"]
         assert net.bonds == (("2:one", 0, "1:xor", 2), ("0:id", 0, "1:xor", 1))
         assert net.open_legs == (("1:xor", 0), ("0:id", 1))
-        # Y, the word (3, N, 1): each step's constant, then its chain bond
-        # from the step before, and the first node to the anchor last.
+        assert net.scalar == 1
+        # Y, i times the word (2, N): each step's constant, then its chain
+        # bond from the step before, and the first node to the anchor last.
         net = compile_circuit(Circuit(1, (GateApp("Y", (0,)),)))
-        assert list(net.nodes) == [
-            "0:id", "1:copy", "2:t3", "3:xor", "4:one", "5:copy", "6:t1"]
+        assert list(net.nodes) == ["0:id", "1:copy", "2:t2", "3:xor", "4:one"]
         assert net.bonds == (
-            ("2:t3", 0, "1:copy", 0), ("4:one", 0, "3:xor", 2), ("1:copy", 1, "3:xor", 1),
-            ("6:t1", 0, "5:copy", 0), ("3:xor", 0, "5:copy", 2), ("0:id", 0, "1:copy", 2),
+            ("2:t2", 0, "1:copy", 0), ("4:one", 0, "3:xor", 2), ("1:copy", 1, "3:xor", 1),
+            ("0:id", 0, "1:copy", 2),
         )
-        assert net.open_legs == (("5:copy", 1), ("0:id", 1))
+        assert net.open_legs == (("3:xor", 0), ("0:id", 1))
+        assert net.scalar == 1j
 
 
 def _element_matrix(element) -> np.ndarray:
@@ -412,10 +412,16 @@ def _spelled(word) -> tuple:
     return tuple(GateApp(gate, (0,)) for step in word for gate in gates[step])
 
 
+def _cost(e) -> int:
+    """The nodes of element e's word."""
+    return sum(circuits.STEP_COST[step] for step in circuits.WORDS[e])
+
+
 class TestWordTable:
-    """The shortest-word table `compile_circuit` writes each run with.  Its
-    one-word networks are contracted here only: `verify` would pay for
-    about 576 networks per call."""
+    """The shortest-word table `compile_circuit` writes each run with: the
+    192 elements, their 24 classes up to a global phase, and the classes'
+    words.  Its one-word networks are contracted here only: `verify` would
+    pay for 23 more networks per call."""
 
     def test_words_are_a_prefix_closed_shortest_table(self):
         words = circuits.WORDS
@@ -437,28 +443,82 @@ class TestWordTable:
                 assert cost[tuple(np.round(steps[step] @ matrix, 9).ravel())] <= here + step_cost
         assert max(cost.values()) <= 13
         assert circuits.SINGLE_WIRE_STEPS == {
-            "H": ("H",), "S": (1,), "X": ("N",), "Y": (3, "N", 1), "Z": (2,), "NOT": ("N",),
+            "H": ("H",), "S": (1,), "X": ("N",), "Y": (2, "N"), "Z": (2,), "NOT": ("N",),
         }
         assert circuits.GATE_ARITY == {
             "H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
 
+    def test_classes_are_24_cheapest_words_up_to_a_phase(self):
+        classes = sorted(set(circuits.CLASS))
+        assert len(classes) == 24 and classes[0] == 0
+        words = [circuits.WORDS[c] for c in classes]
+        assert all(word[:-1] in words for word in words[1:])
+        assert max(map(len, words)) == 3 and max(map(_cost, classes)) == 5
+        omega = np.exp(1j * np.pi / 4)
+        for c in classes:
+            members = [e for e, k in enumerate(circuits.CLASS) if k == c]
+            assert sorted(circuits.PHASE[e] for e in members) == list(range(8))
+            assert circuits.PHASE[c] == 0 and _cost(c) == min(map(_cost, members))
+            for e in members:
+                np.testing.assert_allclose(
+                    _element_matrix(circuits.ELEMENTS[e]),
+                    omega ** circuits.PHASE[e] * _element_matrix(circuits.ELEMENTS[c]),
+                    rtol=0, atol=1e-15)
+        # 23 blocks, one per class other than the identity's, whose 8
+        # scalar elements have none.
+        blocks = circuits.WORD_BLOCKS
+        assert len(set(blocks) - {None}) == 23 and max(len(b[0]) for b in blocks if b) == 5
+        for e, c in enumerate(circuits.CLASS):
+            assert blocks[e] == blocks[c] and (blocks[e] is None) == (c == 0)
+
+    def test_each_element_is_its_class_element_followed_by_its_phase(self):
+        # omega**g exactly as the Hadamard holds 1/sqrt(2), for each of the
+        # 8 scalar elements omega**g times the identity
+        quarter_turns = (1, 1j, -1, -1j)
+        for g, (z, omega_g) in circuits._SCALARS.items():
+            assert circuits.CLASS[z] == 0 and circuits.PHASE[z] == g
+            assert omega_g == quarter_turns[g // 2] * (1, 1 + 1j)[g % 2] * gen.SQRT_HALF ** (g % 2)
+            np.testing.assert_allclose(_element_matrix(circuits.ELEMENTS[z]),
+                                       omega_g * np.eye(2), rtol=0, atol=1e-15)
+        for e, (c, g) in enumerate(zip(circuits.CLASS, circuits.PHASE)):
+            assert circuits._followed_by(c, circuits._SCALARS[g][0]) == e
+
     def test_each_gate_element_is_its_textbook_matrix(self):
+        omega = np.exp(1j * np.pi / 4)
         for gate, word in circuits.SINGLE_WIRE_STEPS.items():
-            element = circuits.ELEMENTS[circuits.WORDS.index(word)]
+            e = circuits._RUN_AFTER[gate][0]
+            assert circuits.WORDS[circuits.CLASS[e]] == word
+            want = oracles.GATE_MATRICES[gate]
             np.testing.assert_allclose(
-                _element_matrix(element), oracles.GATE_MATRICES[gate], rtol=0, atol=1e-15)
+                _element_matrix(circuits.ELEMENTS[e]), want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                omega ** circuits.PHASE[e] * _element_matrix(circuits.ELEMENTS[circuits.CLASS[e]]),
+                want, rtol=0, atol=1e-15)
 
     def test_each_word_contracts_to_its_element_with_every_merge_stored(self, kernel_runs):
-        for word, element in zip(circuits.WORDS[1:], circuits.ELEMENTS[1:]):
+        # Each element's own word, spelled in gates, compiles to its class
+        # word's block with the scalar omega**PHASE, and contracts to the
+        # element's matrix with no fitted scalar.
+        omega = np.exp(1j * np.pi / 4)
+        for e, (word, element) in enumerate(zip(circuits.WORDS, circuits.ELEMENTS)):
             ops = _spelled(word)
             for bits in (None, "0", "1"):
                 net = compile_circuit(Circuit(1, ops, bits))
-                assert len(net.nodes) == 1 + sum(circuits.STEP_COST[s] for s in word)
+                assert len(net.nodes) == 1 + _cost(circuits.CLASS[e])
+                assert abs(net.scalar - omega ** circuits.PHASE[e]) <= 1e-15
                 stored = tensor.stored_merges(list(net.nodes.values()), net.plan())
                 assert None not in stored, (word, bits)
             got = circuit_unitary(Circuit(1, ops)).array
             np.testing.assert_allclose(got, _element_matrix(element), rtol=0, atol=1e-15)
         assert kernel_runs == []
+
+    def test_a_scalar_run_compiles_to_no_node_and_keeps_its_phase(self):
+        # X Z X Z is -I: its class is the identity's, so the run is no node.
+        ops = tuple(GateApp(gate, (0,)) for gate in "XZXZ")
+        for bits, want in (("0", (-1, 0)), ("1", (0, -1)), (None, (-1, 0, 0, -1))):
+            net = compile_circuit(Circuit(1, ops, bits))
+            assert len(net.nodes) == 1 and net.bonds == () and net.scalar == -1
+            assert net.contract().data == want
 
 
 @pytest.mark.parametrize("width", range(7, 13))

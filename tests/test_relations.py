@@ -123,9 +123,15 @@ def _clifford(rid):
 
 
 def test_clifford_checks_read_the_compiled_phase_vectors(monkeypatch):
-    # compile builds S^3 from t3; (1, i) there turns Y into S X S
-    _patch_generator(monkeypatch, "t_vector", Tensor(1, (1, 1j)), 3)
+    # compile builds Y as i X Z, Z from t2; (1, i) there turns Y into i X S
+    _patch_generator(monkeypatch, "t_vector", Tensor(1, (1, 1j)), 2)
     assert _clifford("clifford-Y").status is RelationStatus.FAILS
+    # No report reads t3, but a run S S S compiles to it: (1, i) there
+    # turns the run into S
+    monkeypatch.undo()
+    _patch_generator(monkeypatch, "t_vector", Tensor(1, (1, 1j)), 3)
+    sss = circuit_unitary(Circuit(1, (GateApp("S", (0,)),) * 3))
+    assert max_abs_diff(sss, Tensor(2, GATE_MATRICES["S"])) == 0.0
 
 
 def test_clifford_checks_read_the_compiled_cn(monkeypatch):

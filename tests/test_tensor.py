@@ -844,6 +844,17 @@ class TestPlan:
         assert net.plan() == [PlanStep("unit", 0)]
         assert net.contract().data == (1,)
 
+    def test_scalar_scales_the_result_in_its_last_step(self):
+        # A network without nodes is its scalar; any other network's scalar
+        # multiplies its result in the last step's one construction.
+        omega = complex(gen.SQRT_HALF, gen.SQRT_HALF)
+        assert TensorNetwork({}, [], [], scalar=omega).contract().data == (omega,)
+        for net in _corpus().values():
+            phased = TensorNetwork(net.nodes, net.bonds, net.open_legs, scalar=omega)
+            assert phased.plan() == net.plan()
+            assert np.array_equal(phased.contract().array, omega * net.contract().array)
+            assert_plan_is_observed(phased)
+
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
             _feynman_network().plan(order=[0, 0])
