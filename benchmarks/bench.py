@@ -17,11 +17,11 @@ permutation are not counted.  The batch row compiles, plans and contracts
 ``BATCH_SIZE`` seeded circuits shaped like perfbench's contract-ordered
 workload (10-12 wires, depth 30-50, from |0...0>), and builds each
 compiled network once more on its own (``network_us``, the walk that
-numbers and checks the legs), each phase timed over
-the whole batch, and reports microseconds per circuit for each phase (a
-field ending in ``_us``) with the merges and kernel merges per circuit:
-on circuits this small the time is the fixed cost of each node and merge,
-which a single-circuit row cannot resolve.  The relation-suite row times
+numbers and checks the legs), each phase timed over the whole batch
+after a garbage collection, and reports microseconds per circuit for
+each phase (a field ending in ``_us``) with the merges and kernel merges
+per circuit: on circuits this small the time is the fixed cost of each
+node and merge, which a single-circuit row cannot resolve.  The relation-suite row times
 ``stabtensor verify``'s reports and sums the same plan figures over every
 network the suite contracts.  The CLI rows time one whole ``cli.main``
 call, records format, with stdout captured: ``simulate`` on
@@ -44,6 +44,7 @@ in ``_s`` or ``_us``) holds the median over the rounds, and
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -141,16 +142,23 @@ def batch_circuits(count: int, seed: int) -> list[Circuit]:
 
 def batch_row(name: str, circuits: list[Circuit]) -> dict:
     """Microseconds per circuit of compile, network construction (the
-    compiled nodes, bonds and open legs built into a `TensorNetwork` again:
-    the numbering walk that checks every leg claim), plan and contract
-    (which runs its own plan), each phase timed over the whole batch, and
-    the merges and kernel merges per circuit."""
+    compiled nodes, bonds, open legs and scalar built into a
+    `TensorNetwork` again: the numbering walk that checks every leg claim),
+    plan and contract (which runs its own plan), each phase timed over the
+    whole batch, and the merges and kernel merges per circuit.  The garbage
+    collector runs before each phase, so that no phase pays for a
+    collection of what the phases before it left."""
     count = len(circuits)
-    compile_s, nets = timed(lambda: [compile_circuit(c) for c in circuits])
-    network_s, _ = timed(lambda: [TensorNetwork(net.nodes, net.bonds, net.open_legs)
+
+    def phase(fn):
+        gc.collect()
+        return timed(fn)
+
+    compile_s, nets = phase(lambda: [compile_circuit(c) for c in circuits])
+    network_s, _ = phase(lambda: [TensorNetwork(net.nodes, net.bonds, net.open_legs, net.scalar)
                                   for net in nets])
-    plan_s, plans = timed(lambda: [net.plan() for net in nets])
-    contract_s, _ = timed(lambda: [net.contract() for net in nets])
+    plan_s, plans = phase(lambda: [net.plan() for net in nets])
+    contract_s, _ = phase(lambda: [net.contract() for net in nets])
     figures = [plan_figures(net, steps) for net, steps in zip(nets, plans)]
     return {
         "name": name,

@@ -75,6 +75,15 @@ MUTANTS = [
     Mutant("identity-class-phase-dropped", "src/stabtensor/circuits.py",
            "        phase += PHASE[element]\n        if WORD_BLOCKS[element]:\n",
            "        if WORD_BLOCKS[element]:\n            phase += PHASE[element]\n"),
+    # The start table (circuits._START): a state's first run on a wire is
+    # swapped with its ket for a pair that makes the same state, phase
+    # included.
+    Mutant("start-entry-wrong-bit", "src/stabtensor/circuits.py",
+           "first.setdefault(_column(e, bit), (e, bit))",
+           'first.setdefault(_column(e, bit), (e, "0"))'),
+    Mutant("start-phase-dropped", "src/stabtensor/circuits.py",
+           "first.setdefault(_column(e, bit), (e, bit))",
+           "first.setdefault(_column(e, bit), (CLASS[e], bit))"),
     # The network's scalar (tensor.TensorNetwork), which carries that phase.
     Mutant("phase-dropped", "src/stabtensor/tensor.py",
            "        self.scalar = scalar\n", "        self.scalar = 1\n"),

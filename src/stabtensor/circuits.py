@@ -27,19 +27,22 @@ block, or no node in the identity class, and its phase joins the
 network's `scalar`, which multiplies the contracted result once: the
 paper's relations (H H = I, phases compose pointwise through the copy
 tensor, NOT NOT = I through the XOR tensor) make the word times that
-phase equal to the gates it replaces.
+phase equal to the gates it replaces.  A state's first run on a wire acts
+on the input ket, and makes one of the six single-qubit stabilizer states
+up to a phase; it is compiled as the cheapest (element, ket) pair that
+makes the same state (`_START`), whose words are only (), H and (H, 1).
 
 Each block declares its internal bonds before the bonds that attach it to
 its wires, so the merges inside a block involve that block's generator
 tensors alone and are the same in every circuit.  At import this module
 fills `tensor`'s table of stored products (`tensor.store_product`) with
-every merge of each one-block network, CN's and each of the 23 class
-words', as an operator and as a state on every input bit pattern: the
-merges inside each block, and those that join the first block on each
-wire to the shared identity anchor or input ket it meets, 100 products.
-`contract_pair` returns a stored product without running the kernel,
-while every merge still goes through it; the table does not grow after
-import.
+every merge of each one-block operator, CN's and each of the 23 class
+words' (the merges inside each block, and those that join it to the
+identity anchors), and every merge of one CN on each pair of the six
+start states (each start word's merges with its ket, and CN's with the
+two states): 94 products.  `contract_pair` returns a stored product
+without running the kernel, while every merge still goes through it; the
+table does not grow after import.
 
 Each generator is read through its `generators` accessor once per call,
 at call time, so patching one (say `generators.xor_tensor`) reaches
@@ -177,6 +180,36 @@ def _classes() -> tuple:
 
 CLASS, PHASE = _classes()
 SINGLE_WIRE_STEPS = {gate: WORDS[CLASS[e]] for gate, e in _GATE_ELEMENTS.items()}
+
+
+def _column(e: int, bit: str) -> tuple:
+    """The state element e makes of the input ket |bit>, exactly: its
+    column's two entries over sqrt(2)**h, h as small as it can be."""
+    a, b, c, d, h = ELEMENTS[e]
+    x, y = (b, d) if bit == "1" else (a, c)
+    while h > 1 and not (x.real % 2 or x.imag % 2 or y.real % 2 or y.imag % 2):
+        x, y, h = x / 2, y / 2, h - 2
+    return x, y, h
+
+
+def _starts() -> dict:
+    """For each input bit and element e, the cheapest (element, bit) that
+    makes the same state as e on |bit>, phase included.
+
+    Candidates are taken class by class in the order the search settled the
+    class words, so cheapest word first, and ket |0> before |1> within a
+    class; a state keeps its first.  Up to their phase these states are the
+    six single-qubit stabilizer states, whose words are (), H and (H, 1).
+    """
+    first: dict[tuple, tuple] = {}
+    for _, bit, e in sorted((CLASS[e], bit, e) for e in range(len(ELEMENTS)) for bit in "01"):
+        first.setdefault(_column(e, bit), (e, bit))
+    return {bit: tuple([first[_column(e, bit)] for e in range(len(ELEMENTS))]) for bit in "01"}
+
+
+# A wire's first run, element e on its input ket |bit>, starts from
+# _START[bit][e]: (element, bit) with the same state and the cheapest word.
+_START = _starts()
 
 
 # The run products: _RUN_AFTER[gate][e] is element e followed by the gate.
@@ -372,10 +405,15 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     """
     # Each wire's run of single-wire gates is one element, a lookup per
     # gate.  A CN ends the run on each of its wires, and so does the end of
-    # the circuit: the run becomes its class's word block, or no block in
-    # the identity class, and its phase in the class joins the network's.
+    # the circuit.  A state's first run on a wire (fresh: no CN has touched
+    # the wire) acts on its input ket, and is swapped with the ket for the
+    # cheapest pair that makes the same state (`_START`).  The run becomes
+    # its class's word block, or no block in the identity class, and its
+    # phase in the class joins the network's.
     blocks, phase = [], 0
     run = [0] * circuit.width
+    bits = None if circuit.input is None else list(circuit.input)
+    fresh = [bits is not None] * circuit.width
     for op in circuit.ops:
         after = _RUN_AFTER.get(op.gate)
         if after is not None:
@@ -384,21 +422,28 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
             continue
         for w in op.wires:
             e, run[w] = run[w], 0
+            if fresh[w]:
+                fresh[w] = False
+                e, bits[w] = _START[bits[w]][e]
             phase += PHASE[e]
             if WORD_BLOCKS[e]:
                 blocks.append((WORD_BLOCKS[e], (w,)))
         blocks.append((CN_BLOCK, op.wires))
     for w, element in enumerate(run):
+        if fresh[w]:
+            element, bits[w] = _START[bits[w]][element]
         phase += PHASE[element]
         if WORD_BLOCKS[element]:
             blocks.append((WORD_BLOCKS[element], (w,)))
-    return _network(circuit.width, circuit.input, blocks, _SCALARS[phase % 8][1])
+    return _network(circuit.width, bits, blocks, _SCALARS[phase % 8][1])
 
 
-def _network(width: int, bits: str | None, blocks: list, scalar: complex = 1) -> TensorNetwork:
+def _network(width: int, bits: str | list[str] | None, blocks: list,
+             scalar: complex = 1) -> TensorNetwork:
     """The network of `blocks`, each a (block, wires) pair in circuit order,
-    on `width` wires that start from the input kets of `bits`, or from
-    identity anchors when `bits` is None; its result is scaled by `scalar`."""
+    on `width` wires that start from the input kets of `bits` (a string or
+    list of "0" and "1"), or from identity anchors when `bits` is None; its
+    result is scaled by `scalar`."""
     tensors = _generator_tensors()
     # Without input bits, each open input is anchored on an identity node
     # so that inputs stay legs.
@@ -431,15 +476,21 @@ def _network(width: int, bits: str | None, blocks: list, scalar: complex = 1) ->
 
 
 def _store_products() -> None:
-    """Store every merge of each one-block network, CN's and each class
-    word's, as an operator and as a state on every input bit pattern: the
-    merges inside the block, and those that join it to the identity
-    anchors or input kets it meets."""
+    """Store every merge of each one-block operator, CN's and each class
+    word's: the merges inside the block, and those that join it to the
+    identity anchors.  Then every merge of one CN on each pair of start
+    states (`_START`, a start word on its ket, or a bare ket): each start
+    word's merges with its ket, and CN's with the two states."""
     for block in (CN_BLOCK, *dict.fromkeys(filter(None, WORD_BLOCKS))):
         wires = tuple(range(len(block[2])))
-        for bits in (None, *map("".join, product("01", repeat=len(wires)))):
-            net = _network(len(wires), bits, [(block, wires)])
-            stored_merges(list(net.nodes.values()), net.plan(), store_product)
+        net = _network(len(wires), None, [(block, wires)])
+        stored_merges(list(net.nodes.values()), net.plan(), store_product)
+    # Every state is some element's on |0>, so _START["0"] holds every start.
+    starts = dict.fromkeys((WORD_BLOCKS[e], bit) for e, bit in _START["0"])
+    for (control, bit_c), (target, bit_t) in product(starts, repeat=2):
+        words = [(block, (w,)) for w, block in enumerate((control, target)) if block]
+        net = _network(2, bit_c + bit_t, [*words, (CN_BLOCK, (0, 1))])
+        stored_merges(list(net.nodes.values()), net.plan(), store_product)
 
 
 _store_products()

@@ -226,10 +226,11 @@ class TestCompile:
         ops = tuple(GateApp(g, (0,)) for g in ("H", "S", "Z", "X", "Y", "NOT"))
         ops += (GateApp("CN", (0, 1)),)
         # Two input nodes; the run H S Z X Y NOT is one element, whose class
-        # word (H, 1, N) has 5 nodes; CN has 2.
-        for bits in ("01", None):
+        # word (H, 1, N) has 5 nodes; CN has 2.  On an input ket the run
+        # starts its wire: the same state is (H, 1), 3 nodes, on |1>.
+        for bits, nodes in (("01", 7), (None, 9)):
             net = compile_circuit(Circuit(2, ops, bits))
-            assert len(net.nodes) == 9
+            assert len(net.nodes) == nodes
         assert built == []
 
     def test_compiled_operator_is_unitary(self):
@@ -273,9 +274,11 @@ def test_compiled_structure_is_pinned():
     # One digest over each network's node names, the accessor whose tensor
     # each node is, its bonds, open legs, plan steps and scalar: a faster
     # compile or plan must leave every one of them as it is.  Recorded when
-    # runs became class words with a phase (the corpus's nodes fell from
-    # 3952 to 3184 and its merges from 3856 to 3088), after every network
-    # was checked to contract to the earlier compile's result within 1e-12.
+    # each state's first run on a wire began to start from its cheapest
+    # (ket, class word) pair (the corpus's nodes fell from 3184 to 2742 and
+    # its merges from 3088 to 2646; when runs became class words with a
+    # phase they had fallen from 3952 and 3856), after every network was
+    # checked to contract to the earlier compile's result within 1e-12.
     accessors = {
         gen.copy_tensor(): "copy_tensor", gen.xor_tensor(): "xor_tensor",
         gen.hadamard(): "hadamard", gen.ket_zero(): "ket_zero",
@@ -290,26 +293,27 @@ def test_compiled_structure_is_pinned():
         steps = [tuple(step) for step in net.plan()]
         digest.update(repr((nodes, bonds, net.open_legs, steps, net.scalar)).encode())
     assert digest.hexdigest() == (
-        "1e52534610ac121d1e2763dd4de8a2606b9aaa180e412aa33cf13d5fcf42c746")
+        "10fc116b9881ee7156c91e36b0e7fe8ce4fe699d7043be49ca05170bbd82fdfa")
 
 
 class TestGateProducts:
-    """Every merge of each one-block network, CN's and each class word's,
-    as an operator and as a state on every input bit pattern, is contracted
-    once, at import: the merges inside the block and those with the
-    identity anchors and the input kets."""
+    """Every merge of each one-block operator, CN's and each class word's,
+    and of one CN on each pair of start states, is contracted once, at
+    import: the merges inside the blocks, those with the identity anchors,
+    and those with the input kets and the states they start."""
 
     def test_table_is_filled_at_import_and_never_grows(self, capsys):
         # Inside the 23 class words other than the identity's: three merges
         # of a phase vector into its copy node, one of the constant |1> into
         # its xor node, and one chain merge for each of the 18 words of two
-        # steps or more.  With the anchors and kets: three for each word,
-        # one per input bit and one for the anchor.  That is 4 + 18 + 69 =
-        # 91.  CN adds one inside, two with the anchors, and six with the
-        # kets: two for the control's ket, then four for the target's ket on
-        # each control result: 9.  That is 100.
+        # steps or more.  With the anchors: one for each word.  That is 4 +
+        # 18 + 23 = 45.  CN adds one inside and two with the anchors: 48.
+        # The six start states are a bare ket, H on either ket, or (H, 1) on
+        # either ket: four merges of a word with its ket.  CN on each pair
+        # of them: six with the control's state, then 36 with the target's
+        # on each control result.  That is 48 + 4 + 42 = 94.
         stored = dict(tensor._PRODUCTS)
-        assert len(stored) == 100
+        assert len(stored) == 94
         assert cli.main(["--format", "records", "verify"]) == 0
         capsys.readouterr()
         gates = oracles.CLIFFORD_GATES + ("NOT",)
@@ -496,20 +500,16 @@ class TestWordTable:
                 want, rtol=0, atol=1e-15)
 
     def test_each_word_contracts_to_its_element_with_every_merge_stored(self, kernel_runs):
-        # Each element's own word, spelled in gates, compiles to its class
-        # word's block with the scalar omega**PHASE, and contracts to the
-        # element's matrix with no fitted scalar.
+        # Each element's own word, spelled in gates, compiles as an operator
+        # to its class word's block with the scalar omega**PHASE, and
+        # contracts to the element's matrix with no fitted scalar.
         omega = np.exp(1j * np.pi / 4)
         for e, (word, element) in enumerate(zip(circuits.WORDS, circuits.ELEMENTS)):
-            ops = _spelled(word)
-            for bits in (None, "0", "1"):
-                net = compile_circuit(Circuit(1, ops, bits))
-                assert len(net.nodes) == 1 + _cost(circuits.CLASS[e])
-                assert abs(net.scalar - omega ** circuits.PHASE[e]) <= 1e-15
-                stored = tensor.stored_merges(list(net.nodes.values()), net.plan())
-                assert None not in stored, (word, bits)
-            got = circuit_unitary(Circuit(1, ops)).array
-            np.testing.assert_allclose(got, _element_matrix(element), rtol=0, atol=1e-15)
+            net = compile_circuit(Circuit(1, _spelled(word)))
+            assert len(net.nodes) == 1 + _cost(circuits.CLASS[e])
+            assert abs(net.scalar - omega ** circuits.PHASE[e]) <= 1e-15
+            np.testing.assert_allclose(
+                net.contract().array, _element_matrix(element), rtol=0, atol=1e-15)
         assert kernel_runs == []
 
     def test_a_scalar_run_compiles_to_no_node_and_keeps_its_phase(self):
@@ -519,6 +519,62 @@ class TestWordTable:
             net = compile_circuit(Circuit(1, ops, bits))
             assert len(net.nodes) == 1 and net.bonds == () and net.scalar == -1
             assert net.contract().data == want
+
+
+class TestStartTable:
+    """`_START`: a state's first run on each wire, element e on |bit>, is
+    compiled as the cheapest (element, bit) pair that makes the same state,
+    phase included."""
+
+    def test_each_start_is_the_cheapest_pair_with_the_same_state(self):
+        pairs = [(e, bit) for e in range(len(circuits.ELEMENTS)) for bit in "01"]
+        columns = np.array([_element_matrix(circuits.ELEMENTS[e])[:, int(bit)] for e, bit in pairs])
+        # Two pairs make the same state up to a phase where their overlap is 1.
+        same_ray = np.abs(np.abs(columns.conj() @ columns.T) - 1) <= 1e-12
+        costs = np.array([_cost(circuits.CLASS[e]) for e, _ in pairs])
+        for k, (e, bit) in enumerate(pairs):
+            start = circuits._START[bit][e]
+            np.testing.assert_allclose(columns[pairs.index(start)], columns[k], rtol=0, atol=1e-15)
+            # Cheapest among them: the phase is the choice of element within
+            # the class.
+            assert _cost(circuits.CLASS[start[0]]) == costs[same_ray[k]].min()
+        words = {(circuits.WORDS[circuits.CLASS[f]], start_bit)
+                 for table in circuits._START.values() for f, start_bit in table}
+        assert words == {(word, bit) for word in ((), ("H",), ("H", 1)) for bit in "01"}
+
+    def test_each_word_on_each_ket_contracts_to_its_column(self, kernel_runs):
+        # Exhaustive: every element's word, spelled in gates, on either
+        # input ket has its start word's nodes and contracts, with no fitted
+        # scalar and no kernel run, to the element's column.
+        for e, (word, element) in enumerate(zip(circuits.WORDS, circuits.ELEMENTS)):
+            for bit in "01":
+                net = compile_circuit(Circuit(1, _spelled(word), bit))
+                start, start_bit = circuits._START[bit][e]
+                assert len(net.nodes) == 1 + _cost(circuits.CLASS[start])
+                assert list(net.nodes)[0] == f"0:in{start_bit}"
+                np.testing.assert_allclose(net.contract().array,
+                                           _element_matrix(element)[:, int(bit)],
+                                           rtol=0, atol=1e-15)
+        assert kernel_runs == []
+
+    @pytest.mark.parametrize("wires", [(0, 1), (1, 0)])
+    def test_every_pair_of_start_states_under_one_cn_runs_no_kernel(self, kernel_runs, wires):
+        # Each of the six start states, as its start word's block (None for
+        # a bare ket) and ket, maps to the costliest (element, bit) on it.
+        starts = {}
+        for e in range(len(circuits.ELEMENTS)):
+            for bit in "01":
+                f, start_bit = circuits._START[bit][e]
+                starts[circuits.WORD_BLOCKS[f], start_bit] = e, bit
+        assert len(starts) == 6
+        for (e0, bit0), (e1, bit1) in itertools.product(starts.values(), repeat=2):
+            ops = _spelled(circuits.WORDS[e0]) + tuple(
+                GateApp(op.gate, (1,)) for op in _spelled(circuits.WORDS[e1]))
+            circ = Circuit(2, ops + (GateApp("CN", wires),), bit0 + bit1)
+            got = circuit_state(circ).array.reshape(-1)
+            assert kernel_runs == [], (e0, bit0, e1, bit1)
+            np.testing.assert_allclose(got, oracles.dense_simulate(circ).amplitudes,
+                                       rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("width", range(7, 13))
