@@ -22,8 +22,10 @@ after a garbage collection, and reports microseconds per circuit for
 each phase (a field ending in ``_us``) with the merges and kernel merges
 per circuit: on circuits this small the time is the fixed cost of each
 node and merge, which a single-circuit row cannot resolve.  The relation-suite row times
-``stabtensor verify``'s reports and sums the same plan figures over every
-network the suite contracts.  The CLI rows time one whole ``cli.main``
+``stabtensor verify``'s reports, all of them (``suite_s``) and each group of
+``cli.report_groups`` on its own (``families_s``, ``hadamard_basis_s``,
+``clifford_s``, ``columns_s``, ``cn_s``), and sums the same plan figures
+over every network the suite contracts.  The CLI rows time one whole ``cli.main``
 call, records format, with stdout captured: ``simulate`` on
 ``samples/bell.circ``, with and without ``--crosscheck``, on a 20-wire GHZ
 file and on the 12x400 circuit of the dense oracle row (both files written
@@ -195,6 +197,8 @@ def circuit_file(path: Path, circuit: Circuit) -> str:
 
 def relation_suite_row() -> dict:
     suite_s, reports = timed(lambda: cli.verification_reports(DEFAULT_TOL))
+    group_s = {f"{name}_s": timed(group)[0]
+               for name, group in cli.report_groups(DEFAULT_TOL).items()}
     figures = {"merges": 0, "kernel_merges": 0, "peak_rank": 0, "flops": 0}
     networks = 0
     plan = TensorNetwork.plan
@@ -214,7 +218,7 @@ def relation_suite_row() -> dict:
         cli.verification_reports(DEFAULT_TOL)
     finally:
         TensorNetwork.plan = plan
-    return {"name": "relation-suite", "suite_s": suite_s, "reports": len(reports),
+    return {"name": "relation-suite", "suite_s": suite_s, **group_s, "reports": len(reports),
             "networks": networks, **figures}
 
 

@@ -94,6 +94,15 @@ MUTANTS = [
            '(("ket0", "ket0", "ket1", "ket1")', '(("ket0", "ket0", "ket0", "ket1")'),
     Mutant("xor-hadamard-conjugation-id-for-h", "src/stabtensor/relations.py",
            '(("copy", "H", "H", "H")', '(("copy", "H", "H", "id")'),
+    # The polarity table (boolfn.polarity_table) the Hadamard columns are
+    # checked against: negated whole, and -1 wherever c . x is nonzero
+    # rather than odd (wrong from n = 2, where c = x = 11 gives 2).
+    Mutant("polarity-table-negated", "src/stabtensor/boolfn.py",
+           "return 1 - 2 * ((points @ points.T) & 1)",
+           "return 2 * ((points @ points.T) & 1) - 1"),
+    Mutant("polarity-table-or-for-xor", "src/stabtensor/boolfn.py",
+           "return 1 - 2 * ((points @ points.T) & 1)",
+           "return 1 - 2 * ((points @ points.T) > 0)"),
     # Faults named in CHANGES.md.
     Mutant("tableau-cn-sign-dropped", "src/stabtensor/oracles.py",
            "            self.r ^= (\n"

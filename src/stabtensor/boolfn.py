@@ -6,6 +6,13 @@ under the push-forward of the uniform distribution.  This literal form
 vanishes on every permutation but also on some non-bijective tables (and
 can go negative for n >= 3), so `output_entropy_gap` is provided as the
 separately named diagnostic that is zero exactly on bijections.
+
+The linear forms on n bits and the points they are evaluated at are both
+n-bit strings, so all their polarities are one table, the character table
+of GF(2)**n: `polarity_table(n)[x, c]` is (-1)**(c . x), one integer
+matrix product of the 2**n x n point matrix with its transpose.  Column c
+is the polarity vector of `linear_forms(n)[c]`, and the Hadamard column
+check compares the n-fold Hadamard power with that table in one compare.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from stabtensor import generators as gen
 from stabtensor.relations import RelationReport, compare
-from stabtensor.tensor import DEFAULT_TOL, Tensor, TensorNetwork
+from stabtensor.tensor import DEFAULT_TOL, Tensor, TensorNetwork, as_int
 
 
 def _is_table_size(count: int, n: int) -> bool:
@@ -150,10 +157,12 @@ class BooleanLinearForm:
     c0: int = 0
 
     def __post_init__(self):
-        if set(self.c) - {"0", "1"} or not self.c:
+        if not isinstance(self.c, str) or set(self.c) - {"0", "1"} or not self.c:
             raise ValueError(f"coefficients {self.c!r} must be a nonempty bit string")
-        if self.c0 not in (0, 1):
-            raise ValueError(f"c0 must be 0 or 1, got {self.c0}")
+        c0 = as_int(self.c0, "c0")
+        if c0 not in (0, 1):
+            raise ValueError(f"c0 must be 0 or 1, got {c0}")
+        object.__setattr__(self, "c0", c0)
 
     @property
     def n(self) -> int:
@@ -169,17 +178,32 @@ def eval_linear(form: BooleanLinearForm, x: str) -> int:
     return acc
 
 
+def _points(n: int) -> np.ndarray:
+    """The 2**n x n integer matrix whose row x is x's bits, most significant
+    first."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def polarity_vector(form: BooleanLinearForm) -> Tensor:
     """Rank-n tensor with entry (-1)**f(x) at each point x.
 
-    All 2**n points at once: row x of `bits` is x's bits, most significant
-    first, so `bits @ c` is c . x over the integers and its low bit, xored
-    with c0, is f(x) (`eval_linear` is the pointwise reference).
+    All 2**n points at once: `_points(n) @ c` is c . x over the integers
+    and its low bit, xored with c0, is f(x) (`eval_linear` is the
+    pointwise reference).
     """
-    n = form.n
     c = np.array([int(ci) for ci in form.c])
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return Tensor(n, 1 - 2 * ((bits @ c + form.c0) & 1))
+    return Tensor(form.n, 1 - 2 * ((_points(form.n) @ c + form.c0) & 1))
+
+
+def polarity_table(n: int) -> np.ndarray:
+    """The 2**n x 2**n integer array with entry [x, c] = (-1)**(c . x).
+
+    Points and coefficients are the same n-bit strings, so c . x for all
+    of them is one product of the point matrix with its transpose; column
+    c is the polarity vector of `linear_forms(n)[c]`.
+    """
+    points = _points(n)
+    return 1 - 2 * ((points @ points.T) & 1)
 
 
 def hadamard_power(n: int) -> Tensor:
@@ -195,13 +219,12 @@ def verify_hadamard_column_indexing(n: int, tol: float = DEFAULT_TOL) -> Relatio
     """Columns of the n-fold Hadamard power against the 2**n linear forms.
 
     Column c must equal 2**(-n/2) times the polarity vector of the linear
-    form with coefficients c.  All columns are compared at once, so a
-    fitted scalar has to serve every column.
+    form with coefficients c, column c of `polarity_table(n)`.  All columns
+    are compared at once, so a fitted scalar has to serve every column.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"n must be in 1..6, got {n}")
-    columns = [polarity_vector(form).array.reshape(-1) for form in linear_forms(n)]
-    expected = Tensor(2 * n, 2.0 ** (-n / 2.0) * np.stack(columns, axis=1))
+    expected = Tensor(2 * n, 2.0 ** (-n / 2.0) * polarity_table(n))
     return compare(f"hadamard-column-indexing-n{n}", hadamard_power(n), expected, tol)
 
 

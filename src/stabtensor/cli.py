@@ -70,19 +70,24 @@ def _corrupted_copy_tensor() -> Tensor:
     return Tensor(3, data)
 
 
-def verification_reports(tol: float, inject_fault: bool = False):
+def report_groups(tol: float, inject_fault: bool = False) -> dict[str, Callable[[], list]]:
+    """`verify`'s reports in their five groups, in order: each group's name
+    and the zero-argument call that makes its reports."""
     delta = _corrupted_copy_tensor() if inject_fault else None
-    reports = [
-        relations.verify_relation(rid, tol=tol, copy=delta)
-        for rid in relations.RELATION_FAMILIES
-    ]
-    reports.append(relations.verify_xor_in_hadamard_basis(tol=tol))
-    reports.append(relations.verify_xor_copies_plus_minus(tol=tol))
-    reports.extend(relations.verify_clifford_recovery(tol=tol))
-    for n in range(1, 5):
-        reports.append(boolfn.verify_hadamard_column_indexing(n, tol=tol))
-    reports.extend(relations.verify_cn_transcription(tol=tol))
-    return reports
+    return {
+        "families": lambda: [relations.verify_relation(rid, tol=tol, copy=delta)
+                             for rid in relations.RELATION_FAMILIES],
+        "hadamard_basis": lambda: [relations.verify_xor_in_hadamard_basis(tol=tol),
+                                   relations.verify_xor_copies_plus_minus(tol=tol)],
+        "clifford": lambda: relations.verify_clifford_recovery(tol=tol),
+        "columns": lambda: [boolfn.verify_hadamard_column_indexing(n, tol=tol)
+                            for n in range(1, 5)],
+        "cn": lambda: relations.verify_cn_transcription(tol=tol),
+    }
+
+
+def verification_reports(tol: float, inject_fault: bool = False):
+    return [rep for group in report_groups(tol, inject_fault).values() for rep in group()]
 
 
 def _print_reports(reports, fmt: str) -> None:
@@ -248,16 +253,16 @@ def cmd_polarity(args) -> int:
         print("error: --n must be in 1..6", file=sys.stderr)
         return EXIT_INPUT_ERROR
     forms = boolfn.linear_forms(args.n)
+    # Column c of the table is the polarity vector of forms[c].
+    columns = boolfn.polarity_table(args.n).T.tolist()
     if args.format == "records":
-        for form in forms:
-            vec = boolfn.polarity_vector(form)
-            entries = ",".join(str(int(v.real)) for v in vec.data)
+        for form, column in zip(forms, columns):
+            entries = ",".join(map(str, column))
             print(f"form c={form.c} c0={form.c0} polarity={entries}")
     else:
         print(f"{len(forms)} linear forms on {args.n} bit(s):")
-        for form in forms:
-            vec = boolfn.polarity_vector(form)
-            entries = " ".join(f"{int(v.real):+d}" for v in vec.data)
+        for form, column in zip(forms, columns):
+            entries = " ".join(f"{v:+d}" for v in column)
             print(f"  c={form.c}  ({entries})")
     report = boolfn.verify_hadamard_column_indexing(args.n, tol=tol)
     print(report.record())

@@ -178,7 +178,7 @@ def test_criterion_8_hadamard_column_indexing():
     ok = True
     for n in range(1, 5):
         rep = boolfn.verify_hadamard_column_indexing(n, tol=1e-12)
-        ok &= rep.holds and rep.max_deviation <= 1e-12
+        ok &= rep.status is relations.RelationStatus.EXACT_HOLD and rep.max_deviation <= 1e-12
         forms = boolfn.linear_forms(n)
         distinct = {boolfn.polarity_vector(f).data for f in forms}
         ok &= len(forms) == len(distinct) == 1 << n

@@ -59,6 +59,16 @@ def test_relation_suite_row_restores_plan():
     assert row["reports"] == 24 and row["networks"] > 0 and row["merges"] > 0
 
 
+def test_relation_suite_row_times_each_report_group(monkeypatch):
+    groups = ("families", "hadamard_basis", "clifford", "columns", "cn")
+    assert tuple(cli.report_groups(DEFAULT_TOL)) == groups
+    monkeypatch.setattr(bench, "REPEATS", 2)
+    (row,) = bench.interleaved([bench.relation_suite_row])
+    for group in groups:
+        low, high = row[f"{group}_s_range"]
+        assert 0 < low <= row[f"{group}_s"] <= high
+
+
 def test_relation_suite_row_counts_the_kernel_merges(monkeypatch, kernel_runs):
     row = bench.relation_suite_row()
     contract = TensorNetwork.contract

@@ -22,9 +22,11 @@ from stabtensor.boolfn import (
     linear_forms,
     output_entropy_gap,
     parse_truth_table,
+    polarity_table,
     polarity_vector,
     verify_hadamard_column_indexing,
 )
+from stabtensor.relations import RelationStatus
 from tests.conftest import to_np
 
 AND_TABLE = TruthTable(2, (0, 0, 0, 1))  # outputs 00,00,00,01
@@ -162,6 +164,12 @@ class TestLinearForms:
         assert eval_linear(BooleanLinearForm("1", 1), "1") == 0
         assert eval_linear(BooleanLinearForm("1", 1), "0") == 1
 
+    def test_c0_is_stored_as_the_int_index_makes(self):
+        for c0 in (True, np.int64(1)):
+            form = BooleanLinearForm("1", c0)
+            assert type(form.c0) is int and form.c0 == 1
+            assert polarity_vector(form).data == (-1, 1)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             eval_linear(BooleanLinearForm("10", 0), "101")
@@ -196,6 +204,16 @@ class TestLinearForms:
                 )
                 assert polarity_vector(form).data == want
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_polarity_table_columns_are_the_forms_polarity_vectors(self, n):
+        table = polarity_table(n)
+        assert table.shape == (1 << n, 1 << n)
+        for c, form in enumerate(linear_forms(n)):
+            assert tuple(table[:, c]) == polarity_vector(form).data
+            assert list(table[:, c]) == [
+                (-1) ** eval_linear(form, f"{x:0{n}b}") for x in range(1 << n)
+            ]
+
     def test_polarity_vectors_orthogonal(self):
         n = 3
         vecs = [to_np(polarity_vector(f)).reshape(-1) for f in linear_forms(n)]
@@ -206,7 +224,7 @@ class TestLinearForms:
 class TestHadamardColumns:
     def test_n1_columns(self):
         rep = verify_hadamard_column_indexing(1)
-        assert rep.holds
+        assert rep.status is RelationStatus.EXACT_HOLD, rep.record()
         assert rep.max_deviation <= 1e-12
 
     def test_n2_column_11_by_hand(self):
@@ -219,7 +237,7 @@ class TestHadamardColumns:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_columns_match_scaled_polarity(self, n):
         rep = verify_hadamard_column_indexing(n)
-        assert rep.holds
+        assert rep.status is RelationStatus.EXACT_HOLD, rep.record()
         assert rep.max_deviation <= 1e-12
 
     def test_matches_numpy_kron(self):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stabtensor import circuits, cli, oracles
+from stabtensor import boolfn, circuits, cli, oracles
 from stabtensor.circuits import Circuit, circuit_state
 from stabtensor.tensor import DEFAULT_TOL, MAX_RANK, Tensor
 
@@ -442,6 +442,17 @@ class TestPolarity:
 
     def test_out_of_range(self):
         assert cli.main(["polarity", "--n", "9"]) == 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_records_match_the_per_form_loop(self, n, capsys):
+        # Reference: one polarity vector per form, its entries as ints.
+        want = ""
+        for form in boolfn.linear_forms(n):
+            entries = ",".join(str(int(v.real)) for v in boolfn.polarity_vector(form).data)
+            want += f"form c={form.c} c0={form.c0} polarity={entries}\n"
+        want += boolfn.verify_hadamard_column_indexing(n).record() + "\n"
+        assert cli.main(["--format", "records", "polarity", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == want
 
 
 

@@ -48,6 +48,11 @@ REJECTIONS = {
     "form-not-bits": (lambda: BooleanLinearForm("012"), ValueError,
                       "coefficients '012' must be a nonempty bit string"),
     "form-c0": (lambda: BooleanLinearForm("1", 2), ValueError, "c0 must be 0 or 1, got 2"),
+    # A float c0 that equals 1 is not the integer 1.
+    "form-c0-float": (lambda: BooleanLinearForm("10", 1.0), ValueError,
+                      "c0 1.0 is not an integer"),
+    "form-c-not-str": (lambda: BooleanLinearForm(101), ValueError,
+                       "coefficients 101 must be a nonempty bit string"),
     "hadamard-power-0": (lambda: hadamard_power(0), ValueError, "n must be >= 1"),
     "tensor-rank": (lambda: Tensor(-1, []), ValueError, "rank must be non-negative, got -1"),
     "tensor-from-fn-rank": (lambda: tensor_from_fn(-1, complex), ValueError,

@@ -196,19 +196,21 @@ def test_corrupted_xor_fails_copies_plus_minus(monkeypatch):
 
 
 @pytest.mark.parametrize("flip", [
-    # A whole column negated fits lambda = -1 on its own; only a scalar
-    # shared by all columns rejects it.
-    lambda vec: vec.scale(-1),
-    lambda vec: Tensor(vec.rank, [-v if k == 5 else v for k, v in enumerate(vec.data)]),
+    # Column c = 101, the polarity vector of that form, negated whole: it
+    # fits lambda = -1 on its own; only a scalar shared by all columns
+    # rejects it.  Or one entry of that column, at x = 101.
+    (slice(None), 0b101),
+    (0b101, 0b101),
 ], ids=["vector", "entry"])
 def test_flipped_polarity_sign_fails_column_indexing(monkeypatch, flip):
-    real = boolfn.polarity_vector
+    real = boolfn.polarity_table
 
-    def polarity_vector(form):
-        vec = real(form)
-        return flip(vec) if form.c == "101" else vec
+    def polarity_table(n):
+        table = real(n)
+        table[flip] *= -1
+        return table
 
-    monkeypatch.setattr(boolfn, "polarity_vector", polarity_vector)
+    monkeypatch.setattr(boolfn, "polarity_table", polarity_table)
     rep = boolfn.verify_hadamard_column_indexing(3)
     assert rep.relation_id == "hadamard-column-indexing-n3"
     assert rep.status is RelationStatus.FAILS
