@@ -40,7 +40,9 @@ Rows are timed in ``REPEATS`` interleaved rounds, each round timing every
 row once, so a slow phase of a shared host lands on every row alike rather
 than on the rows it happens to overlap.  Each timing field (a name ending
 in ``_s`` or ``_us``) holds the median over the rounds, and
-``<field>_range`` its [min, max].
+``<field>_range`` its [min, max].  The ``env`` block records, besides the
+interpreter and host, ``src_code_lines``: the lines of ``src`` that hold a
+token outside comments and docstrings (``code_lines``).
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tokenize
 from functools import partial
 from pathlib import Path
 
@@ -272,6 +275,31 @@ def oracle_calls() -> list:
     ]
 
 
+# Tokens that are no code of their own: layout, comments and line ends.
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path: Path) -> int:
+    """The lines of the Python file `path` that hold a token outside
+    comments and docstrings.  A docstring here is any string that is a
+    statement of its own; a token spanning lines counts each of them."""
+    lines: set[int] = set()
+    with path.open("rb") as f:
+        tokens = [t for t in tokenize.tokenize(f.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    for k, tok in enumerate(tokens):
+        if tok.type in _NOT_CODE:
+            continue
+        if (tok.type == tokenize.STRING
+                and tokens[k - 1].type in (tokenize.ENCODING, tokenize.NEWLINE,
+                                           tokenize.INDENT, tokenize.DEDENT)
+                and tokens[k + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER)):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def environment() -> dict:
     return {
         "python": platform.python_version(),
@@ -281,6 +309,7 @@ def environment() -> dict:
         "nproc": os.cpu_count(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "repeats": REPEATS,
+        "src_code_lines": sum(map(code_lines, sorted((ROOT / "src").rglob("*.py")))),
     }
 
 

@@ -12,11 +12,13 @@ which runs mutants, is left out of the copy's run.  One line per mutant:
     mutant id=ID status=killed|survived|stale|error first_failure=TEST seconds=S
 
 ``killed``: pytest reported a failed test (exit code 1), and first_failure
-names it.  ``survived``: every test passed.  ``stale``: the old text does
-not occur exactly once in the file, so the edit no longer describes the
-code; no tests run.  ``error``: pytest ended any other way (interrupted,
-internal error, usage error, no tests collected), so the run says nothing
-about the mutant.  For the last three, first_failure is ``-``.
+names it (``path::name``).  ``survived``: every test passed.  ``stale``:
+the old text does not occur exactly once in the file, so the edit no
+longer describes the code; no tests run.  ``error``: pytest ended any
+other way (a test file that fails to collect, say because the edit breaks
+an import; interrupted, internal error, usage error, no tests collected),
+so the run says nothing about whether a test sees the mutant.  For the
+last three, first_failure is ``-``.
 
 First a control runs: the first mutant's file copied without an edit
 (id ``unmutated``), which must survive; if it does not, the copy itself is
@@ -57,8 +59,10 @@ MUTANTS = [
            '"N": ("xor", "one", 2, 1, 0),', '"N": ("xor", "one", 1, 2, 0),'),
     Mutant("phase-on-copy-leg-1", "src/stabtensor/circuits.py",
            '("copy", f"t{k}", 0, 2, 1)', '("copy", f"t{k}", 1, 2, 0)'),
-    Mutant("not-step-swaps-columns", "src/stabtensor/circuits.py",
-           "return c, d, a, b, h", "return b, a, d, c, h"),
+    # N taken as X Z, its first row's sign flipped: the 192 elements are
+    # the same, so the module still imports, but every N step is wrong.
+    Mutant("not-step-first-row-negated", "src/stabtensor/circuits.py",
+           "return c, d, a, b, h", "return -c, -d, a, b, h"),
     # The phases omega**g a run leaves beside its class word (circuits._SCALARS).
     Mutant("omega-powers-conjugated", "src/stabtensor/circuits.py",
            "(e, complex(a) * gen.SQRT_HALF ** h)",
@@ -70,11 +74,10 @@ MUTANTS = [
     # wires, and every run's phase joins the network's, a run of the
     # identity class too.
     Mutant("cn-leaves-target-run-open", "src/stabtensor/circuits.py",
-           "        for w in op.wires:\n            e, run[w] = run[w], 0",
-           "        for w in op.wires[:1]:\n            e, run[w] = run[w], 0"),
+           "if op is None else op.wires:", "if op is None else op.wires[:1]:"),
     Mutant("identity-class-phase-dropped", "src/stabtensor/circuits.py",
-           "        phase += PHASE[element]\n        if WORD_BLOCKS[element]:\n",
-           "        if WORD_BLOCKS[element]:\n            phase += PHASE[element]\n"),
+           "            phase += PHASE[e]\n            if WORD_BLOCKS[e]:\n",
+           "            if WORD_BLOCKS[e]:\n                phase += PHASE[e]\n"),
     # The start table (circuits._START): a state's first run on a wire is
     # swapped with its ket for a pair that makes the same state, phase
     # included.
@@ -119,15 +122,32 @@ MUTANTS = [
     Mutant("claim-mark-dropped", "src/stabtensor/tensor.py",
            "    partner[first + k] = _OPEN\n    return first + k",
            "    return first + k"),
+    # Arguments read once (a one-shot iterator passes the permutation check
+    # and must not be used up by it), and a tensor's rank under the integer
+    # rule.
+    Mutant("plan-order-read-twice", "src/stabtensor/tensor.py",
+           "sorted(order := list(order))", "sorted(order)"),
+    Mutant("permute-perm-read-twice", "src/stabtensor/tensor.py",
+           "    perm = list(perm)\n", ""),
+    Mutant("tensor-rank-not-an-int", "src/stabtensor/tensor.py",
+           '        rank = as_int(rank, "tensor rank")\n', ""),
 ]
 
 
-def first_failure(output: str) -> str:
-    """The first test pytest's short summary names as failed or in error."""
+def verdict(returncode: int, output: str) -> tuple[str, str]:
+    """The status of a pytest run with exit code `returncode` and stdout
+    `output`, and its first failure: the first test the short summary names
+    as failed or in error, or ``-``.  A summary line naming a file, not a
+    test, is a collection error."""
+    if returncode == 0:
+        return "survived", "-"
     for line in output.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            return line.split()[1]
-    return "-"
+            failure = line.split()[1]
+            if returncode == 1 and "::" in failure:
+                return "killed", failure
+            break
+    return "error", "-"
 
 
 def run_mutant(mutant: Mutant, tests: tuple[str, ...] = ()) -> str:
@@ -155,8 +175,7 @@ def run_mutant(mutant: Mutant, tests: tuple[str, ...] = ()) -> str:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args],
                 cwd=tmp, env=env, capture_output=True, text=True)
-        status = {0: "survived", 1: "killed"}.get(done.returncode, "error")
-        failure = first_failure(done.stdout) if status == "killed" else "-"
+        status, failure = verdict(done.returncode, done.stdout)
     seconds = time.perf_counter() - start
     return (f"mutant id={mutant.id} status={status} first_failure={failure} "
             f"seconds={seconds:.1f}")

@@ -184,12 +184,15 @@ SINGLE_WIRE_STEPS = {gate: WORDS[CLASS[e]] for gate, e in _GATE_ELEMENTS.items()
 
 def _column(e: int, bit: str) -> tuple:
     """The state element e makes of the input ket |bit>, exactly: its
-    column's two entries over sqrt(2)**h, h as small as it can be."""
+    column's two entries over sqrt(2)**h.
+
+    The element's h is already least for each column: a column of all
+    even entries with h > 1 would make the other column even too, the
+    columns being orthogonal with equal norms 2**h, and the element would
+    have been halved (`_then`).
+    """
     a, b, c, d, h = ELEMENTS[e]
-    x, y = (b, d) if bit == "1" else (a, c)
-    while h > 1 and not (x.real % 2 or x.imag % 2 or y.real % 2 or y.imag % 2):
-        x, y, h = x / 2, y / 2, h - 2
-    return x, y, h
+    return (b, d, h) if bit == "1" else (a, c, h)
 
 
 def _starts() -> dict:
@@ -414,13 +417,12 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
     run = [0] * circuit.width
     bits = None if circuit.input is None else list(circuit.input)
     fresh = [bits is not None] * circuit.width
-    for op in circuit.ops:
-        after = _RUN_AFTER.get(op.gate)
-        if after is not None:
+    for op in (*circuit.ops, None):  # None: the end, which ends every run
+        if op is not None and (after := _RUN_AFTER.get(op.gate)) is not None:
             w = op.wires[0]
             run[w] = after[run[w]]
             continue
-        for w in op.wires:
+        for w in range(circuit.width) if op is None else op.wires:
             e, run[w] = run[w], 0
             if fresh[w]:
                 fresh[w] = False
@@ -428,13 +430,8 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
             phase += PHASE[e]
             if WORD_BLOCKS[e]:
                 blocks.append((WORD_BLOCKS[e], (w,)))
-        blocks.append((CN_BLOCK, op.wires))
-    for w, element in enumerate(run):
-        if fresh[w]:
-            element, bits[w] = _START[bits[w]][element]
-        phase += PHASE[element]
-        if WORD_BLOCKS[element]:
-            blocks.append((WORD_BLOCKS[element], (w,)))
+        if op is not None:
+            blocks.append((CN_BLOCK, op.wires))
     return _network(circuit.width, bits, blocks, _SCALARS[phase % 8][1])
 
 

@@ -52,6 +52,7 @@ class Tensor:
     __slots__ = ("_rank", "_array")
 
     def __init__(self, rank: int, data: Iterable[complex]):
+        rank = as_int(rank, "tensor rank")
         if rank < 0:
             raise ValueError(f"rank must be non-negative, got {rank}")
         if not isinstance(data, (np.ndarray, np.generic, list, tuple)):
@@ -147,6 +148,7 @@ def tensor_from_fn(rank: int, fn: Callable[..., complex]) -> Tensor:
     A rank above the budget is refused (RankBudgetError) before fn is
     called at all, not after its 2**rank calls.
     """
+    rank = as_int(rank, "tensor rank")
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
     check_rank(rank, "a tensor_from_fn result")
@@ -187,9 +189,7 @@ def stored_product(
 ) -> Tensor | None:
     """The product stored for `contract_pair(a, legs_a, b, legs_b)`, or None.
 
-    Legs must match as tuples; legs in a list are never stored.
-    `contract_pair` probes the table itself, with the same key; this is
-    the lookup for `stored_merges` and for callers outside the kernel."""
+    Legs must match as tuples; legs in a list are never stored."""
     try:
         return _PRODUCTS.get((a, legs_a, b, legs_b))
     except TypeError:  # unhashable legs
@@ -217,22 +217,38 @@ def stored_merges(
     `tensors`: `merge(a, legs_a, b, legs_b)` where both clusters' tensors
     are known, else None.
 
-    Clusters are tracked as `contract` tracks them.  A cluster is known
-    while it is a node or the result of `merge`; a trace, or a merge that
-    gives None, leaves it unknown.  With the default `merge`, None marks exactly the merges
-    on which `contract_pair` runs the kernel.
+    The clusters are `contract`'s own, walked by `_walk_clusters`.  A
+    cluster is known while it is a node or the result of `merge`; a trace,
+    or a merge that gives None, leaves it unknown.  With the default
+    `merge`, None marks exactly the merges on which `contract_pair` runs
+    the kernel.
     """
-    tensors = list(tensors)
     results: list[Tensor | None] = []
-    for step in steps:
-        if step.kind == "merge":
-            a, b = tensors[step.a], tensors[step.b]
-            known = None if a is None or b is None else merge(a, step.legs_a, b, step.legs_b)
-            tensors[max(step.a, step.b)], tensors[min(step.a, step.b)] = None, known
-            results.append(known)
-        elif step.kind == "trace":
-            tensors[step.a] = None
+
+    def known(a, legs_a, b, legs_b):
+        results.append(None if a is None or b is None else merge(a, legs_a, b, legs_b))
+        return results[-1]
+
+    _walk_clusters(list(tensors), steps, known, lambda t, rank, axes: None)
     return results
+
+
+def _walk_clusters(tensors: list, steps: Sequence[PlanStep], merge: Callable,
+                   trace: Callable) -> None:
+    """Run the merge and trace steps of `steps`, a plan, over `tensors`,
+    each cluster's value, in place: a merge of clusters a and b puts
+    `merge(tensors[a], legs_a, tensors[b], legs_b)` in the smaller of the
+    two and releases the other; a trace of cluster a puts
+    `trace(tensors[a], rank, axes)` there.  Other steps are skipped."""
+    for kind, rank, a, b, legs_a, legs_b in steps:
+        if kind == "merge":
+            merged = merge(tensors[a], legs_a, tensors[b], legs_b)
+            if a < b:
+                tensors[a], tensors[b] = merged, None
+            else:
+                tensors[b], tensors[a] = merged, None
+        elif kind == "trace":
+            tensors[a] = trace(tensors[a], rank, legs_a)
 
 
 def contract_pair(
@@ -246,8 +262,7 @@ def contract_pair(
     MAX_RANK.  The result wraps the kernel's own output array, uncopied.
 
     A call whose operands are the very tensors of a stored product (see
-    `store_product`) returns that product and runs no kernel; the table is
-    probed here directly, as `stored_product` would.
+    `store_product`) returns that product and runs no kernel.
 
     A leg is anything `operator.index` accepts, used as that int; any
     other leg is a ValueError, stored operands or not (a float 0.0 matches
@@ -265,10 +280,7 @@ def contract_pair(
         if type(p) is not int:
             ints_b = [as_int(q, "second leg") for q in legs_b]
             break
-    try:
-        known = _PRODUCTS.get((a, legs_a, b, legs_b))
-    except TypeError:  # unhashable legs
-        known = None
+    known = stored_product(a, legs_a, b, legs_b)
     if known is not None:
         return known
     rank_a, rank_b = a._rank, b._rank
@@ -297,15 +309,22 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
 
 def permute_legs(a: Tensor, perm: Sequence[int]) -> Tensor:
     """Return the tensor with leg k of `a` moved to position perm[k]."""
+    perm = list(perm)
     if sorted(perm) != list(range(a.rank)):
-        raise ValueError(f"{list(perm)} is not a permutation of 0..{a.rank - 1}")
-    source = [0] * a.rank
+        raise ValueError(f"{perm} is not a permutation of 0..{a.rank - 1}")
     try:
-        for k, p in enumerate(perm):
-            source[p] = k
+        source = _inverse(perm)
     except TypeError:  # a float equal to a valid leg passes the sorted() check
-        raise ValueError(f"{list(perm)} is not a permutation of 0..{a.rank - 1}") from None
+        raise ValueError(f"{perm} is not a permutation of 0..{a.rank - 1}") from None
     return Tensor(a.rank, a.array.transpose(source))
+
+
+def _inverse(perm: Sequence[int]) -> list[int]:
+    """The inverse of the permutation `perm` of 0..len(perm)-1."""
+    source = [0] * len(perm)
+    for k, p in enumerate(perm):
+        source[p] = k
+    return source
 
 
 def max_abs_diff(a: Tensor, b: Tensor) -> float:
@@ -540,7 +559,7 @@ class TensorNetwork:
         """
         if order is None:
             order = range(len(self.bonds))
-        elif sorted(order) != list(range(len(self.bonds))):
+        elif sorted(order := list(order)) != list(range(len(self.bonds))):
             raise ValueError("order must be a permutation of the bond indices")
         # The result has one leg per open leg, and so does the widest outer
         # product; a trace only shrinks its cluster.  Merges are checked below.
@@ -626,26 +645,18 @@ class TensorNetwork:
         Nothing is contracted if the plan exceeds the rank budget.  The
         result is order-independent up to floating-point rounding.
         """
-        *body, last = self.plan(order)
+        steps = self.plan(order)
         tensors: list[Tensor | None] = list(self.nodes.values())
-        for kind, rank, a, b, legs_a, legs_b in body:
-            if kind == "merge":
-                merged = contract_pair(tensors[a], legs_a, tensors[b], legs_b)
-                # The absorbed cluster is released right away.
-                if a < b:
-                    tensors[a], tensors[b] = merged, None
-                else:
-                    tensors[b], tensors[a] = merged, None
-            else:  # "trace"
-                traced = np.trace(tensors[a].array, axis1=legs_a[0], axis2=legs_a[1])
-                tensors[a] = Tensor(rank, traced)
+        _walk_clusters(tensors, steps, contract_pair, _trace)
+        last = steps[-1]
         if last.kind == "unit":
             return Tensor(0, (self.scalar,))
-        # permute_legs's inverse permutation, without its checks (the plan
-        # built the permutation), and the scalar in the same construction,
-        # multiplied only when it is not 1: this step runs once per contract.
-        source = [0] * last.rank
-        for k, p in enumerate(last.legs_a):
-            source[p] = k
-        out = tensors[last.a].array.transpose(source)
+        # The plan built the permutation, so it is not checked again; the
+        # scalar joins the same construction, multiplied only when it is not 1.
+        out = tensors[last.a].array.transpose(_inverse(last.legs_a))
         return Tensor(last.rank, out if self.scalar == 1 else self.scalar * out)
+
+
+def _trace(t: Tensor, rank: int, axes: tuple[int, int]) -> Tensor:
+    """`t` with leg axes[0] summed against leg axes[1]."""
+    return Tensor(rank, np.trace(t.array, axis1=axes[0], axis2=axes[1]))

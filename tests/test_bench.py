@@ -146,3 +146,25 @@ def test_simulate_rows_read_files_written_before_timing(monkeypatch, tmp_path):
     for name in ("cli-simulate-ghz4", "cli-simulate-3x10"):
         row = calls[name]()
         assert row["name"] == name and row["call_s"] > 0
+
+
+def test_code_lines_skip_comments_and_docstrings(tmp_path):
+    stub = tmp_path / "stub.py"
+    stub.write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code, then a comment\n"
+        "\n"
+        "\n"
+        "def f(a,\n"
+        "      b):\n"
+        '    """One line."""\n'
+        '    text = """a string\n'
+        '    that is code"""\n'
+        "    return a\n",
+        encoding="utf-8")
+    # X, the def's two lines, the assigned string's two, the return.
+    assert bench.code_lines(stub) == 6
+    assert bench.environment()["src_code_lines"] > 0

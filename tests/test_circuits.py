@@ -409,6 +409,14 @@ def _element_matrix(element) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape(2, 2) / np.sqrt(2) ** h
 
 
+def _even_column(element) -> bool:
+    """Whether `element` has h > 1 and a column whose entries are all even,
+    which would then be held at more than its least h."""
+    a, b, c, d, h = element
+    return h > 1 and any(all(z.real % 2 == 0 and z.imag % 2 == 0 for z in column)
+                         for column in ((a, c), (b, d)))
+
+
 def _spelled(word) -> tuple:
     """Single-wire gates whose run is `word`'s element: H for each H step,
     NOT for each N step, k copies of S for each phase step k."""
@@ -451,6 +459,30 @@ class TestWordTable:
         }
         assert circuits.GATE_ARITY == {
             "H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
+
+    def test_no_column_is_all_even_above_h_1(self):
+        # `_column` reads each column at its element's h, which is then its
+        # least: halving an all-even column and taking 2 from h is the only
+        # way to a smaller h.
+        assert sum(element[-1] > 1 for element in circuits.ELEMENTS) > 0
+        assert [e for e, element in enumerate(circuits.ELEMENTS) if _even_column(element)] == []
+
+    def test_the_even_column_check_sees_an_unhalved_element(self, monkeypatch):
+        # Hand-made faults: H held over sqrt(2)**3, not at its least h; one
+        # column of an element held so; and a search whose H step from h = 1
+        # leaves H H unhalved, as 2I over sqrt(2)**2.
+        assert _even_column((2, 2, 2, -2, 3)) and _even_column((2, 1, 0, 1, 2))
+        assert not _even_column((1, 1, 1, -1, 1)) and not _even_column((2, 0, 0, 2, 0))
+        then = circuits._then
+
+        def unhalved(matrix, step):
+            after = then(matrix, step)
+            if matrix[-1] == 1 and after[-1] == 0:
+                return (*(2 * z for z in after[:4]), 2)
+            return after
+
+        monkeypatch.setattr(circuits, "_then", unhalved)
+        assert any(map(_even_column, circuits._search_words()[0]))
 
     def test_classes_are_24_cheapest_words_up_to_a_phase(self):
         classes = sorted(set(circuits.CLASS))

@@ -57,6 +57,11 @@ REJECTIONS = {
     "tensor-rank": (lambda: Tensor(-1, []), ValueError, "rank must be non-negative, got -1"),
     "tensor-from-fn-rank": (lambda: tensor_from_fn(-1, complex), ValueError,
                             "rank must be non-negative, got -1"),
+    # A float rank that equals 2 is not the integer 2.
+    "tensor-rank-float": (lambda: Tensor(2.0, (1, 0, 0, 0)), ValueError,
+                          "tensor rank 2.0 is not an integer"),
+    "tensor-from-fn-rank-float": (lambda: tensor_from_fn(2.0, complex), ValueError,
+                                  "tensor rank 2.0 is not an integer"),
     # Refused before fn is called, not after its 2**25 calls.
     "tensor-from-fn-over-budget": (lambda: tensor_from_fn(tensor.MAX_RANK + 1, complex),
                                    RankBudgetError,

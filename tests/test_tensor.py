@@ -49,6 +49,11 @@ class TestConstruction:
         assert t[(1, 1, 1)] == 1
         assert sum(abs(v) for v in t.data) == 2
 
+    @pytest.mark.parametrize("rank", [True, np.int64(1)], ids=["bool", "numpy-int"])
+    def test_rank_is_stored_as_the_int_index_makes(self, rank):
+        for t in (Tensor(rank, (1, 0)), tensor_from_fn(rank, lambda x: 1 - x)):
+            assert type(t.rank) is int and t.rank == 1 and t.data == (1, 0)
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             Tensor(1, (float("nan"), 0))
@@ -286,6 +291,13 @@ class TestPermute:
         with pytest.raises(ValueError, match=r"^\[1.0, 0.0, 2.0\] is not a permutation of 0..2$"):
             permute_legs(d, [1.0, 0.0, 2.0])
         assert permute_legs(d, list(np.array([0, 2, 1]))).data == d.data
+
+    def test_an_iterator_is_read_once(self):
+        # The permutation check must not use up a one-shot iterator.
+        t = random_tensor(random.Random(6), 3)
+        assert permute_legs(t, iter([2, 0, 1])).data == permute_legs(t, [2, 0, 1]).data
+        with pytest.raises(ValueError, match=r"^\[0, 0, 1\] is not a permutation of 0..2$"):
+            permute_legs(t, iter([0, 0, 1]))
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -866,6 +878,15 @@ class TestPlan:
         for run in (net.plan, net.contract):
             with pytest.raises(ValueError, match="^order must be a permutation of the bond indices$"):
                 run(order=order)
+
+    def test_an_iterator_order_is_read_once(self):
+        # The permutation check must not use up a one-shot iterator.
+        net = compile_circuit(Circuit(2, (GateApp("H", (0,)), GateApp("CN", (0, 1))), "00"))
+        order = list(range(len(net.bonds)))[::-1]
+        assert net.plan(iter(order)) == net.plan(order)
+        assert net.contract(order=iter(order)).data == net.contract(order=order).data
+        with pytest.raises(ValueError, match="^order must be a permutation of the bond indices$"):
+            net.plan(iter([0] * len(order)))
 
     def test_numpy_integer_order_accepted(self):
         net = _feynman_network()
