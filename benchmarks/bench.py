@@ -35,6 +35,14 @@ The oracle rows time each oracle on its own: ``dense_simulate`` on a
 (the crosscheck's 44 strings), and one on a 1000-wire tableau (20 products
 of stabilizer rows, so every value is +-1: no string takes the shortcut
 to 0 of one that anticommutes with a stabilizer).
+The parse rows time ``parse_circuit`` over the texts of seeded circuit
+files (``parse_s``, all of a row's files): ``parse-11x40``, 300 files of
+perfbench contract-ordered's middle shape, and ``parse-8x100000``, one
+file too deep for the whole-circuit network to stay small.  Each reports
+its ops, the distinct op objects its parsed circuits hold
+(``distinct_ops``: equal op lines of one file share one ``GateApp``), and
+the bytes per op those circuits hold (``bytes_per_op``), traced by
+``tracemalloc`` in a pass of its own, before and outside the timing.
 
 Rows are timed in ``REPEATS`` interleaved rounds, each round timing every
 row once, so a slow phase of a shared host lands on every row alike rather
@@ -59,6 +67,7 @@ import sys
 import tempfile
 import time
 import tokenize
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -73,7 +82,7 @@ if str(ROOT / "src") not in sys.path:
 import numpy as np  # noqa: E402
 
 from stabtensor import cli, oracles, tensor  # noqa: E402
-from stabtensor.circuits import Circuit, GateApp, compile_circuit  # noqa: E402
+from stabtensor.circuits import Circuit, GateApp, compile_circuit, parse_circuit  # noqa: E402
 from stabtensor.tensor import DEFAULT_TOL, TensorNetwork  # noqa: E402
 
 REPEATS = 5
@@ -99,6 +108,9 @@ BATCH_SIZE = 300
 BATCH_WIDTHS = (10, 12)
 BATCH_DEPTHS = (30, 50)
 BATCH_SEED = 11
+# (width, depth, files) of the parse rows' seeded circuit files, and their seed.
+PARSE_GRID = ((11, 40, 300), (8, 100_000, 1))
+PARSE_SEED = 30
 
 
 def plan_figures(net: TensorNetwork, steps) -> dict:
@@ -190,12 +202,49 @@ def ghz(width: int) -> Circuit:
     return Circuit(width, tuple(ops), "0" * width)
 
 
-def circuit_file(path: Path, circuit: Circuit) -> str:
-    """Write `circuit` as a circuit file at `path`; return the path."""
+def circuit_text(circuit: Circuit) -> str:
+    """`circuit` as the text of a circuit file."""
     lines = [f"wires {circuit.width}", f"input {circuit.input}"]
     lines += [" ".join([op.gate, *map(str, op.wires)]) for op in circuit.ops]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def circuit_file(path: Path, circuit: Circuit) -> str:
+    """Write `circuit` as a circuit file at `path`; return the path."""
+    path.write_text(circuit_text(circuit), encoding="utf-8")
     return str(path)
+
+
+def parse_texts(width: int, depth: int, count: int, seed: int) -> list[str]:
+    """The texts of `count` seeded random Clifford circuit files."""
+    rng = random.Random(seed)
+    return [circuit_text(oracles.random_clifford_circuit(width, depth, rng.randrange(1 << 31)))
+            for _ in range(count)]
+
+
+def parse_figures(texts: list[str]) -> dict:
+    """The ops of `texts` parsed, the distinct op objects the parsed
+    circuits hold, and the bytes per op they hold: the memory traced
+    between the start of a parse of every text and a garbage collection
+    after it, with the circuits kept."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = [parse_circuit(text) for text in texts]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    ops = sum(len(c.ops) for c in parsed)
+    return {"ops": ops, "distinct_ops": len({id(op) for c in parsed for op in c.ops}),
+            "bytes_per_op": held / ops}
+
+
+def parse_row(name: str, texts: list[str], **figures) -> dict:
+    """Seconds to parse every text of `texts`, after the row's fixed figures."""
+    parse_s, _ = timed(lambda: [parse_circuit(text) for text in texts])
+    return {"name": name, "files": len(texts), **figures, "parse_s": parse_s}
 
 
 def relation_suite_row() -> dict:
@@ -325,6 +374,9 @@ def row_calls(workdir: Path) -> list:
     calls.append(partial(batch_row, f"batch-{BATCH_SIZE}-s{BATCH_SEED}",
                          batch_circuits(BATCH_SIZE, BATCH_SEED)))
     calls.append(relation_suite_row)
+    for width, depth, count in PARSE_GRID:
+        texts = parse_texts(width, depth, count, PARSE_SEED)
+        calls.append(partial(parse_row, f"parse-{width}x{depth}", texts, **parse_figures(texts)))
     bell = str(ROOT / "samples" / "bell.circ")
     calls.append(partial(cli_row, "cli-simulate-bell", ["--format", "records", "simulate", bell]))
     calls.append(partial(cli_row, "cli-crosscheck-bell",

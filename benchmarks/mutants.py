@@ -87,6 +87,29 @@ MUTANTS = [
     Mutant("start-phase-dropped", "src/stabtensor/circuits.py",
            "first.setdefault(_column(e, bit), (e, bit))",
            "first.setdefault(_column(e, bit), (CLASS[e], bit))"),
+    # The parse's table of built ops (circuits.parse_circuit), keyed by the
+    # stripped line: keyed by gate name, every op of a gate is its first.
+    Mutant("parse-shares-by-gate-name", "src/stabtensor/circuits.py",
+           '            op = built.get(line)\n'
+           '            if op is None:\n'
+           '                gate = _GATE_NAMES.get(head)\n'
+           '                if gate is None:\n'
+           '                    raise CircuitParseError(f"unknown gate {head!r}")\n'
+           '                if not all(w.isascii() and w.isdigit() for w in fields[1:]):\n'
+           '                    raise CircuitParseError(f"bad wire list in {line!r}")\n'
+           '                wires = tuple(map(int, fields[1:]))\n'
+           '                wires = shared_wires.setdefault(wires, wires)\n'
+           '                op = built[line] = GateApp(gate, wires)\n',
+           '            op = built.get(head)\n'
+           '            if op is None:\n'
+           '                gate = _GATE_NAMES.get(head)\n'
+           '                if gate is None:\n'
+           '                    raise CircuitParseError(f"unknown gate {head!r}")\n'
+           '                if not all(w.isascii() and w.isdigit() for w in fields[1:]):\n'
+           '                    raise CircuitParseError(f"bad wire list in {line!r}")\n'
+           '                wires = tuple(map(int, fields[1:]))\n'
+           '                wires = shared_wires.setdefault(wires, wires)\n'
+           '                op = built[head] = GateApp(gate, wires)\n'),
     # The network's scalar (tensor.TensorNetwork), which carries that phase.
     Mutant("phase-dropped", "src/stabtensor/tensor.py",
            "        self.scalar = scalar\n", "        self.scalar = 1\n"),

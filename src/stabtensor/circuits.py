@@ -49,6 +49,12 @@ at call time, so patching one (say `generators.xor_tensor`) reaches
 every compiled circuit: the patched tensor is a different object,
 matches no stored product, and is contracted.
 
+`GateApp` and `Circuit` are frozen, slotted dataclasses whose sequences
+are tuples.  `parse_circuit` builds one `GateApp` per distinct op line of
+its text, and equal op lines share that one immutable object, so a held
+circuit costs a pointer for each repeated line.  Nothing is shared
+between two parses.
+
 Two controlled-NOT constructions coexist on purpose: the wired copy/XOR
 pair `compile_circuit` builds for each CN, and the raised-index single
 contraction (`cn_index_contraction`).  They are not the same tensor; the
@@ -284,14 +290,27 @@ class CircuitParseError(ValueError):
     """Raised on malformed circuit or truth-table text."""
 
 
-@dataclass(frozen=True)
+def _as_tuple(value, what: str) -> tuple:
+    """`value`'s items as a tuple, or a ValueError naming it."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not a sequence") from None
+
+
+@dataclass(frozen=True, slots=True)
 class GateApp:
+    """One gate on its wires.  Immutable and slotted: a parsed circuit holds
+    one `GateApp` per distinct op line, shared by every line equal to it."""
+
     gate: str
     wires: tuple[int, ...]
 
     def __post_init__(self):
-        if self.gate not in GATE_ARITY:
+        if not (isinstance(self.gate, str) and self.gate in GATE_ARITY):
             raise ValueError(f"unknown gate {self.gate!r}")
+        if type(self.wires) is not tuple:
+            object.__setattr__(self, "wires", _as_tuple(self.wires, f"{self.gate} wires"))
         if len(self.wires) != GATE_ARITY[self.gate]:
             raise ValueError(
                 f"{self.gate} takes {GATE_ARITY[self.gate]} wire(s), got {self.wires}"
@@ -305,7 +324,7 @@ class GateApp:
             raise ValueError(f"{self.gate} wires must be distinct, got {self.wires}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     width: int
     ops: tuple[GateApp, ...] = ()
@@ -315,13 +334,23 @@ class Circuit:
         object.__setattr__(self, "width", as_int(self.width, "circuit width"))
         if self.width < 1:
             raise ValueError("circuit needs at least one wire")
+        if type(self.ops) is not tuple:
+            object.__setattr__(self, "ops", _as_tuple(self.ops, "circuit ops"))
         for op in self.ops:
+            if not isinstance(op, GateApp):
+                raise ValueError(f"op {op!r} is not a GateApp")
             for w in op.wires:
                 if not 0 <= w < self.width:
                     raise ValueError(f"wire {w} outside 0..{self.width - 1}")
         if self.input is not None:
-            if len(self.input) != self.width or set(self.input) - {"0", "1"}:
+            if (not isinstance(self.input, str) or len(self.input) != self.width
+                    or set(self.input) - {"0", "1"}):
                 raise ValueError(f"input {self.input!r} is not a {self.width}-bit string")
+
+
+# Each gate name to GATE_ARITY's own string of it, the one string every
+# parsed op of that gate holds.
+_GATE_NAMES = {gate: gate for gate in GATE_ARITY}
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -331,10 +360,19 @@ def parse_circuit(text: str) -> Circuit:
     line (`H 0`, `CN 0 1`, ...).  Lines starting with `#` are comments.
     Numbers are ASCII decimal digits only: no sign, underscore or other
     script's digits, all of which `int` would take.
+
+    Equal op lines (equal once stripped) share one immutable `GateApp`:
+    each distinct line is checked and built once per call, and every
+    later copy of it is the same object.  Ops on the same wires share one
+    wires tuple, and each op's gate is `GATE_ARITY`'s own name string.
     """
     width: int | None = None
     input_bits: str | None = None
     ops: list[GateApp] = []
+    # Each op line that passed every check, stripped, to its GateApp; and
+    # each wire tuple to the one those GateApps share.
+    built: dict[str, GateApp] = {}
+    shared_wires: dict[tuple, tuple] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -360,11 +398,17 @@ def parse_circuit(text: str) -> Circuit:
                     raise CircuitParseError(f"bad input line {line!r}")
                 input_bits = fields[1]
                 continue
-            if head not in GATE_ARITY:
-                raise CircuitParseError(f"unknown gate {head!r}")
-            if not all(w.isascii() and w.isdigit() for w in fields[1:]):
-                raise CircuitParseError(f"bad wire list in {line!r}")
-            ops.append(GateApp(head, tuple(map(int, fields[1:]))))
+            op = built.get(line)
+            if op is None:
+                gate = _GATE_NAMES.get(head)
+                if gate is None:
+                    raise CircuitParseError(f"unknown gate {head!r}")
+                if not all(w.isascii() and w.isdigit() for w in fields[1:]):
+                    raise CircuitParseError(f"bad wire list in {line!r}")
+                wires = tuple(map(int, fields[1:]))
+                wires = shared_wires.setdefault(wires, wires)
+                op = built[line] = GateApp(gate, wires)
+            ops.append(op)
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from None
     if width is None:

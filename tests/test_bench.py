@@ -52,6 +52,16 @@ def test_batch_row_reports_per_circuit_figures(kernel_runs):
     assert 0 < row["kernel_merges"] == len(kernel_runs) / 3 < row["merges"]
 
 
+def test_parse_rows_report_what_the_parsed_circuits_hold():
+    texts = bench.parse_texts(3, 10, 4, 0)
+    assert len(texts) == 4 and all(t.startswith("wires 3\ninput 000\n") for t in texts)
+    row = bench.parse_row("parse-3x10", texts, **bench.parse_figures(texts))
+    assert row["name"] == "parse-3x10" and row["files"] == 4 and row["ops"] == 40
+    # Equal op lines of one file share one op; no two files share one.
+    assert row["distinct_ops"] == sum(len(set(t.splitlines()[2:])) for t in texts) < 40
+    assert row["bytes_per_op"] > 0 and row["parse_s"] > 0
+
+
 def test_relation_suite_row_restores_plan():
     plan = TensorNetwork.plan
     row = bench.relation_suite_row()

@@ -1,8 +1,11 @@
 """Circuit parsing, the two controlled-NOT constructions, and compilation."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from stabtensor import generators as gen
 from stabtensor import circuits, cli, oracles, tensor
 from stabtensor.circuits import (
+    GATE_ARITY,
     Circuit,
     CircuitParseError,
     GateApp,
@@ -87,6 +91,86 @@ class TestParsing:
         assert np.array_equal(circuit_unitary(odd).array, circuit_unitary(plain).array)
         assert np.array_equal(oracles.dense_simulate(odd).amplitudes,
                               oracles.dense_simulate(plain).amplitudes)
+
+    def test_list_arguments_are_stored_as_tuples_that_hash(self):
+        op = GateApp("CN", [0, 1])
+        circ = Circuit(2, [op, GateApp("H", [1])])
+        assert type(op.wires) is tuple and type(circ.ops) is tuple
+        tuples = Circuit(2, (GateApp("CN", (0, 1)), GateApp("H", (1,))))
+        assert circ == tuples and hash(circ) == hash(tuples)
+
+
+def _circuit_text(circuit, rng=None):
+    """`circuit` as a circuit file; with `rng`, some op lines get blanks
+    around them, which the parse strips."""
+    lines = [f"wires {circuit.width}"]
+    if circuit.input is not None:
+        lines.append(f"input {circuit.input}")
+    for op in circuit.ops:
+        line = " ".join([op.gate, *map(str, op.wires)])
+        if rng is not None and rng.random() < 0.2:
+            line = rng.choice((" ", "\t", "  ")) + line + rng.choice(("", " ", "\t"))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+class TestSharedOps:
+    """Equal op lines of one parse are one immutable GateApp."""
+
+    def test_equal_op_lines_are_one_object(self):
+        c = parse_circuit("wires 3\nH 0\nCN 0 1\nH 0\n  CN 0 1 \nH 1\nS 0\nCN 1 0\nCN 0 2\n")
+        h0, cn01, h0_again, cn01_again, h1, s0, cn10, cn02 = c.ops
+        assert h0_again is h0 and cn01_again is cn01
+        assert len({id(op) for op in c.ops}) == 6
+        assert h1 == GateApp("H", (1,)) and s0 == GateApp("S", (0,))
+        assert cn10 == GateApp("CN", (1, 0)) and cn02 == GateApp("CN", (0, 2))
+        # Ops on the same wires share their wires tuple, and every op holds
+        # GATE_ARITY's own name string.
+        assert s0.wires is h0.wires
+        names = {name: name for name in GATE_ARITY}
+        assert all(op.gate is names[op.gate] for op in c.ops)
+
+    def test_two_parses_share_nothing(self):
+        text = "wires 2\nH 0\nCN 0 1\nH 0\n"
+        first, second = parse_circuit(text), parse_circuit(text)
+        assert first == second
+        held = {id(x) for op in first.ops for x in (op, op.wires)}
+        assert not held & {id(x) for op in second.ops for x in (op, op.wires)}
+
+    @pytest.mark.parametrize("text,message", [
+        ("wires 2\nH 0\nCN 0 0\nH 0\nCN 0 0\n", "line 3: CN wires must be distinct, got (0, 0)"),
+        ("wires 2\nT 0\nT 0\n", "line 2: unknown gate 'T'"),
+        ("wires 2\n\nH x\nH 0\nH x\n", "line 3: bad wire list in 'H x'"),
+        ("wires 2\nCN 0\nH 1\nCN 0\n", "line 2: CN takes 2 wire(s), got (0,)"),
+    ], ids=["duplicate-wires", "unknown-gate", "bad-wire-list", "wire-count"])
+    def test_repeated_malformed_line_reports_its_first_line(self, text, message):
+        with pytest.raises(CircuitParseError, match=f"^{re.escape(message)}$"):
+            parse_circuit(text)
+
+    def test_ops_and_circuits_are_slotted_and_round_trip(self):
+        circ = parse_circuit("wires 2\ninput 01\nH 0\nCN 0 1\nH 0\n")
+        for obj in (circ, *circ.ops):
+            assert not hasattr(obj, "__dict__")
+            for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert back == obj and hash(back) == hash(obj)
+        # A copy keeps the sharing: its equal ops are one object too.
+        for back in (pickle.loads(pickle.dumps(circ)), copy.deepcopy(circ)):
+            assert back.ops[2] is back.ops[0]
+
+    def test_seeded_files_parse_equal_to_circuits_built_directly(self):
+        rng = random.Random(30)
+        gates = oracles.CLIFFORD_GATES + ("NOT",)
+        for _ in range(300):
+            width = rng.randint(1, 12)
+            circ = oracles.random_clifford_circuit(
+                width, rng.randrange(0, 60), rng.randrange(1 << 30), gates=gates)
+            if rng.random() < 0.5:
+                circ = Circuit(width, circ.ops, None)
+            text = _circuit_text(circ, rng)
+            parsed = parse_circuit(text)
+            assert parsed == circ
+            lines = {line.strip() for line in text.splitlines()[1 + (circ.input is not None):]}
+            assert len({id(op) for op in parsed.ops}) == len(lines)
 
 
 class TestFeynmanNetwork:

@@ -23,6 +23,20 @@ REJECTIONS = {
     "gate-wire-count": (lambda: GateApp("CN", (0,)), ValueError,
                         "CN takes 2 wire(s), got (0,)"),
     "circuit-width-0": (lambda: Circuit(0), ValueError, "circuit needs at least one wire"),
+    # Every field of a GateApp and a Circuit is checked, and a list is
+    # stored as a tuple, so no malformed field gets past as a raw
+    # TypeError or AttributeError, or as a mutable part of a frozen object.
+    "gate-not-a-str": (lambda: GateApp(["H"], (0,)), ValueError, "unknown gate ['H']"),
+    "gate-wires-not-a-sequence": (lambda: GateApp("H", 0), ValueError,
+                                  "H wires 0 is not a sequence"),
+    "circuit-ops-not-a-sequence": (lambda: Circuit(2, 5), ValueError,
+                                   "circuit ops 5 is not a sequence"),
+    "circuit-op-not-a-gateapp": (lambda: Circuit(2, (("H", (0,)),)), ValueError,
+                                 "op ('H', (0,)) is not a GateApp"),
+    "circuit-input-not-a-str": (lambda: Circuit(2, (), 1), ValueError,
+                                "input 1 is not a 2-bit string"),
+    "circuit-input-a-list": (lambda: Circuit(2, (), ["0", "1"]), ValueError,
+                             "input ['0', '1'] is not a 2-bit string"),
     "parse-duplicate-wires": (lambda: parse_circuit("wires 2\nwires 2\n"),
                               CircuitParseError, "line 2: duplicate wires header"),
     "parse-wires-0": (lambda: parse_circuit("wires 0\n"), CircuitParseError,
