@@ -129,6 +129,14 @@ MUTANTS = [
     Mutant("polarity-table-or-for-xor", "src/stabtensor/boolfn.py",
            "return 1 - 2 * ((points @ points.T) & 1)",
            "return 1 - 2 * ((points @ points.T) > 0)"),
+    # The crosscheck (oracles.crosscheck_circuit): the worst Pauli string
+    # counts, and the amplitudes are compared with no scalar fitted out.
+    Mutant("crosscheck-min-for-max", "src/stabtensor/oracles.py",
+           "float(np.max(deltas))", "float(np.min(deltas))"),
+    Mutant("crosscheck-fits-scalar", "src/stabtensor/oracles.py",
+           "    amp_delta = float(np.max(np.abs(net_state - dense.amplitudes)))\n"
+           "    scalar_mag = float(np.linalg.norm(net_state))\n",
+           "    amp_delta, scalar_mag = phase_fixed_delta(net_state, dense.amplitudes)\n"),
     # Faults named in CHANGES.md.
     Mutant("tableau-cn-sign-dropped", "src/stabtensor/oracles.py",
            "            self.r ^= (\n"

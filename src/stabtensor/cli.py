@@ -198,7 +198,7 @@ def cmd_simulate(args) -> int:
                           "{:+.10f}".format)
     if not args.crosscheck:
         return EXIT_OK
-    result = oracles.crosscheck_circuit(circuit, seed=args.seed)
+    result = oracles.crosscheck_circuit(circuit, seed=args.seed, state=state)
     ok = result.ok(tol)
     if args.format == "records":
         print(f"crosscheck amp_delta={result.amplitude_delta!r} "
@@ -208,7 +208,7 @@ def cmd_simulate(args) -> int:
               f"status={'ok' if ok else 'disagree'}")
     else:
         print(f"crosscheck vs dense oracle: max amplitude delta "
-              f"{result.amplitude_delta:.3e} (scalar magnitude "
+              f"{result.amplitude_delta:.3e}, no scalar fitted (state norm "
               f"{result.scalar_magnitude:.6f})")
         print(f"crosscheck vs tableau oracle: max expectation delta "
               f"{result.expectation_delta:.3e} over {result.paulis_checked} "

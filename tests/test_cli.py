@@ -136,6 +136,34 @@ class TestSimulate:
         assert cli.main(["simulate", bell_path, "--crosscheck"]) == 0
         assert "crosscheck status: ok" in capsys.readouterr().out
 
+    def test_crosscheck_contracts_once(self, capsys, bell_path, monkeypatch):
+        calls = []
+
+        def counting(circuit):
+            calls.append(circuit)
+            return circuits.circuit_state(circuit)
+
+        for module in (cli, oracles):
+            monkeypatch.setattr(module, "circuit_state", counting)
+        assert cli.main(["simulate", bell_path, "--crosscheck"]) == 0
+        assert "crosscheck status: ok" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("factor", [1j, 3], ids=["times-i", "times-3"])
+    def test_crosscheck_checks_the_printed_state(self, factor, capsys, bell_path, monkeypatch):
+        # The amplitudes are compared as printed, with no scalar fitted
+        # out, so a global phase or a norm is a fault.
+        state = circuit_state(circuits.parse_circuit(BELL_FILE)).scale(factor)
+        monkeypatch.setattr(cli, "circuit_state", lambda circuit: state)
+        assert cli.main(["--format", "records", "simulate", bell_path, "--crosscheck"]) == 1
+        *amps, record = capsys.readouterr().out.splitlines(keepends=True)
+        assert "".join(amps) == _line_loop_output("records", state)
+        fields = dict(field.split("=") for field in record.split()[1:])
+        assert fields["status"] == "disagree"
+        assert float(fields["amp_delta"]) == pytest.approx(abs(factor - 1) / 2 ** 0.5)
+        assert float(fields["scalar_magnitude"]) == pytest.approx(abs(factor))
+        assert float(fields["expectation_delta"]) <= 1e-12
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.circ"
         path.write_text("wires 2\nCN 0 0\n")

@@ -254,6 +254,26 @@ class TestAgreement:
             "expectation_delta=nan paulis=14 status=disagree"
         )
 
+    def test_one_flipped_stabilizer_sign_disagrees(self, monkeypatch):
+        # The flipped sign is the Bell state's ZZ row, so the sample's ZZ
+        # disagrees while its 13 other strings still agree: the worst
+        # string counts.
+        exact = oracles.tableau_simulate
+
+        def flipped(circuit):
+            tab = exact(circuit)
+            tab.r[-1] ^= 1
+            return tab
+
+        monkeypatch.setattr(oracles, "tableau_simulate", flipped)
+        paulis = crosscheck_paulis(2, seed=2)
+        deltas = np.abs(pauli_expectations(flipped(BELL), paulis)
+                        - pauli_expectations(dense_simulate(BELL), paulis))
+        assert np.count_nonzero(deltas > 1.0) == 1 and np.max(deltas) == pytest.approx(2.0)
+        result = crosscheck_circuit(BELL, seed=2)
+        assert result.expectation_delta == pytest.approx(2.0)
+        assert not result.ok(1e-9)
+
     def test_crosscheck_bell(self):
         result = crosscheck_circuit(BELL, seed=2)
         assert result.amplitude_delta <= 1e-12
