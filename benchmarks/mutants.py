@@ -56,7 +56,7 @@ MUTANTS = [
            "((1, 1, 1, 0), (0, 0, 0, 1)))"),
     # The step table (circuits._STEP_NODES) and the word search's N step.
     Mutant("not-constant-on-xor-leg-1", "src/stabtensor/circuits.py",
-           '"N": ("xor", "one", 2, 1, 0),', '"N": ("xor", "one", 1, 2, 0),'),
+           '"N": ("xor", "ket1", 2, 1, 0),', '"N": ("xor", "ket1", 1, 2, 0),'),
     Mutant("phase-on-copy-leg-1", "src/stabtensor/circuits.py",
            '("copy", f"t{k}", 0, 2, 1)', '("copy", f"t{k}", 1, 2, 0)'),
     # N taken as X Z, its first row's sign flipped: the 192 elements are
@@ -110,6 +110,9 @@ MUTANTS = [
            '                wires = tuple(map(int, fields[1:]))\n'
            '                wires = shared_wires.setdefault(wires, wires)\n'
            '                op = built[head] = GateApp(gate, wires)\n'),
+    # The one tag table (circuits.generator_tensors) every diagram reads.
+    Mutant("tag-table-ket0-is-ket1", "src/stabtensor/circuits.py",
+           '"ket0": gen.ket_zero()', '"ket0": gen.ket_one()'),
     # The network's scalar (tensor.TensorNetwork), which carries that phase.
     Mutant("phase-dropped", "src/stabtensor/tensor.py",
            "        self.scalar = scalar\n", "        self.scalar = 1\n"),
@@ -137,6 +140,19 @@ MUTANTS = [
            "    amp_delta = float(np.max(np.abs(net_state - dense.amplitudes)))\n"
            "    scalar_mag = float(np.linalg.norm(net_state))\n",
            "    amp_delta, scalar_mag = phase_fixed_delta(net_state, dense.amplitudes)\n"),
+    # The oracles' signs: H's update of the tableau signs (the S branch
+    # has the same sign line, so the swap that follows is part of the
+    # text), each stabilizer row's sign in the tableau expectations, and
+    # the i**(#Y) factor of a string on the dense state.
+    Mutant("tableau-h-sign-dropped", "src/stabtensor/oracles.py",
+           "            self.r ^= self.x[:, a] & self.z[:, a]\n"
+           "            self.x[:, a], self.z[:, a] = self.z[:, a].copy(), self.x[:, a].copy()\n",
+           "            self.x[:, a], self.z[:, a] = self.z[:, a].copy(), self.x[:, a].copy()\n"),
+    Mutant("tableau-row-sign-dropped", "src/stabtensor/oracles.py",
+           "phase[s] += gained + 2 * int(tab.r[n + k])", "phase[s] += gained"),
+    Mutant("dense-y-factor-dropped", "src/stabtensor/oracles.py",
+           "rows = _I_POWERS[(x & z).sum(axis=1) % 4][:, None] * signs * psi[j]",
+           "rows = signs * psi[j]"),
     # Faults named in CHANGES.md.
     Mutant("tableau-cn-sign-dropped", "src/stabtensor/oracles.py",
            "            self.r ^= (\n"

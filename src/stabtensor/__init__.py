@@ -8,14 +8,12 @@ Independent dense and tableau simulators cross-check every result.
 
 from stabtensor.tensor import (
     DEFAULT_TOL,
-    Amplitude,
     LegBinding,
     Tensor,
     TensorNetwork,
     contract_pair,
     equal_up_to_scalar,
     max_abs_diff,
-    outer,
     permute_legs,
     tensor_from_fn,
 )
@@ -23,7 +21,6 @@ from stabtensor.tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Amplitude",
     "DEFAULT_TOL",
     "LegBinding",
     "Tensor",
@@ -32,7 +29,6 @@ __all__ = [
     "equal_up_to_scalar",
     "kernel_backend",
     "max_abs_diff",
-    "outer",
     "permute_legs",
     "tensor_from_fn",
 ]

@@ -44,10 +44,13 @@ two states): 94 products.  `contract_pair` returns a stored product
 without running the kernel, while every merge still goes through it; the
 table does not grow after import.
 
-Each generator is read through its `generators` accessor once per call,
-at call time, so patching one (say `generators.xor_tensor`) reaches
-every compiled circuit: the patched tensor is a different object,
-matches no stored product, and is contracted.
+Every diagram, a compiled circuit's and each relation's
+(`relations.RELATIONS`), resolves its node tags through one table,
+`generator_tensors`, which reads each `generators` accessor once per
+call, at call time.  So patching one (say `generators.xor_tensor`)
+reaches every compiled circuit and every relation diagram: the patched
+tensor is a different object, matches no stored product, and is
+contracted.
 
 `GateApp` and `Circuit` are frozen, slotted dataclasses whose sequences
 are tuples.  `parse_circuit` builds one `GateApp` per distinct op line of
@@ -83,7 +86,7 @@ from stabtensor.tensor import (
 _STEP_NODES = {
     "H": ("H", None, None, 1, 0),
     **{k: ("copy", f"t{k}", 0, 2, 1) for k in (1, 2, 3)},
-    "N": ("xor", "one", 2, 1, 0),
+    "N": ("xor", "ket1", 2, 1, 0),
 }
 # A step costs its nodes.
 STEP_COST = {step: 2 if constant else 1 for step, (_, constant, *_) in _STEP_NODES.items()}
@@ -228,16 +231,16 @@ _RUN_AFTER = {
 }
 
 
-def _generator_tensors() -> dict:
+def generator_tensors() -> dict:
     """Each node tag's generator, each accessor read once, at call time:
-    the gates' tags, the identity anchor and the input kets."""
-    tensors = {
+    the one table every diagram resolves its tags through, the compiled
+    gates and starts here and the relation diagrams (`relations`)."""
+    return {
         "copy": gen.copy_tensor(), "xor": gen.xor_tensor(), "H": gen.hadamard(),
         "t1": gen.t_vector(1), "t2": gen.t_vector(2), "t3": gen.t_vector(3),
-        "one": gen.ket_one(), "id": gen.identity_map(), "in0": gen.ket_zero(),
+        "ket0": gen.ket_zero(), "ket1": gen.ket_one(), "plus": gen.plus_covector(),
+        "id": gen.identity_map(),
     }
-    tensors["in1"] = tensors["one"]
-    return tensors
 
 
 def _walk_words() -> tuple:
@@ -485,10 +488,10 @@ def _network(width: int, bits: str | list[str] | None, blocks: list,
     on `width` wires that start from the input kets of `bits` (a string or
     list of "0" and "1"), or from identity anchors when `bits` is None; its
     result is scaled by `scalar`."""
-    tensors = _generator_tensors()
+    tensors = generator_tensors()
     # Without input bits, each open input is anchored on an identity node
     # so that inputs stay legs.
-    starts = ["id"] * width if bits is None else ["in" + bit for bit in bits]
+    starts = ["id"] * width if bits is None else ["ket" + bit for bit in bits]
     in_legs = [(f"{k}:id", 1) for k in range(width)] if bits is None else []
     # Node k is named f"{k}:{tag}"; cur holds the dangling output end of
     # each wire.

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# circuit_state is not called here; perfbench's tracer test reads oracles.circuit_state.
 from stabtensor.circuits import Circuit, GateApp, circuit_state
 from stabtensor.tensor import Tensor
 
@@ -301,21 +302,15 @@ def crosscheck_paulis(n: int, seed: int = 0) -> list[str]:
     return paulis
 
 
-def crosscheck_circuit(
-    circuit: Circuit, seed: int = 0, state: Tensor | None = None
-) -> CrosscheckResult:
-    """Compare the engine's output state and the tableau's expectations
-    with the dense oracle for one circuit.
+def crosscheck_circuit(circuit: Circuit, state: Tensor, seed: int = 0) -> CrosscheckResult:
+    """Compare `state`, the engine's contracted state of `circuit`, and the
+    tableau's expectations with the dense oracle.
 
-    `state` is the circuit's contracted state, if the caller already holds
-    it; without it the circuit is contracted here.  The amplitudes are
-    compared as they are, with no scalar fitted out, so a fault in the
-    global phase or the norm disagrees; `scalar_magnitude` is the engine
-    state's 2-norm, 1 when the state is right.
+    The amplitudes are compared as they are, with no scalar fitted out, so
+    a fault in the global phase or the norm disagrees; `scalar_magnitude`
+    is the engine state's 2-norm, 1 when the state is right.
     """
     dense = dense_simulate(circuit)
-    if state is None:
-        state = circuit_state(circuit)
     net_state = state.array.reshape(-1)
     amp_delta = float(np.max(np.abs(net_state - dense.amplitudes)))
     scalar_mag = float(np.linalg.norm(net_state))

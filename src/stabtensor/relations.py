@@ -18,9 +18,10 @@ components, contracted as an outer product.  Neither half is zero, so a
 fault in either shows in the product, and as the generators' entries are
 0 or 1, a fault in one half is reported with that half's deviation.
 
-The generators are read through `generators` at call time, so a test
-that patches one (say `generators.xor_tensor`) reaches these networks and
-the circuits `compile_circuit` builds for the Clifford checks.
+The diagrams' tags resolve through `circuits.generator_tensors`, the one
+table the compiled circuits use too, which reads each generator at call
+time: a test that patches one (say `generators.xor_tensor`) reaches these
+networks and the circuits `compile_circuit` builds for the Clifford checks.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from stabtensor.circuits import (
     circuit_unitary,
     cn_component_polynomial,
     cn_index_contraction,
+    generator_tensors,
 )
 from stabtensor.oracles import GATE_MATRICES
 from stabtensor.tensor import (
@@ -105,9 +107,10 @@ def compare(
 
 # Each relation family as its two sides, each side one diagram over the
 # generators, held as `circuits.CN_BLOCK` holds a gate: its nodes by
-# generator tag, its bonds (node, leg, node, leg) between node positions,
-# and its open legs (node, leg) in order.  In a family of two laws, the
-# first law's nodes and open legs come first.
+# generator tag (a key of `circuits.generator_tensors()`), its bonds
+# (node, leg, node, leg) between node positions, and its open legs
+# (node, leg) in order.  In a family of two laws, the first law's nodes
+# and open legs come first.
 RELATIONS = {
     # xor.(xor x id) = xor.(id x xor);  (copy x id).copy = (id x copy).copy
     "associativity": (
@@ -170,12 +173,9 @@ _XOR_COPIES_PLUS_MINUS = (
 def _compare_sides(relation_id: str, sides, tol: float, copy=None) -> RelationReport:
     """Contract both diagrams of `sides`, a pair held as in `RELATIONS`, and
     compare them; `copy` stands in for the copy generator when given."""
-    # Each accessor is read once per call, and still at call time.
-    tensors = {
-        "copy": copy if copy is not None else gen.copy_tensor(), "xor": gen.xor_tensor(),
-        "ket0": gen.ket_zero(), "ket1": gen.ket_one(), "plus": gen.plus_covector(),
-        "id": gen.identity_map(), "H": gen.hadamard(),
-    }
+    tensors = generator_tensors()
+    if copy is not None:
+        tensors["copy"] = copy
     lhs, rhs = (
         TensorNetwork({k: tensors[tag] for k, tag in enumerate(tags)}, bonds, open_legs).contract()
         for tags, bonds, open_legs in sides

@@ -12,14 +12,13 @@ disjoint networks may be contracted in parallel.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import partial
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-Amplitude = complex
 
 DEFAULT_TOL = 1e-10
 
@@ -96,8 +95,6 @@ class Tensor:
                 except TypeError:  # a float 0.0 or 1.0 passes the test above
                     raise IndexError(f"leg index must be 0 or 1, got {bit}") from None
             return self._array.item(flat)
-        if isinstance(idx, slice):
-            return self.data[idx]
         return self._array.reshape(-1).item(operator.index(idx))
 
     def item(self) -> complex:
@@ -152,11 +149,8 @@ def tensor_from_fn(rank: int, fn: Callable[..., complex]) -> Tensor:
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
     check_rank(rank, "a tensor_from_fn result")
-    data = []
-    for flat in range(1 << rank):
-        idx = tuple((flat >> (rank - 1 - k)) & 1 for k in range(rank))
-        data.append(complex(fn(*idx)))
-    return Tensor(rank, data)
+    # product's order is row-major: the leftmost leg varies slowest.
+    return Tensor(rank, [complex(fn(*idx)) for idx in itertools.product((0, 1), repeat=rank)])
 
 
 def as_int(value, what: str) -> int:
@@ -301,10 +295,6 @@ def contract_pair(
     mat_a = a._array.transpose((*free_a, *ints_a)).reshape(-1, summed)
     mat_b = b._array.transpose((*ints_b, *free_b)).reshape(summed, -1)
     return _wrap_result(out_rank, np.dot(mat_a, mat_b))
-
-
-def outer(a: Tensor, b: Tensor) -> Tensor:
-    return contract_pair(a, (), b, ())
 
 
 def permute_legs(a: Tensor, perm: Sequence[int]) -> Tensor:
@@ -476,14 +466,10 @@ def _claim(span: dict, partner: list, node: Hashable, leg, what: str) -> int:
 
 def _as_binding(bond) -> LegBinding:
     try:
-        if len(bond) == 4:
-            return LegBinding(*bond)
-        (na, la), (nb, lb) = bond
+        node_a, leg_a, node_b, leg_b = bond
     except (TypeError, ValueError):
-        raise ValueError(
-            f"bond {bond!r} is neither (node, leg, node, leg) nor ((node, leg), (node, leg))"
-        ) from None
-    return LegBinding(na, la, nb, lb)
+        raise ValueError(f"bond {bond!r} is not (node, leg, node, leg)") from None
+    return LegBinding(node_a, leg_a, node_b, leg_b)
 
 
 def _open_leg(leg) -> tuple[Hashable, int]:

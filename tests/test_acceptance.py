@@ -118,7 +118,7 @@ def test_criterion_6_stabilizer_simulation_sweep():
         width = rng.randint(2, 6)
         depth = rng.randint(1, 50)
         circ = oracles.random_clifford_circuit(width, depth, seed=1000 + index)
-        result = oracles.crosscheck_circuit(circ, seed=index)
+        result = oracles.crosscheck_circuit(circ, circuit_state(circ), seed=index)
         worst_amp = max(worst_amp, result.amplitude_delta)
         worst_exp = max(worst_exp, result.expectation_delta)
     elapsed = time.perf_counter() - start

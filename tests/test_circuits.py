@@ -252,8 +252,7 @@ class TestCompile:
         # each node tag and the generator its entries must equal
         allowed = {
             "copy": gen.copy_tensor(), "xor": gen.xor_tensor(), "H": gen.hadamard(),
-            "one": gen.ket_one(), "id": gen.identity_map(),
-            "in0": gen.ket_zero(), "in1": gen.ket_one(),
+            "ket0": gen.ket_zero(), "ket1": gen.ket_one(), "id": gen.identity_map(),
             **{f"t{k}": gen.t_vector(k) for k in range(4)},
         }
         ops = (
@@ -270,8 +269,8 @@ class TestCompile:
 
     @pytest.mark.parametrize("accessor, tags", [
         ("copy_tensor", {"copy"}), ("xor_tensor", {"xor"}), ("hadamard", {"H"}),
-        ("t_vector", {"t1", "t2", "t3"}), ("ket_zero", {"in0"}),
-        ("ket_one", {"in1", "one"}), ("identity_map", {"id"}),
+        ("t_vector", {"t1", "t2", "t3"}), ("ket_zero", {"ket0"}),
+        ("ket_one", {"ket1"}), ("identity_map", {"id"}),
     ])
     def test_compile_reads_each_accessor_at_call_time(self, monkeypatch, accessor, tags):
         real = getattr(gen, accessor)
@@ -363,6 +362,9 @@ def test_compiled_structure_is_pinned():
     # its merges from 3088 to 2646; when runs became class words with a
     # phase they had fallen from 3952 and 3856), after every network was
     # checked to contract to the earlier compile's result within 1e-12.
+    # Re-recorded when the tags became `generator_tensors`' (in0, in1 and
+    # one became ket0 and ket1): with the names spelled the old way the
+    # earlier digest came out unchanged.
     accessors = {
         gen.copy_tensor(): "copy_tensor", gen.xor_tensor(): "xor_tensor",
         gen.hadamard(): "hadamard", gen.ket_zero(): "ket_zero",
@@ -377,7 +379,7 @@ def test_compiled_structure_is_pinned():
         steps = [tuple(step) for step in net.plan()]
         digest.update(repr((nodes, bonds, net.open_legs, steps, net.scalar)).encode())
     assert digest.hexdigest() == (
-        "10fc116b9881ee7156c91e36b0e7fe8ce4fe699d7043be49ca05170bbd82fdfa")
+        "018e6ae5317c4a9cc530bba8e363c659d272b44bd0940bcca2b3478ca3024d0d")
 
 
 class TestGateProducts:
@@ -471,16 +473,16 @@ class TestGateProducts:
         # X on wire 0 of an operator: the constant |1> is bonded into the
         # xor node first, then the xor node to the wire's identity anchor.
         net = compile_circuit(Circuit(1, (GateApp("X", (0,)),)))
-        assert list(net.nodes) == ["0:id", "1:xor", "2:one"]
-        assert net.bonds == (("2:one", 0, "1:xor", 2), ("0:id", 0, "1:xor", 1))
+        assert list(net.nodes) == ["0:id", "1:xor", "2:ket1"]
+        assert net.bonds == (("2:ket1", 0, "1:xor", 2), ("0:id", 0, "1:xor", 1))
         assert net.open_legs == (("1:xor", 0), ("0:id", 1))
         assert net.scalar == 1
         # Y, i times the word (2, N): each step's constant, then its chain
         # bond from the step before, and the first node to the anchor last.
         net = compile_circuit(Circuit(1, (GateApp("Y", (0,)),)))
-        assert list(net.nodes) == ["0:id", "1:copy", "2:t2", "3:xor", "4:one"]
+        assert list(net.nodes) == ["0:id", "1:copy", "2:t2", "3:xor", "4:ket1"]
         assert net.bonds == (
-            ("2:t2", 0, "1:copy", 0), ("4:one", 0, "3:xor", 2), ("1:copy", 1, "3:xor", 1),
+            ("2:t2", 0, "1:copy", 0), ("4:ket1", 0, "3:xor", 2), ("1:copy", 1, "3:xor", 1),
             ("0:id", 0, "1:copy", 2),
         )
         assert net.open_legs == (("3:xor", 0), ("0:id", 1))
@@ -667,7 +669,7 @@ class TestStartTable:
                 net = compile_circuit(Circuit(1, _spelled(word), bit))
                 start, start_bit = circuits._START[bit][e]
                 assert len(net.nodes) == 1 + _cost(circuits.CLASS[start])
-                assert list(net.nodes)[0] == f"0:in{start_bit}"
+                assert list(net.nodes)[0] == f"0:ket{start_bit}"
                 np.testing.assert_allclose(net.contract().array,
                                            _element_matrix(element)[:, int(bit)],
                                            rtol=0, atol=1e-15)
@@ -703,10 +705,10 @@ def test_wide_states_match_the_dense_oracle(width):
         circ = oracles.random_clifford_circuit(width, rng.randint(50, 100), 100 * width + k, gates)
         if k % 2:
             circ = Circuit(width, circ.ops, format(rng.randrange(1, 1 << width), f"0{width}b"))
-        delta, scale = oracles.phase_fixed_delta(
-            circuit_state(circ).array.reshape(-1), oracles.dense_simulate(circ).amplitudes
-        )
-        assert delta <= 1e-12 and scale > 0, (width, k, delta)
+        # As they are, no scalar fitted out: a phase or norm fault shows.
+        got = circuit_state(circ).array.reshape(-1)
+        delta = np.max(np.abs(got - oracles.dense_simulate(circ).amplitudes))
+        assert delta <= 1e-12, (width, k, delta)
 
 
 @pytest.fixture()
@@ -733,10 +735,8 @@ class TestContractionWidth:
         circ = oracles.random_clifford_circuit(width, depth, seed)
         state = circuit_state(circ)
         assert peak_rank[0] <= width + 1
-        delta, scale = oracles.phase_fixed_delta(
-            state.array.reshape(-1), oracles.dense_simulate(circ).amplitudes
-        )
-        assert delta <= 1e-10 and scale > 0
+        delta = np.max(np.abs(state.array.reshape(-1) - oracles.dense_simulate(circ).amplitudes))
+        assert delta <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("width,depth,state", [

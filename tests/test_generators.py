@@ -16,7 +16,6 @@ from stabtensor.tensor import (
     contract_pair,
     equal_up_to_scalar,
     max_abs_diff,
-    outer,
 )
 from tests.conftest import random_tensor, to_np
 
@@ -191,7 +190,7 @@ def test_xor_copies_x_basis_with_shared_scalar():
     lam = None
     for v in (plus, minus):
         applied = contract_pair(x, (0,), v, (0,))  # legs raised: 1-in 2-out
-        pair = outer(v, v)
+        pair = contract_pair(v, (), v, ())
         this = equal_up_to_scalar(applied, pair, 1e-12)
         assert this is not None
         if lam is None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stabtensor import cli, oracles
-from stabtensor.circuits import Circuit, GateApp
+from stabtensor.circuits import Circuit, GateApp, circuit_state
 from stabtensor.oracles import (
     CLIFFORD_GATES,
     StabilizerTableau,
@@ -245,7 +245,7 @@ class TestAgreement:
             return np.full_like(values, np.nan) if isinstance(state, StateVector) else values
 
         monkeypatch.setattr(oracles, "pauli_expectations", nan_dense)
-        result = crosscheck_circuit(BELL)
+        result = crosscheck_circuit(BELL, circuit_state(BELL))
         assert np.isnan(result.expectation_delta) and not result.ok(1e-9)
         path = tmp_path / "bell.circ"
         path.write_text("wires 2\nH 0\nCN 0 1\n")
@@ -270,12 +270,12 @@ class TestAgreement:
         deltas = np.abs(pauli_expectations(flipped(BELL), paulis)
                         - pauli_expectations(dense_simulate(BELL), paulis))
         assert np.count_nonzero(deltas > 1.0) == 1 and np.max(deltas) == pytest.approx(2.0)
-        result = crosscheck_circuit(BELL, seed=2)
+        result = crosscheck_circuit(BELL, circuit_state(BELL), seed=2)
         assert result.expectation_delta == pytest.approx(2.0)
         assert not result.ok(1e-9)
 
     def test_crosscheck_bell(self):
-        result = crosscheck_circuit(BELL, seed=2)
+        result = crosscheck_circuit(BELL, circuit_state(BELL), seed=2)
         assert result.amplitude_delta <= 1e-12
         assert result.expectation_delta <= 1e-12
         assert abs(result.scalar_magnitude - 1.0) <= 1e-9
@@ -292,7 +292,7 @@ class TestAgreement:
             circ = random_clifford_circuit(width, 30, seed=seed, gates=gates)
             bits = format(rng.randrange(1, 1 << width), f"0{width}b")
             for start in (circ, Circuit(width, circ.ops, bits)):
-                result = crosscheck_circuit(start, seed=seed)
+                result = crosscheck_circuit(start, circuit_state(start), seed=seed)
                 assert result.ok(1e-9), (width, start.input, result)
 
 

@@ -162,6 +162,36 @@ def _verify_exit(capsys):
     return code
 
 
+def test_every_diagram_tag_is_a_key_of_the_one_table():
+    # The compiled gates (the step table, the word blocks and CN), the
+    # starts (identity anchors and input kets) and every relation diagram.
+    tags = {t for tag, constant, *_ in circuits._STEP_NODES.values() for t in (tag, constant)}
+    tags.discard(None)
+    for block in (circuits.CN_BLOCK, *filter(None, circuits.WORD_BLOCKS)):
+        tags.update(block[0])
+    starts = {name.split(":", 1)[1] for bits in ("01", None)
+              for name in circuits.compile_circuit(Circuit(2, (), bits)).nodes}
+    assert starts == {"id", "ket0", "ket1"}
+    tags |= starts
+    for sides in (*relations.RELATIONS.values(), relations._XOR_IN_HADAMARD_BASIS,
+                  relations._XOR_COPIES_PLUS_MINUS):
+        for side_tags, _, _ in sides:
+            tags.update(side_tags)
+    assert tags <= set(circuits.generator_tensors())
+
+
+def test_patched_ket_one_reaches_a_compiled_not_and_the_copy_laws(monkeypatch):
+    # (1, 1) in place of |1>: a different object, and a wrong one, which
+    # copy |1> = |11> sees.
+    plus = Tensor(1, (1, 1))
+    monkeypatch.setattr(gen, "ket_one", lambda: plus)
+    net = circuits.compile_circuit(Circuit(1, (GateApp("NOT", (0,)),)))
+    assert net.nodes["2:ket1"] is plus
+    assert relations.verify_relation("copy-laws").status is RelationStatus.FAILS
+    monkeypatch.undo()
+    assert relations.verify_relation("copy-laws").status is RelationStatus.EXACT_HOLD
+
+
 def test_not_built_on_ket0_fails_clifford_not(monkeypatch, capsys):
     # NOT with |0> on the XOR's spare leg is the identity, itself unitary;
     # X and Y are written with the same N step
