@@ -32,7 +32,8 @@ file and on the 12x400 circuit of the dense oracle row (both files written
 once, outside the timer), and ``verify``.
 The oracle rows time each oracle on its own: ``dense_simulate`` on a
 12-wire circuit, one batched ``pauli_expectations`` call on its state
-(the crosscheck's 44 strings), and one on a 1000-wire tableau (20 products
+(the crosscheck's 44 strings), ``tableau_simulate`` on a 1000-wire,
+4000-gate circuit, and one batched call on that tableau (20 products
 of stabilizer rows, so every value is +-1: no string takes the shortcut
 to 0 of one that anticommutes with a stabilizer).
 The parse rows time ``parse_circuit`` over the texts of seeded circuit
@@ -309,7 +310,8 @@ def oracle_calls() -> list:
     circuit = oracles.random_clifford_circuit(width, depth, 0)
     state = oracles.dense_simulate(circuit)
     paulis = oracles.crosscheck_paulis(width)
-    wide = oracles.random_clifford_circuit(TABLEAU_WIDTH, 4 * TABLEAU_WIDTH, 0)
+    wide_depth = 4 * TABLEAU_WIDTH
+    wide = oracles.random_clifford_circuit(TABLEAU_WIDTH, wide_depth, 0)
     tab = oracles.tableau_simulate(wide)
     products = stabilizer_products(tab, TABLEAU_STRINGS, 0)
     return [
@@ -318,6 +320,9 @@ def oracle_calls() -> list:
         partial(oracle_row, f"expect-dense-{width}",
                 partial(oracles.pauli_expectations, state, paulis),
                 width=width, paulis=len(paulis)),
+        partial(oracle_row, f"tableau-simulate-{TABLEAU_WIDTH}",
+                partial(oracles.tableau_simulate, wide),
+                width=TABLEAU_WIDTH, depth=wide_depth),
         partial(oracle_row, f"expect-tableau-{TABLEAU_WIDTH}",
                 partial(oracles.pauli_expectations, tab, products),
                 width=TABLEAU_WIDTH, paulis=len(products)),

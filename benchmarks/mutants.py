@@ -145,22 +145,26 @@ MUTANTS = [
     # text), each stabilizer row's sign in the tableau expectations, and
     # the i**(#Y) factor of a string on the dense state.
     Mutant("tableau-h-sign-dropped", "src/stabtensor/oracles.py",
-           "            self.r ^= self.x[:, a] & self.z[:, a]\n"
-           "            self.x[:, a], self.z[:, a] = self.z[:, a].copy(), self.x[:, a].copy()\n",
-           "            self.x[:, a], self.z[:, a] = self.z[:, a].copy(), self.x[:, a].copy()\n"),
+           "            self.signs ^= x[a] & z[a]\n"
+           "            x[a], z[a] = z[a], x[a]\n",
+           "            x[a], z[a] = z[a], x[a]\n"),
     Mutant("tableau-row-sign-dropped", "src/stabtensor/oracles.py",
-           "phase[s] += gained + 2 * int(tab.r[n + k])", "phase[s] += gained"),
+           "- (x3 & z3).bit_count()\n"
+           "                      + 2 * (signs >> (n + k) & 1))",
+           "- (x3 & z3).bit_count())"),
     Mutant("dense-y-factor-dropped", "src/stabtensor/oracles.py",
            "rows = _I_POWERS[(x & z).sum(axis=1) % 4][:, None] * signs * psi[j]",
            "rows = signs * psi[j]"),
+    # The tableau expectations' product of stabilizer rows: the sign that
+    # the order of X and Z across the two factors gives, and the rows a
+    # string anticommutes with through its Z and Y letters.
+    Mutant("tableau-product-order-term-dropped", "src/stabtensor/oracles.py",
+           "+ 2 * (z1 & x2).bit_count() - (x3", "- (x3"),
+    Mutant("tableau-anti-ignores-z-letters", "src/stabtensor/oracles.py",
+           "                    anti ^= xcols[a]\n", ""),
     # Faults named in CHANGES.md.
     Mutant("tableau-cn-sign-dropped", "src/stabtensor/oracles.py",
-           "            self.r ^= (\n"
-           "                self.x[:, c]\n"
-           "                & self.z[:, t]\n"
-           "                & (self.x[:, t] ^ self.z[:, c] ^ 1)\n"
-           "            )\n",
-           ""),
+           "            self.signs ^= x[c] & z[t] & ~(x[t] ^ z[c])\n", ""),
     Mutant("writer-signed-zeros-merged", "src/stabtensor/cli.py",
            "flat = state.array.reshape(-1).view(np.uint64)",
            "flat = (state.array.reshape(-1) + 0.0).view(np.uint64)"),

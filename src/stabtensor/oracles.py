@@ -1,16 +1,17 @@
 """Independent reference simulators used to validate the tensor engine.
 
 Two deliberately separate routes: a dense state-vector simulator built on
-textbook gate matrices and numpy, and a stabilizer tableau simulator
-updated row-wise over GF(2).  Neither touches the generator tensors, so
-agreement with the contracted networks is a real cross-check.
+textbook gate matrices and numpy, and a stabilizer tableau simulator over
+GF(2), bit-packed so that each wire's X and Z bits of all 2n rows are one
+Python int.  Neither touches the generator tensors, so agreement with the
+contracted networks is a real cross-check.
 
 Pauli expectations are batched: `pauli_expectations` reads a list of
 strings as X and Z bit masks.  On a state vector each string is one
 flip-and-sign pass, P|j> = i**ny (-1)**popcount(j & Z) |j ^ X>, and one
-`np.vdot`.  On a tableau one matmul finds, for every string, the rows it
-anticommutes with, and the stabilizer rows are multiplied with a
-16-entry phase table across all qubits at once.
+`np.vdot`.  On a tableau the rows a string anticommutes with are one int,
+the XOR of a column per letter, and the stabilizer rows it takes are
+multiplied as wire masks, the phase counted with `int.bit_count`.
 """
 
 from __future__ import annotations
@@ -76,58 +77,99 @@ def dense_simulate(circuit: Circuit) -> StateVector:
     return StateVector(n, psi.reshape(-1))
 
 
+# The wires each gate of the tableau gate set acts on; `apply` reads any
+# other gate as an error, never as one of these.
+_TABLEAU_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
+
+
 class StabilizerTableau:
-    """2n generator rows (destabilizers then stabilizers) of X/Z bits plus
-    sign bits, updated by the standard conjugation rules."""
+    """The 2n generator rows of a stabilizer state, bit-packed by wire.
+
+    Rows 0..n-1 are the destabilizers and rows n..2n-1 the stabilizers.
+    `xcols[a]` and `zcols[a]` are Python ints whose bit i is row i's X and
+    Z bit on wire a, and bit i of `signs` is row i's sign bit.  Each gate
+    updates every row at once by the standard conjugation rules, with a
+    few integer operations at any width.
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("tableau needs at least one qubit")
         self.n = n
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n, dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1
-            self.z[n + i, i] = 1
+        self.xcols = [1 << a for a in range(n)]
+        self.zcols = [1 << (n + a) for a in range(n)]
+        self.signs = 0
 
     def apply(self, gate: str, wires: tuple[int, ...]) -> None:
-        if gate == "H":
-            (a,) = wires
-            self.r ^= self.x[:, a] & self.z[:, a]
-            self.x[:, a], self.z[:, a] = self.z[:, a].copy(), self.x[:, a].copy()
-        elif gate == "S":
-            (a,) = wires
-            self.r ^= self.x[:, a] & self.z[:, a]
-            self.z[:, a] ^= self.x[:, a]
-        elif gate == "Z":
-            (a,) = wires
-            self.r ^= self.x[:, a]
-        elif gate in ("X", "NOT"):
-            (a,) = wires
-            self.r ^= self.z[:, a]
-        elif gate == "Y":
-            (a,) = wires
-            self.r ^= self.x[:, a] ^ self.z[:, a]
-        elif gate == "CN":
-            c, t = wires
-            self.r ^= (
-                self.x[:, c]
-                & self.z[:, t]
-                & (self.x[:, t] ^ self.z[:, c] ^ 1)
-            )
-            self.x[:, t] ^= self.x[:, c]
-            self.z[:, c] ^= self.z[:, t]
-        else:
+        """Conjugate every row by `gate` on `wires`.  A gate outside the
+        tableau gate set, a wrong wire count, a wire outside 0..n-1 or CN
+        on one wire is a ValueError, raised before any column changes."""
+        arity = _TABLEAU_ARITY.get(gate)
+        if arity is None:
             raise ValueError(f"gate {gate!r} is not in the tableau gate set")
+        if len(wires) != arity:
+            raise ValueError(f"{gate} takes {arity} wire(s), got {wires!r}")
+        n = self.n
+        for w in wires:
+            if not 0 <= w < n:
+                raise ValueError(f"wire {w!r} outside 0..{n - 1}")
+        x, z = self.xcols, self.zcols
+        if arity == 2:
+            c, t = wires
+            if c == t:
+                raise ValueError(f"CN wires must be distinct, got {wires!r}")
+            # ~(...) is negative, but x[c] is not, so neither is the mask.
+            self.signs ^= x[c] & z[t] & ~(x[t] ^ z[c])
+            x[t] ^= x[c]
+            z[c] ^= z[t]
+            return
+        (a,) = wires
+        if gate == "H":
+            self.signs ^= x[a] & z[a]
+            x[a], z[a] = z[a], x[a]
+        elif gate == "S":
+            self.signs ^= x[a] & z[a]
+            z[a] ^= x[a]
+        elif gate == "Z":
+            self.signs ^= x[a]
+        elif gate == "Y":
+            self.signs ^= x[a] ^ z[a]
+        else:  # X and NOT
+            self.signs ^= z[a]
 
     def stabilizer_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X bits, Z bits and sign bits of the n stabilizer rows, as uint8
+        arrays of shapes (n, n), (n, n) and (n,)."""
         n = self.n
-        return self.x[n:].copy(), self.z[n:].copy(), self.r[n:].copy()
+        bits = _row_bits(self.xcols + self.zcols + [self.signs], n, n)
+        return bits[:, :n].copy(), bits[:, n:2 * n].copy(), bits[:, 2 * n].copy()
 
     def symplectic_products(self) -> np.ndarray:
         """Pairwise commutation matrix of all 2n rows (1 = anticommute)."""
-        return (self.x @ self.z.T ^ self.z @ self.x.T) & 1
+        n = self.n
+        bits = _row_bits(self.xcols + self.zcols, 0, 2 * n)
+        x, z = bits[:, :n], bits[:, n:]
+        return (x @ z.T ^ z @ x.T) & 1
+
+
+def _row_bits(cols: list[int], first: int, count: int) -> np.ndarray:
+    """Bits first..first+count-1 of each int in `cols`, as a uint8 array of
+    shape (count, len(cols)): the rows of a tableau whose wire columns are
+    `cols`."""
+    size = (count + 7) // 8
+    data = b"".join((c >> first).to_bytes(size, "little") for c in cols)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(cols), size)
+    bits = np.unpackbits(packed, axis=1, count=count, bitorder="little")
+    # Transposed into a contiguous array, so that packing its rows again
+    # reads memory in order (three times faster at 1000 wires).
+    return np.ascontiguousarray(bits.T)
+
+
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 array as an int, bit a for column a."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, size = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
 
 def tableau_simulate(circuit: Circuit) -> StabilizerTableau:
@@ -146,18 +188,17 @@ _PAULI_LETTERS = frozenset("IXYZ")
 # i**k for k = 0..3, exact.
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
-# Exponent of i picked up multiplying two one-qubit Paulis, indexed by the
-# bits x1 z1 x2 z2 (so I, Z, X, Y are the codes 0..3 of 2x + z).
-_PRODUCT_PHASE = np.array(
-    [0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 1, 0, 1, -1, 0], dtype=np.int8
-)
+
+def _check_paulis(paulis, n: int) -> None:
+    """A ValueError naming the first string that is not n letters of IXYZ."""
+    for pauli in paulis:
+        if len(pauli) != n or not _PAULI_LETTERS.issuperset(pauli):
+            raise ValueError(f"bad Pauli string {pauli!r} for {n} qubits")
 
 
 def _pauli_bits(paulis, n: int) -> tuple[np.ndarray, np.ndarray]:
     """X bits and Z bits of each string, each of shape (len(paulis), n)."""
-    for pauli in paulis:
-        if len(pauli) != n or not _PAULI_LETTERS.issuperset(pauli):
-            raise ValueError(f"bad Pauli string {pauli!r} for {n} qubits")
+    _check_paulis(paulis, n)
     letters = np.frombuffer("".join(paulis).encode(), dtype=np.uint8)
     letters = letters.reshape(len(paulis), n)
     y = letters == ord("Y")
@@ -208,38 +249,53 @@ def _dense_expectations(state: StateVector, paulis) -> np.ndarray:
 
 def _tableau_expectations(tab: StabilizerTableau, paulis) -> np.ndarray:
     n = tab.n
-    x, z = _pauli_bits(paulis, n)
-    # True where a tableau row (destabilizers, then stabilizers)
-    # anticommutes with a string.  One float32 matmul, so BLAS runs it; its
-    # counts, at most 2n, are exact below 2**24.
-    rows = np.hstack((tab.x, tab.z), dtype=np.float32)
-    strings = np.hstack((z, x), dtype=np.float32)
-    anti = (rows @ strings.T).astype(np.int64) & 1 == 1
+    _check_paulis(paulis, n)
+    xcols, zcols, signs = tab.xcols, tab.zcols, tab.signs
+    # Bits 0..n-1: the destabilizer rows of `anti` below, and the X part of
+    # a stabilizer row in `stabilizers`, whose bits n..2n-1 are its Z part.
+    low = (1 << n) - 1
     values = np.zeros(len(paulis))
-    live = ~anti[n:].any(axis=0)
-    # A string P that commutes with every stabilizer is +-1 times the
-    # product of the stabilizers whose destabilizer anticommutes with P
-    # (Aaronson & Gottesman, PRA 70, 052328, section III).  Rows are
-    # multiplied as Pauli codes 2x + z, for every string that takes them.
-    takes = anti[:n, live]
-    want = 2 * x[live] + z[live]
-    product = np.zeros_like(want)
-    phase = np.zeros(len(want), dtype=np.int64)
-    stabilizers = 2 * tab.x[n:] + tab.z[n:]
-    for k in np.flatnonzero(takes.any(axis=1)):
-        s = np.flatnonzero(takes[k])
-        acc = product[s]
-        row = stabilizers[k]
-        gained = np.take(_PRODUCT_PHASE, 4 * acc + row).sum(axis=1)
-        phase[s] += gained + 2 * int(tab.r[n + k])
-        product[s] = acc ^ row
-    if not np.array_equal(product, want):
-        raise ArithmeticError("destabilizer rule gave an inconsistent product")
-    phase %= 4
-    odd = np.flatnonzero(phase & 1)
-    if odd.size:
-        raise ArithmeticError(f"non-Hermitian accumulated phase i^{phase[odd[0]]}")
-    values[live] = 1 - phase
+    stabilizers = None
+    for i, pauli in enumerate(paulis):
+        # Bit j of anti is set where tableau row j anticommutes with the
+        # string; xs and zs are the string's X and Z bits, bit a for wire a.
+        anti = xs = zs = 0
+        for a, letter in enumerate(pauli):
+            if letter != "I":
+                if letter != "Z":
+                    anti ^= zcols[a]
+                    xs |= 1 << a
+                if letter != "X":
+                    anti ^= xcols[a]
+                    zs |= 1 << a
+        if anti >> n:
+            continue
+        # A string P that commutes with every stabilizer is +-1 times the
+        # product of the stabilizers whose destabilizer anticommutes with P
+        # (Aaronson & Gottesman, PRA 70, 052328, section III).  With the
+        # Hermitian H(x, z) = i**|x & z| X**x Z**z, H(x1, z1) H(x2, z2) is
+        # i**(|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) H(x3, z3), x3 = x1 ^ x2
+        # and z3 = z1 ^ z2, and a row with its sign bit set is -H(x, z).
+        if stabilizers is None:
+            stabilizers = _row_masks(_row_bits(xcols + zcols, n, n))
+        x1 = z1 = phase = 0
+        takes = anti & low
+        while takes:
+            k = (takes & -takes).bit_length() - 1
+            takes &= takes - 1
+            row = stabilizers[k]
+            x2, z2 = row & low, row >> n
+            x3, z3 = x1 ^ x2, z1 ^ z2
+            phase += ((x1 & z1).bit_count() + (x2 & z2).bit_count()
+                      + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()
+                      + 2 * (signs >> (n + k) & 1))
+            x1, z1 = x3, z3
+        if x1 != xs or z1 != zs:
+            raise ArithmeticError("destabilizer rule gave an inconsistent product")
+        phase %= 4
+        if phase & 1:
+            raise ArithmeticError(f"non-Hermitian accumulated phase i^{phase}")
+        values[i] = 1 - phase
     return values
 
 

@@ -133,17 +133,31 @@ def test_oracle_rows_time_each_oracle_alone(monkeypatch, tmp_path):
         batches.append((state.n, values))
         return values
 
+    simulated = []
+    exact_simulate = oracles.tableau_simulate
+
+    def recording_simulate(circuit):
+        simulated.append((circuit.width, len(circuit.ops)))
+        return exact_simulate(circuit)
+
     monkeypatch.setattr(oracles, "pauli_expectations", recording)
+    monkeypatch.setattr(oracles, "tableau_simulate", recording_simulate)
     calls = {call.args[0]: call for call in bench.row_calls(tmp_path) if isinstance(call, partial)}
-    names = ["cli-crosscheck-bell", "dense-simulate-3x10", "expect-dense-3", "expect-tableau-30"]
+    names = ["cli-crosscheck-bell", "dense-simulate-3x10", "expect-dense-3",
+             "tableau-simulate-30", "expect-tableau-30"]
     rows = [calls[name]() for name in names]
     assert [row["name"] for row in rows] == names
-    assert rows[2]["paulis"] == 17 and rows[3]["paulis"] == 4
+    assert rows[2]["paulis"] == 17 and rows[4]["paulis"] == 4
+    assert (rows[3]["width"], rows[3]["depth"]) == (30, 120)
     assert all(row["call_s"] > 0 for row in rows)
     # One batched call per oracle in the crosscheck and per expectation
     # row; the tableau strings are stabilizer products, each +1 or -1.
     assert [n for n, _ in batches] == [2, 2, 3, 30]
     assert set(np.abs(batches[-1][1])) == {1.0}
+    # The tableau row simulates the circuit whose tableau the expectation
+    # row reads: once to build that tableau, outside the timer, then the
+    # crosscheck's Bell circuit, then the row's timed call.
+    assert simulated == [(30, 120), (2, 2), (30, 120)]
 
 
 def test_simulate_rows_read_files_written_before_timing(monkeypatch, tmp_path):

@@ -1,8 +1,10 @@
 """Dense and tableau oracles, their agreement channel, and the crosscheck."""
 
+import importlib.util
 import itertools
 import random
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from stabtensor.oracles import (
     tableau_simulate,
 )
 
+_BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench", _BENCH)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
 SQ2 = np.sqrt(2)
 
 BELL = Circuit(2, (GateApp("H", (0,)), GateApp("CN", (0, 1))), "00")
@@ -35,9 +42,9 @@ PAULIS_2X2 = {
 }
 
 
-def _seeded_start(width, seed):
+def _seeded_start(width, seed, depth=30):
     """A seeded circuit with NOT, from a nonzero input."""
-    circ = random_clifford_circuit(width, 30, seed, CLIFFORD_GATES + ("NOT",))
+    circ = random_clifford_circuit(width, depth, seed, CLIFFORD_GATES + ("NOT",))
     bits = format(random.Random(seed).randrange(1, 1 << width), f"0{width}b")
     return Circuit(width, circ.ops, bits)
 
@@ -48,6 +55,11 @@ def _all_strings(n):
 
 def _row_string(x, z):
     return "".join("IZXY"[2 * a + b] for a, b in zip(x, z))
+
+
+def _row(cols, i):
+    """Row i of a packed tableau's X or Z columns, one bit per wire."""
+    return np.array([col >> i & 1 for col in cols], dtype=np.uint8)
 
 
 class TestDense:
@@ -91,9 +103,9 @@ class TestTableau:
     def test_s_squared_equals_z(self):
         a = tableau_simulate(Circuit(1, (GateApp("H", (0,)), GateApp("S", (0,)), GateApp("S", (0,)))))
         b = tableau_simulate(Circuit(1, (GateApp("H", (0,)), GateApp("Z", (0,)))))
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.r, b.r)
+        assert a.xcols == b.xcols
+        assert a.zcols == b.zcols
+        assert a.signs == b.signs
 
     def test_input_bits_prepared_with_x(self):
         tab = tableau_simulate(Circuit(2, (), "01"))
@@ -115,6 +127,118 @@ class TestTableau:
             want[i, n + i] = 1
             want[n + i, i] = 1
         assert np.array_equal(products, want)
+
+
+class _NumpyTableau:
+    """The tableau as 2n numpy rows of X and Z bits plus sign bits, updated
+    and read by the row rules the packed tableau replaced: the reference
+    it is tested against."""
+
+    # Exponent of i picked up multiplying two one-qubit Paulis, indexed by
+    # the bits x1 z1 x2 z2 (so I, Z, X, Y are the codes 0..3 of 2x + z).
+    PRODUCT_PHASE = np.array([0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 1, 0, 1, -1, 0])
+
+    def __init__(self, circuit):
+        n = self.n = circuit.width
+        self.x = np.zeros((2 * n, n), dtype=np.uint8)
+        self.z = np.zeros((2 * n, n), dtype=np.uint8)
+        self.r = np.zeros(2 * n, dtype=np.uint8)
+        for i in range(n):
+            self.x[i, i] = 1
+            self.z[n + i, i] = 1
+        for w, bit in enumerate(circuit.input or ""):
+            if bit == "1":
+                self.apply("X", (w,))
+        for op in circuit.ops:
+            self.apply(op.gate, op.wires)
+
+    def apply(self, gate, wires):
+        x, z = self.x, self.z
+        if gate == "CN":
+            c, t = wires
+            self.r ^= x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1)
+            x[:, t] ^= x[:, c]
+            z[:, c] ^= z[:, t]
+            return
+        (a,) = wires
+        if gate == "H":
+            self.r ^= x[:, a] & z[:, a]
+            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
+        elif gate == "S":
+            self.r ^= x[:, a] & z[:, a]
+            z[:, a] ^= x[:, a]
+        elif gate == "Z":
+            self.r ^= x[:, a]
+        elif gate == "Y":
+            self.r ^= x[:, a] ^ z[:, a]
+        else:
+            assert gate in ("X", "NOT")
+            self.r ^= z[:, a]
+
+    def expectations(self, paulis):
+        n = self.n
+        letters = np.array([list(p) for p in paulis]).reshape(len(paulis), n)
+        x = ((letters == "X") | (letters == "Y")).astype(np.int64)
+        z = ((letters == "Z") | (letters == "Y")).astype(np.int64)
+        anti = (np.hstack((self.x, self.z)).astype(np.int64) @ np.hstack((z, x)).T) & 1 == 1
+        values = np.zeros(len(paulis))
+        live = ~anti[n:].any(axis=0)
+        takes = anti[:n, live]
+        want = 2 * x[live] + z[live]
+        product = np.zeros_like(want)
+        phase = np.zeros(len(want), dtype=np.int64)
+        stabilizers = 2 * self.x[n:].astype(np.int64) + self.z[n:]
+        for k in np.flatnonzero(takes.any(axis=1)):
+            s = np.flatnonzero(takes[k])
+            gained = self.PRODUCT_PHASE[4 * product[s] + stabilizers[k]].sum(axis=1)
+            phase[s] += gained + 2 * int(self.r[n + k])
+            product[s] ^= stabilizers[k]
+        assert np.array_equal(product, want)
+        phase %= 4
+        assert not (phase & 1).any()
+        values[live] = 1 - phase
+        return values
+
+
+class TestPackedTableau:
+    """The packed tableau against `_NumpyTableau`, row for row and value
+    for value."""
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 33, 130])
+    def test_rows_and_signs_equal_the_reference(self, n):
+        # At 130 wires the rows run to 259, past bit 256 of each int.
+        for seed in range(3):
+            circ = _seeded_start(n, seed, depth=max(30, 4 * n))
+            tab, ref = tableau_simulate(circ), _NumpyTableau(circ)
+            rows = range(2 * n)
+            assert np.array_equal([_row(tab.xcols, i) for i in rows], ref.x)
+            assert np.array_equal([_row(tab.zcols, i) for i in rows], ref.z)
+            assert [tab.signs >> i & 1 for i in rows] == ref.r.tolist()
+            assert tab.signs >> 2 * n == 0
+            got = tab.stabilizer_rows()
+            for part, want in zip(got, (ref.x[n:], ref.z[n:], ref.r[n:])):
+                assert part.dtype == np.uint8 and np.array_equal(part, want)
+            products = (ref.x @ ref.z.T ^ ref.z @ ref.x.T) & 1
+            assert np.array_equal(tab.symplectic_products(), products)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_expectations_equal_the_reference_on_every_string(self, n):
+        paulis = _all_strings(n)
+        for seed in range(4):
+            for circ in (_seeded_start(n, seed), random_clifford_circuit(n, 40, seed)):
+                got = pauli_expectations(tableau_simulate(circ), paulis)
+                assert np.array_equal(got, _NumpyTableau(circ).expectations(paulis))
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_expectations_equal_the_reference_on_stabilizer_products(self, n):
+        circ = random_clifford_circuit(n, 4 * n, 0)
+        tab, ref = tableau_simulate(circ), _NumpyTableau(circ)
+        paulis = bench.stabilizer_products(tab, 20, 0)
+        rng = random.Random(n)
+        paulis += ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(4)]
+        got = pauli_expectations(tab, paulis)
+        assert set(np.abs(got[:20])) == {1.0}
+        assert np.array_equal(got, ref.expectations(paulis))
 
 
 class TestPauliExpectation:
@@ -177,14 +301,15 @@ class TestPauliExpectations:
         values = pauli_expectations(tab, paulis)
         assert set(np.abs(values)) == {1.0}
         for subset in subsets:
-            k = np.flatnonzero(subset)[0]
-            tab.r[n + k] ^= 1
+            k = int(np.flatnonzero(subset)[0])
+            tab.signs ^= 1 << (n + k)
             flipped = pauli_expectations(tab, paulis)
-            tab.r[n + k] ^= 1
+            tab.signs ^= 1 << (n + k)
             assert np.array_equal(flipped, np.where(subsets[:, k], -values, values))
         # Destabilizer j anticommutes with stabilizer j alone.
         with_destabilizer = [
-            _row_string(x ^ tab.x[j], z ^ tab.z[j]) for j, (x, z) in enumerate(products)
+            _row_string(x ^ _row(tab.xcols, j), z ^ _row(tab.zcols, j))
+            for j, (x, z) in enumerate(products)
         ]
         assert np.array_equal(pauli_expectations(tab, with_destabilizer), np.zeros(4))
 
@@ -262,7 +387,7 @@ class TestAgreement:
 
         def flipped(circuit):
             tab = exact(circuit)
-            tab.r[-1] ^= 1
+            tab.signs ^= 1 << (2 * tab.n - 1)
             return tab
 
         monkeypatch.setattr(oracles, "tableau_simulate", flipped)

@@ -90,6 +90,17 @@ REJECTIONS = {
                          ValueError, "shape mismatch: rank 2 vs 1"),
     "tableau-width-0": (lambda: oracles.StabilizerTableau(0), ValueError,
                         "tableau needs at least one qubit"),
+    # A gate's wires are checked before any column is read, so a negative
+    # wire does not act on the last one and CN on one wire does not clear
+    # its X column.
+    "tableau-wire-count": (lambda: oracles.StabilizerTableau(2).apply("H", (0, 1)),
+                           ValueError, "H takes 1 wire(s), got (0, 1)"),
+    "tableau-wire-negative": (lambda: oracles.StabilizerTableau(2).apply("H", (-1,)),
+                              ValueError, "wire -1 outside 0..1"),
+    "tableau-wire-past-width": (lambda: oracles.StabilizerTableau(2).apply("H", (2,)),
+                                ValueError, "wire 2 outside 0..1"),
+    "tableau-cn-one-wire": (lambda: oracles.StabilizerTableau(2).apply("CN", (0, 0)),
+                            ValueError, "CN wires must be distinct, got (0, 0)"),
     "pauli-state-type": (lambda: oracles.pauli_expectations("01", ["Z"]), TypeError,
                          "unsupported state type str"),
 }
