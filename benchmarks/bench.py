@@ -28,8 +28,9 @@ node and merge, which a single-circuit row cannot resolve.  The relation-suite r
 over every network the suite contracts.  The CLI rows time one whole ``cli.main``
 call, records format, with stdout captured: ``simulate`` on
 ``samples/bell.circ``, with and without ``--crosscheck``, on a 20-wire GHZ
-file and on the 12x400 circuit of the dense oracle row (both files written
-once, outside the timer), and ``verify``.
+file, on the 12x400 circuit of the dense oracle row and on a seeded 12x30
+circuit, perfbench simulate-wide's widest shape (each file written once,
+outside the timer), and ``verify``.
 The oracle rows time each oracle on its own: ``dense_simulate`` on a
 12-wire circuit, one batched ``pauli_expectations`` call on its state
 (the crosscheck's 44 strings), ``tableau_simulate`` on a 1000-wire,
@@ -102,6 +103,9 @@ LADDER_WIDTH = 14
 DENSE_CIRCUIT = (12, 400)
 # Wires of the GHZ file the simulate row prints, 2**20 amplitude lines.
 GHZ_WIDTH = 20
+# (width, depth) of the simulate row of perfbench simulate-wide's widest
+# shape: its sparse state's 2**12 lines cost more to print than to contract.
+WIDE_CIRCUIT = (12, 30)
 TABLEAU_WIDTH = 1000
 TABLEAU_STRINGS = 20
 # Circuits in the batch row, their widths and depths (inclusive), and seed.
@@ -386,9 +390,10 @@ def row_calls(workdir: Path) -> list:
     calls.append(partial(cli_row, "cli-simulate-bell", ["--format", "records", "simulate", bell]))
     calls.append(partial(cli_row, "cli-crosscheck-bell",
                          ["--format", "records", "simulate", bell, "--crosscheck"]))
-    width, depth = DENSE_CIRCUIT
-    for name, circuit in ((f"ghz{GHZ_WIDTH}", ghz(GHZ_WIDTH)),
-                          (f"{width}x{depth}", oracles.random_clifford_circuit(width, depth, 0))):
+    files = [(f"ghz{GHZ_WIDTH}", ghz(GHZ_WIDTH))]
+    for width, depth in (DENSE_CIRCUIT, WIDE_CIRCUIT):
+        files.append((f"{width}x{depth}", oracles.random_clifford_circuit(width, depth, 0)))
+    for name, circuit in files:
         path = circuit_file(workdir / f"{name}.circ", circuit)
         calls.append(partial(cli_row, f"cli-simulate-{name}",
                              ["--format", "records", "simulate", path]))

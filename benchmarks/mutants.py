@@ -168,6 +168,12 @@ MUTANTS = [
     Mutant("writer-signed-zeros-merged", "src/stabtensor/cli.py",
            "flat = state.array.reshape(-1).view(np.uint64)",
            "flat = (state.array.reshape(-1) + 0.0).view(np.uint64)"),
+    # The writer's chunks (cli.TEXT_LINES): each chunk's index digits and
+    # amplitude parts start where the chunk does, not where its block does.
+    Mutant("writer-chunk-index-not-advanced", "src/stabtensor/cli.py",
+           "np.arange(start + at, start + at + count,", "np.arange(start, start + count,"),
+    Mutant("writer-chunk-parts-not-advanced", "src/stabtensor/cli.py",
+           "searchsorted(block[2 * at:2 * (at + chunk)])", "searchsorted(block[:2 * chunk])"),
     Mutant("walk-self-bond-test-dropped", "src/stabtensor/tensor.py",
            "is not None or x == y):", "is not None):"),
     Mutant("claim-mark-dropped", "src/stabtensor/tensor.py",

@@ -10,10 +10,12 @@ The argument parser is built once, at import, and every `main` call parses
 with it; `parse_args` keeps no state between calls, so each call starts
 from the defaults.
 
-`simulate` writes its 2**n amplitude lines in blocks of up to WRITE_BLOCK.
-Each block is one byte matrix built in numpy, with each distinct amplitude
-part (a real or imaginary bit pattern) formatted once, and goes out in one
-`sys.stdout.write`; no Python code runs per amplitude.
+`simulate` writes its 2**n amplitude lines in blocks of up to WRITE_BLOCK,
+each in one `sys.stdout.write`; each distinct amplitude part (a real or
+imaginary bit pattern) of a block is formatted once.  The block's text is
+built in numpy TEXT_LINES lines at a time, in one reused byte matrix, with
+no Python code per amplitude: chunk-sized buffers are reused from the heap,
+where a whole block's are mapped fresh from the kernel on every call.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ ENV_TOL = "STABTENSOR_TOL"
 # Amplitude lines per stdout write: a state of up to 16 wires goes out in
 # one call, and the text of a wider one is never held whole.
 WRITE_BLOCK = 1 << 16
+# Amplitude lines whose text a block builds at a time: at 12 wires each of
+# its buffers stays under about 80 KB, which malloc reuses from its heap;
+# from 2**11 lines on, a 12-wire print took 20-50 fresh pages per call.
+TEXT_LINES = 1 << 10
 
 # The eight digits of each byte value, most significant first, as ASCII.
 _BYTE_DIGITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + ord("0")
@@ -125,9 +131,13 @@ def _write_amplitudes(head: str, state: Tensor, line: str,
     stabilizer state has few distinct amplitude parts, so a block sorts the
     bit patterns of its real and imaginary parts together (0.0 and -0.0
     stay apart) and calls `fmt` once per distinct one.  The block's text is
-    one byte matrix, a row per line: `line` with the index digits and both
-    parts filled in, each part NUL-padded to the widest; the NULs are
-    dropped before the write.
+    built TEXT_LINES lines at a time in one reused byte matrix, a row per
+    line: `line` with each part NUL-padded to the widest, the index digits
+    and both parts written over its rows per chunk, the NULs dropped from
+    each chunk.  Chunking keeps every buffer a few tens of KB, small enough
+    for malloc to reuse from its heap; a whole block's buffers are large
+    enough that each call maps them fresh from the kernel and takes the
+    page faults.
     """
     n = state.rank
     lead, before, between, _ = line.split("{}")
@@ -136,7 +146,7 @@ def _write_amplitudes(head: str, state: Tensor, line: str,
         block = flat[2 * start:2 * (start + WRITE_BLOCK)]
         size = block.size // 2
         ordered = block.copy()
-        ordered.sort(kind="stable")  # timsort: fast on runs of zeros
+        ordered.sort()
         first = np.empty(block.size, bool)  # first of its run of equal parts
         first[0] = True
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
@@ -144,18 +154,24 @@ def _write_amplitudes(head: str, state: Tensor, line: str,
         texts = np.array(list(map(fmt, distinct.view(np.float64).tolist())), "S")
         width = texts.itemsize
         row = line.format("\0" * n, "\0" * width, "\0" * width).encode()
-        lines = np.frombuffer(bytearray(row) * size, np.uint8).reshape(size, -1)
-        # big-endian bytes of each index; MAX_RANK keeps n below 32 bits
-        index = np.arange(start, start + size, dtype=">u4").view(np.uint8)
-        digits = _BYTE_DIGITS.take(index, axis=0).reshape(size, 32)
-        lines[:, len(lead):len(lead) + n] = digits[:, 32 - n:]
+        chunk = min(TEXT_LINES, size)
+        lines = np.frombuffer(bytearray(row) * chunk, np.uint8).reshape(chunk, -1)
         re_at = len(lead) + n + len(before)
         im_at = re_at + width + len(between)
-        parts = texts.take(distinct.searchsorted(block)).view(np.uint8).reshape(size, 2, width)
-        lines[:, re_at:re_at + width] = parts[:, 0]
-        lines[:, im_at:im_at + width] = parts[:, 1]
-        text = lines.reshape(-1)
-        sys.stdout.write(head + text[text != 0].tobytes().decode())
+        pieces = [head]
+        for at in range(0, size, chunk):
+            codes = distinct.searchsorted(block[2 * at:2 * (at + chunk)])
+            count = codes.size // 2
+            rows = lines[:count]
+            # big-endian bytes of each index; MAX_RANK keeps n below 32 bits
+            index = np.arange(start + at, start + at + count, dtype=">u4").view(np.uint8)
+            digits = _BYTE_DIGITS.take(index, axis=0).reshape(count, 32)
+            rows[:, len(lead):len(lead) + n] = digits[:, 32 - n:]
+            parts = texts.take(codes).view(np.uint8).reshape(count, 2, width)
+            rows[:, re_at:re_at + width] = parts[:, 0]
+            rows[:, im_at:im_at + width] = parts[:, 1]
+            pieces.append(rows[rows != 0].tobytes().decode())
+        sys.stdout.write("".join(pieces))
         head = ""
 
 

@@ -163,11 +163,12 @@ def test_oracle_rows_time_each_oracle_alone(monkeypatch, tmp_path):
 def test_simulate_rows_read_files_written_before_timing(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "DENSE_CIRCUIT", (3, 10))
     monkeypatch.setattr(bench, "GHZ_WIDTH", 4)
+    monkeypatch.setattr(bench, "WIDE_CIRCUIT", (2, 5))
     calls = {call.args[0]: call for call in bench.row_calls(tmp_path) if isinstance(call, partial)}
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["3x10.circ", "ghz4.circ"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["2x5.circ", "3x10.circ", "ghz4.circ"]
     assert (tmp_path / "ghz4.circ").read_text() == (
         "wires 4\ninput 0000\nH 0\nCN 0 1\nCN 1 2\nCN 2 3\n")
-    for name in ("cli-simulate-ghz4", "cli-simulate-3x10"):
+    for name in ("cli-simulate-ghz4", "cli-simulate-3x10", "cli-simulate-2x5"):
         row = calls[name]()
         assert row["name"] == name and row["call_s"] > 0
 

@@ -37,6 +37,20 @@ def _line_loop_output(fmt, state):
     return "".join(line + "\n" for line in lines)
 
 
+def _assert_same_text(out, expected, note=None):
+    """assert out == expected, reported by the first line that differs.
+
+    pytest's own report of two unequal strings is a difflib diff, quadratic
+    in the lines that differ: on simulate outputs of 2**11 lines that differ
+    on every line it runs for minutes."""
+    if out != expected:
+        got, want = out.splitlines(), expected.splitlines()
+        k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                 min(len(got), len(want)))
+        pytest.fail(f"output of {len(got)} lines, expected {len(want)}; line {k + 1} is "
+                    f"{got[k:k + 1]}, expected {want[k:k + 1]}; {note}", pytrace=False)
+
+
 def _child_env():
     """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
@@ -228,7 +242,7 @@ class TestSimulate:
             path = _circuit_file(tmp_path / f"c{k}.circ", circ)
             assert cli.main(["--format", fmt, "simulate", path]) == 0
             out = capsys.readouterr().out
-            assert out == _line_loop_output(fmt, circuit_state(circ)), circ
+            _assert_same_text(out, _line_loop_output(fmt, circuit_state(circ)), circ)
             negative_zeros += out.count("=-0.0 ") + out.count("=-0.0\n")
         if fmt == "records":
             assert negative_zeros > 0
@@ -258,7 +272,7 @@ class TestSimulate:
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(["--format", "records", "simulate", path]) == 0
         assert out.calls == calls
-        assert out.getvalue() == _line_loop_output("records", circuit_state(circ))
+        _assert_same_text(out.getvalue(), _line_loop_output("records", circuit_state(circ)))
 
     @pytest.mark.parametrize("fmt", ["records", "human"])
     def test_non_stabilizer_state_matches_line_loop(self, fmt, tmp_path, capsys, monkeypatch):
@@ -276,15 +290,26 @@ class TestSimulate:
         assert cli.main(["--format", fmt, "simulate", str(path)]) == 0
         assert capsys.readouterr().out == _line_loop_output(fmt, state)
 
-    @pytest.mark.parametrize("fmt", ["records", "human"])
-    def test_small_blocks_carry_high_index_bits(self, fmt, tmp_path, monkeypatch):
+    # (WRITE_BLOCK, TEXT_LINES or None for the default, writes) on a 6-wire
+    # state, 64 lines: blocks of 4 lines; one block built in 16 chunks of 4;
+    # blocks of 5 built in chunks of 3 and 2, the last block in 3 and 1.
+    @pytest.mark.parametrize("fmt,block,text_lines,calls", [
+        pytest.param(fmt, block, text_lines, calls, id=f"{fmt}{name}")
+        for block, text_lines, calls, name in [(4, None, 16, ""),
+                                               (cli.WRITE_BLOCK, 4, 1, "-text4"),
+                                               (5, 3, 13, "-block5-text3")]
+        for fmt in ("records", "human")])
+    def test_small_blocks_carry_high_index_bits(self, fmt, block, text_lines, calls,
+                                                tmp_path, monkeypatch):
         circ = next(c for c in _seeded_circuits() if c.width == 6 and "1" in c.input)
         path = _circuit_file(tmp_path / "c.circ", circ)
-        monkeypatch.setattr(cli, "WRITE_BLOCK", 4)
+        monkeypatch.setattr(cli, "WRITE_BLOCK", block)
+        if text_lines is not None:
+            monkeypatch.setattr(cli, "TEXT_LINES", text_lines)
         out = _CountingOut()
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(["--format", fmt, "simulate", path]) == 0
-        assert out.calls == 16
+        assert out.calls == calls
         assert out.getvalue() == _line_loop_output(fmt, circuit_state(circ))
 
     def test_ghz17_crosses_the_default_block(self, tmp_path, monkeypatch):
@@ -296,7 +321,7 @@ class TestSimulate:
         assert cli.main(["--format", "records", "simulate", str(path)]) == 0
         assert out.calls == 2 == (1 << 17) // cli.WRITE_BLOCK
         state = circuit_state(circuits.parse_circuit(path.read_text()))
-        assert out.getvalue() == _line_loop_output("records", state)
+        _assert_same_text(out.getvalue(), _line_loop_output("records", state))
 
     def test_closed_pipe_exits_1_without_a_traceback(self, tmp_path):
         # Each of GHZ-17's two write blocks is far larger than a pipe
