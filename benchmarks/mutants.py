@@ -179,15 +179,21 @@ MUTANTS = [
     Mutant("claim-mark-dropped", "src/stabtensor/tensor.py",
            "    partner[first + k] = _OPEN\n    return first + k",
            "    return first + k"),
-    # Arguments read once (a one-shot iterator passes the permutation check
-    # and must not be used up by it), and a tensor's rank under the integer
-    # rule.
+    # Arguments read once (a one-shot iterator passes the order check and
+    # must not be used up by it), and a tensor's rank under the integer rule.
     Mutant("plan-order-read-twice", "src/stabtensor/tensor.py",
            "sorted(order := list(order))", "sorted(order)"),
-    Mutant("permute-perm-read-twice", "src/stabtensor/tensor.py",
-           "    perm = list(perm)\n", ""),
     Mutant("tensor-rank-not-an-int", "src/stabtensor/tensor.py",
            '        rank = as_int(rank, "tensor rank")\n', ""),
+    # A bond kept as given only when it is a plain tuple of four fields.
+    Mutant("bond-tuple-length-unchecked", "src/stabtensor/tensor.py",
+           "type(b) is tuple and len(b) == 4 else", "type(b) is tuple else"),
+    # Operands and Pauli strings of the wrong type are worded errors.
+    Mutant("contract-operand-type-unworded", "src/stabtensor/tensor.py",
+           "    try:\n        rank_a, rank_b = a._rank, b._rank\n    except AttributeError:\n",
+           "    rank_a, rank_b = a._rank, b._rank\n    if False:\n"),
+    Mutant("pauli-str-unchecked", "src/stabtensor/oracles.py",
+           "if not isinstance(pauli, str) or len(pauli) != n", "if len(pauli) != n"),
 ]
 
 

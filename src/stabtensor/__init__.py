@@ -8,13 +8,11 @@ Independent dense and tableau simulators cross-check every result.
 
 from stabtensor.tensor import (
     DEFAULT_TOL,
-    LegBinding,
     Tensor,
     TensorNetwork,
     contract_pair,
     equal_up_to_scalar,
     max_abs_diff,
-    permute_legs,
     tensor_from_fn,
 )
 
@@ -22,14 +20,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOL",
-    "LegBinding",
     "Tensor",
     "TensorNetwork",
     "contract_pair",
     "equal_up_to_scalar",
     "kernel_backend",
     "max_abs_diff",
-    "permute_legs",
     "tensor_from_fn",
 ]
 

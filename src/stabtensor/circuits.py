@@ -68,12 +68,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 from stabtensor import generators as gen
 from stabtensor.tensor import (
-    LegBinding, Tensor, TensorNetwork, as_int, check_rank, contract_pair, store_product,
+    Tensor, TensorNetwork, as_int, check_rank, contract_pair, store_product,
     stored_merges,
 )
 
@@ -284,10 +283,6 @@ CN_BLOCK = (("copy", "xor"), ((0, 2, 1, 2),), ((0, 0, 0, 1), (1, 1, 1, 0)))
 
 GATE_ARITY = dict.fromkeys(_GATE_ELEMENTS, 1) | {"CN": 2}
 
-# A LegBinding from a tuple of its four fields, without NamedTuple's
-# per-call argument handling.
-_new_bond = partial(tuple.__new__, LegBinding)
-
 
 class CircuitParseError(ValueError):
     """Raised on malformed circuit or truth-table text."""
@@ -497,7 +492,7 @@ def _network(width: int, bits: str | list[str] | None, blocks: list,
     # each wire.
     nodes = {f"{k}:{tag}": tensors[tag] for k, tag in enumerate(starts)}
     cur = [(name, 0) for name in nodes]
-    bonds: list[LegBinding] = []
+    bonds: list[tuple] = []
 
     # Each block declares its internal bonds, then bonds the end of each
     # wire it acts on to that wire's entry leg; the wire's exit leg becomes
@@ -510,10 +505,10 @@ def _network(width: int, bits: str | list[str] | None, blocks: list,
             nodes[name] = tensors[tag]
             k += 1
         for i, a, j, b in inner:
-            bonds.append(_new_bond((names[i], a, names[j], b)))
+            bonds.append((names[i], a, names[j], b))
         for n, (i, a, j, b) in enumerate(ends):
             w = wires[n]
-            bonds.append(_new_bond((*cur[w], names[i], a)))
+            bonds.append((*cur[w], names[i], a))
             cur[w] = (names[j], b)
 
     return TensorNetwork(nodes, bonds, cur + in_legs, scalar)

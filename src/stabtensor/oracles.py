@@ -190,9 +190,9 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _check_paulis(paulis, n: int) -> None:
-    """A ValueError naming the first string that is not n letters of IXYZ."""
+    """A ValueError naming the first string that is not a str of n letters of IXYZ."""
     for pauli in paulis:
-        if len(pauli) != n or not _PAULI_LETTERS.issuperset(pauli):
+        if not isinstance(pauli, str) or len(pauli) != n or not _PAULI_LETTERS.issuperset(pauli):
             raise ValueError(f"bad Pauli string {pauli!r} for {n} qubits")
 
 
@@ -211,7 +211,7 @@ def pauli_expectations(state, paulis) -> np.ndarray:
     """<psi|P|psi> for each string P in `paulis`, as one float array.
 
     Exactly -1, 0 or +1 when `state` is a tableau.  A string that is not
-    n letters from IXYZ is a ValueError naming it.
+    a str of n letters from IXYZ is a ValueError naming it.
     """
     if isinstance(state, StabilizerTableau):
         return _tableau_expectations(state, paulis)

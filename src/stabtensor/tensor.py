@@ -261,6 +261,7 @@ def contract_pair(
     A leg is anything `operator.index` accepts, used as that int; any
     other leg is a ValueError, stored operands or not (a float 0.0 matches
     the key of leg 0, so types are checked before the table is probed).
+    An operand that is not a Tensor is a TypeError naming its side.
     """
     pairs = len(legs_a)
     if pairs != len(legs_b):
@@ -277,7 +278,11 @@ def contract_pair(
     known = stored_product(a, legs_a, b, legs_b)
     if known is not None:
         return known
-    rank_a, rank_b = a._rank, b._rank
+    try:
+        rank_a, rank_b = a._rank, b._rank
+    except AttributeError:
+        side, bad = ("first", a) if not isinstance(a, Tensor) else ("second", b)
+        raise TypeError(f"{side} operand is a {type(bad).__name__}, not a Tensor") from None
     free_a = [p for p in range(rank_a) if p not in ints_a]
     free_b = [p for p in range(rank_b) if p not in ints_b]
     out_rank = len(free_a) + len(free_b)
@@ -295,18 +300,6 @@ def contract_pair(
     mat_a = a._array.transpose((*free_a, *ints_a)).reshape(-1, summed)
     mat_b = b._array.transpose((*ints_b, *free_b)).reshape(summed, -1)
     return _wrap_result(out_rank, np.dot(mat_a, mat_b))
-
-
-def permute_legs(a: Tensor, perm: Sequence[int]) -> Tensor:
-    """Return the tensor with leg k of `a` moved to position perm[k]."""
-    perm = list(perm)
-    if sorted(perm) != list(range(a.rank)):
-        raise ValueError(f"{perm} is not a permutation of 0..{a.rank - 1}")
-    try:
-        source = _inverse(perm)
-    except TypeError:  # a float equal to a valid leg passes the sorted() check
-        raise ValueError(f"{perm} is not a permutation of 0..{a.rank - 1}") from None
-    return Tensor(a.rank, a.array.transpose(source))
 
 
 def _inverse(perm: Sequence[int]) -> list[int]:
@@ -347,15 +340,6 @@ def equal_up_to_scalar(a: Tensor, b: Tensor, tol: float = DEFAULT_TOL) -> comple
     if max_scaled_diff(a, lam, b) <= tol:
         return lam
     return None
-
-
-class LegBinding(NamedTuple):
-    """One bond: leg leg_a of node_a is summed against leg leg_b of node_b."""
-
-    node_a: Hashable
-    leg_a: int
-    node_b: Hashable
-    leg_b: int
 
 
 class PlanStep(NamedTuple):
@@ -464,12 +448,12 @@ def _claim(span: dict, partner: list, node: Hashable, leg, what: str) -> int:
     return first + k
 
 
-def _as_binding(bond) -> LegBinding:
+def _as_bond(bond) -> tuple[Hashable, int, Hashable, int]:
     try:
         node_a, leg_a, node_b, leg_b = bond
     except (TypeError, ValueError):
         raise ValueError(f"bond {bond!r} is not (node, leg, node, leg)") from None
-    return LegBinding(node_a, leg_a, node_b, leg_b)
+    return node_a, leg_a, node_b, leg_b
 
 
 def _open_leg(leg) -> tuple[Hashable, int]:
@@ -483,6 +467,10 @@ def _open_leg(leg) -> tuple[Hashable, int]:
 class TensorNetwork:
     """Nodes, bonds between legs, an ordered list of open legs, and a
     scalar.
+
+    Each bond is stored as a plain (node, leg, node, leg) tuple: one given
+    as a tuple of four fields is kept as it is, any other (a list, a tuple
+    subclass) is converted.
 
     Every leg of every node must appear in exactly one bond or exactly one
     open-leg slot; a leg is anything `operator.index` accepts, used as that
@@ -513,7 +501,7 @@ class TensorNetwork:
     ):
         self.nodes = dict(nodes)
         self.scalar = scalar
-        self.bonds = tuple([b if type(b) is LegBinding else _as_binding(b) for b in bonds])
+        self.bonds = tuple([b if type(b) is tuple and len(b) == 4 else _as_bond(b) for b in bonds])
         self.open_legs = tuple([
             leg if type(leg) is tuple and len(leg) == 2 else _open_leg(leg) for leg in open_legs
         ])

@@ -1,4 +1,4 @@
-"""contract_pair and permute_legs against an independent np.einsum reference."""
+"""contract_pair against an independent np.einsum reference."""
 
 import random
 import string
@@ -6,7 +6,7 @@ import string
 import numpy as np
 import pytest
 
-from stabtensor.tensor import Tensor, contract_pair, permute_legs
+from stabtensor.tensor import Tensor, contract_pair
 
 # Operands are built from Python tuples of complex and from numpy arrays:
 # the constructor must store both the same way.
@@ -68,18 +68,3 @@ def test_contract_is_bit_identical_to_tensordot(rank_a, legs_a, rank_b, legs_b):
     b = _random_array(rng, rank_b)
     got = contract_pair(Tensor(rank_a, a), legs_a, Tensor(rank_b, b), legs_b)
     assert np.array_equal(got.array, np.tensordot(a, b, axes=(legs_a, legs_b)))
-
-
-@pytest.mark.parametrize("source", SOURCES)
-def test_permute_matches_numpy(source):
-    rng = random.Random(5)
-    for rank in range(0, 6):
-        data = _random_array(rng, rank)
-        perm = list(range(rank))
-        rng.shuffle(perm)
-        got = permute_legs(Tensor(rank, source(data)), perm)
-        # perm maps source leg k to destination perm[k]
-        letters = string.ascii_letters[:rank]
-        moved = "".join(letters[perm.index(j)] for j in range(rank))
-        want = np.einsum(f"{letters}->{moved}", data)
-        np.testing.assert_array_equal(got.array, want)

@@ -15,7 +15,7 @@ from stabtensor.boolfn import (
 )
 from stabtensor.circuits import Circuit, CircuitParseError, GateApp, parse_circuit
 from stabtensor.tensor import (
-    RankBudgetError, Tensor, max_abs_diff, max_scaled_diff, tensor_from_fn,
+    RankBudgetError, Tensor, contract_pair, max_abs_diff, max_scaled_diff, tensor_from_fn,
 )
 
 REJECTIONS = {
@@ -103,6 +103,18 @@ REJECTIONS = {
                             ValueError, "CN wires must be distinct, got (0, 0)"),
     "pauli-state-type": (lambda: oracles.pauli_expectations("01", ["Z"]), TypeError,
                          "unsupported state type str"),
+    # A string given as a list of its letters is refused by both oracles alike.
+    "pauli-letter-list-dense": (
+        lambda: oracles.pauli_expectations(oracles.dense_simulate(Circuit(1, (), "0")), [["Z"]]),
+        ValueError, "bad Pauli string ['Z'] for 1 qubits"),
+    "pauli-letter-list-tableau": (
+        lambda: oracles.pauli_expectations(oracles.tableau_simulate(Circuit(1, (), "0")),
+                                           [["Z"]]),
+        ValueError, "bad Pauli string ['Z'] for 1 qubits"),
+    "contract-first-not-a-tensor": (lambda: contract_pair(1, (), Tensor(0, (1,)), ()),
+                                    TypeError, "first operand is a int, not a Tensor"),
+    "contract-second-not-a-tensor": (lambda: contract_pair(gen.ket_zero(), (0,), (1, 0), (0,)),
+                                     TypeError, "second operand is a tuple, not a Tensor"),
 }
 
 
