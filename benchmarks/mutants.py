@@ -123,6 +123,9 @@ MUTANTS = [
            '(("ket0", "ket0", "ket1", "ket1")', '(("ket0", "ket0", "ket0", "ket1")'),
     Mutant("xor-hadamard-conjugation-id-for-h", "src/stabtensor/relations.py",
            '(("copy", "H", "H", "H")', '(("copy", "H", "H", "id")'),
+    # Only the phase-composition report reads this side: t1.t1 is t2, not t1.
+    Mutant("phase-composition-right-side-t1", "src/stabtensor/relations.py",
+           '(("t2", "plus"), ()', '(("t1", "plus"), ()'),
     # The polarity table (boolfn.polarity_table) the Hadamard columns are
     # checked against: negated whole, and -1 wherever c . x is nonzero
     # rather than odd (wrong from n = 2, where c = x = 11 gives 2).

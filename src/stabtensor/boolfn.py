@@ -25,7 +25,7 @@ import numpy as np
 
 from stabtensor import generators as gen
 from stabtensor.relations import RelationReport, compare
-from stabtensor.tensor import DEFAULT_TOL, Tensor, TensorNetwork, as_int
+from stabtensor.tensor import DEFAULT_TOL, Tensor, TensorNetwork, as_int, as_tuple
 
 
 def _is_table_size(count: int, n: int) -> bool:
@@ -47,15 +47,18 @@ class TruthTable:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        n = as_int(self.n, "truth table n")
+        if n < 1:
             raise ValueError("truth table needs n >= 1")
-        if not _is_table_size(len(self.outputs), self.n):
-            raise ValueError(
-                f"expected {_table_size_text(self.n)} outputs, got {len(self.outputs)}"
-            )
-        for v in self.outputs:
-            if not 0 <= v < 1 << self.n:
-                raise ValueError(f"output {v} is not an {self.n}-bit value")
+        outputs = as_tuple(self.outputs, "truth table outputs")
+        if not _is_table_size(len(outputs), n):
+            raise ValueError(f"expected {_table_size_text(n)} outputs, got {len(outputs)}")
+        outputs = tuple([as_int(v, "output") for v in outputs])
+        for v in outputs:
+            if not 0 <= v < 1 << n:
+                raise ValueError(f"output {v} is not an {n}-bit value")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "outputs", outputs)
 
     def preimage_counts(self) -> Counter:
         return Counter(self.outputs)
@@ -100,13 +103,6 @@ def parse_truth_table(text: str) -> TruthTable:
     if not _is_table_size(len(rows), n):
         raise ValueError(f"expected {_table_size_text(n)} rows, got {len(rows)}")
     return TruthTable(n, tuple(rows))
-
-
-def format_truth_table(table: TruthTable) -> str:
-    lines = [f"bits {table.n}"]
-    for i, v in enumerate(table.outputs):
-        lines.append(f"{i:0{table.n}b} {v:0{table.n}b}")
-    return "\n".join(lines) + "\n"
 
 
 def delta_entropy(table: TruthTable) -> float:
@@ -169,45 +165,21 @@ class BooleanLinearForm:
         return len(self.c)
 
 
-def eval_linear(form: BooleanLinearForm, x: str) -> int:
-    if len(x) != form.n or set(x) - {"0", "1"}:
-        raise ValueError(f"input {x!r} does not match {form.n} coefficients")
-    acc = form.c0
-    for ci, xi in zip(form.c, x):
-        acc ^= int(ci) & int(xi)
-    return acc
-
-
-def _points(n: int) -> np.ndarray:
-    """The 2**n x n integer matrix whose row x is x's bits, most significant
-    first."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
-def polarity_vector(form: BooleanLinearForm) -> Tensor:
-    """Rank-n tensor with entry (-1)**f(x) at each point x.
-
-    All 2**n points at once: `_points(n) @ c` is c . x over the integers
-    and its low bit, xored with c0, is f(x) (`eval_linear` is the
-    pointwise reference).
-    """
-    c = np.array([int(ci) for ci in form.c])
-    return Tensor(form.n, 1 - 2 * ((_points(form.n) @ c + form.c0) & 1))
-
-
 def polarity_table(n: int) -> np.ndarray:
     """The 2**n x 2**n integer array with entry [x, c] = (-1)**(c . x).
 
-    Points and coefficients are the same n-bit strings, so c . x for all
-    of them is one product of the point matrix with its transpose; column
-    c is the polarity vector of `linear_forms(n)[c]`.
+    Points and coefficients are the same n-bit strings, the rows of the
+    2**n x n point matrix (row x is x's bits, most significant first), so
+    c . x for all of them is one product of that matrix with its
+    transpose; column c is the polarity vector of `linear_forms(n)[c]`.
     """
-    points = _points(n)
+    points = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     return 1 - 2 * ((points @ points.T) & 1)
 
 
 def hadamard_power(n: int) -> Tensor:
     """n-fold tensor power of the Hadamard matrix, legs (rows..., cols...)."""
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     nodes = {k: gen.hadamard() for k in range(n)}
@@ -222,6 +194,7 @@ def verify_hadamard_column_indexing(n: int, tol: float = DEFAULT_TOL) -> Relatio
     form with coefficients c, column c of `polarity_table(n)`.  All columns
     are compared at once, so a fitted scalar has to serve every column.
     """
+    n = as_int(n, "n")
     if not 1 <= n <= 6:
         raise ValueError(f"n must be in 1..6, got {n}")
     expected = Tensor(2 * n, 2.0 ** (-n / 2.0) * polarity_table(n))

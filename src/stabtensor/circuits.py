@@ -72,8 +72,8 @@ from itertools import product
 
 from stabtensor import generators as gen
 from stabtensor.tensor import (
-    Tensor, TensorNetwork, as_int, check_rank, contract_pair, store_product,
-    stored_merges,
+    Tensor, TensorNetwork, as_int, as_tuple, check_rank, contract_pair,
+    store_product, stored_merges,
 )
 
 # Single-wire gates as the steps they take along their wire: "H" is a
@@ -288,14 +288,6 @@ class CircuitParseError(ValueError):
     """Raised on malformed circuit or truth-table text."""
 
 
-def _as_tuple(value, what: str) -> tuple:
-    """`value`'s items as a tuple, or a ValueError naming it."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not a sequence") from None
-
-
 @dataclass(frozen=True, slots=True)
 class GateApp:
     """One gate on its wires.  Immutable and slotted: a parsed circuit holds
@@ -308,7 +300,7 @@ class GateApp:
         if not (isinstance(self.gate, str) and self.gate in GATE_ARITY):
             raise ValueError(f"unknown gate {self.gate!r}")
         if type(self.wires) is not tuple:
-            object.__setattr__(self, "wires", _as_tuple(self.wires, f"{self.gate} wires"))
+            object.__setattr__(self, "wires", as_tuple(self.wires, f"{self.gate} wires"))
         if len(self.wires) != GATE_ARITY[self.gate]:
             raise ValueError(
                 f"{self.gate} takes {GATE_ARITY[self.gate]} wire(s), got {self.wires}"
@@ -333,7 +325,7 @@ class Circuit:
         if self.width < 1:
             raise ValueError("circuit needs at least one wire")
         if type(self.ops) is not tuple:
-            object.__setattr__(self, "ops", _as_tuple(self.ops, "circuit ops"))
+            object.__setattr__(self, "ops", as_tuple(self.ops, "circuit ops"))
         for op in self.ops:
             if not isinstance(op, GateApp):
                 raise ValueError(f"op {op!r} is not a GateApp")

@@ -7,20 +7,23 @@ place, `circuits.compile_circuit`.  Vectors are kept unnormalised exactly
 as defined, so identities built from them may hold only up to a recorded
 scalar.
 
-Each generator, the identity map and the cup are built once at import
-(the cup with its self-check); the functions below return those shared
-instances.  Sharing is safe because a `Tensor` is immutable and its array
-is read-only.  These functions are the one way to reach a generator, and
-callers look them up at call time, so a test that patches one (say
-`xor_tensor`) reaches both the relation networks and every circuit
-`compile_circuit` builds.
+Each generator and the identity map are built once at import; the
+functions below return those shared instances.  Sharing is safe because
+a `Tensor` is immutable and its array is read-only.  These functions are
+the one way to reach a generator, and callers look them up at call time,
+so a test that patches one (say `xor_tensor`) reaches both the relation
+networks and every circuit `compile_circuit` builds.  The cup, copy with
+the all-ones covector on one leg, is the identity map; `verify` reports
+that law as the second half of `unit-laws`.
 """
 
 from __future__ import annotations
 
 import math
 
-from stabtensor.tensor import Tensor, contract_pair, max_abs_diff, tensor_from_fn
+# contract_pair is unused here; perfbench's tracer test reads it as
+# `generators.contract_pair`.
+from stabtensor.tensor import Tensor, contract_pair, tensor_from_fn  # noqa: F401
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -71,41 +74,6 @@ def ket_one() -> Tensor:
     return _KET_ONE
 
 
-def _require(cond: bool, what: str) -> None:
-    if not cond:
-        raise AssertionError(f"generator self-check failed: {what}")
-
-
-_CUP = contract_pair(_COPY, (0,), _PLUS, (0,))
-_require(max_abs_diff(_CUP, _IDENTITY) == 0.0, "cup from copy tensor")
-
-
-def cup() -> Tensor:
-    """Rank-2 index-raiser with entries 1 at (0,0) and (1,1).
-
-    Built once, at import, from the generators: the copy tensor with the
-    all-ones vector contracted into its input leg, checked against the
-    direct definition.
-    """
-    return _CUP
-
-
-def cap() -> Tensor:
-    """Covariant counterpart of cup(); the same tensor."""
-    return cup()
-
-
 def identity_map() -> Tensor:
     """The identity operator, legs ordered (out, in)."""
     return _IDENTITY
-
-
-def pointwise_product(u: Tensor, v: Tensor) -> Tensor:
-    """Entrywise product of two vectors, realised through the copy tensor."""
-    if u.rank != 1 or v.rank != 1:
-        raise ValueError(f"pointwise_product needs rank-1 inputs, got {u.rank}, {v.rank}")
-    half = contract_pair(copy_tensor(), (1,), u, (0,))
-    built = contract_pair(half, (1,), v, (0,))
-    direct = Tensor(1, (u.data[0] * v.data[0], u.data[1] * v.data[1]))
-    _require(max_abs_diff(built, direct) == 0.0, "pointwise product via copy tensor")
-    return built

@@ -144,13 +144,6 @@ class StabilizerTableau:
         bits = _row_bits(self.xcols + self.zcols + [self.signs], n, n)
         return bits[:, :n].copy(), bits[:, n:2 * n].copy(), bits[:, 2 * n].copy()
 
-    def symplectic_products(self) -> np.ndarray:
-        """Pairwise commutation matrix of all 2n rows (1 = anticommute)."""
-        n = self.n
-        bits = _row_bits(self.xcols + self.zcols, 0, 2 * n)
-        x, z = bits[:, :n], bits[:, n:]
-        return (x @ z.T ^ z @ x.T) & 1
-
 
 def _row_bits(cols: list[int], first: int, count: int) -> np.ndarray:
     """Bits first..first+count-1 of each int in `cols`, as a uint8 array of
@@ -218,11 +211,6 @@ def pauli_expectations(state, paulis) -> np.ndarray:
     if isinstance(state, StateVector):
         return _dense_expectations(state, paulis)
     raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def pauli_expectation(state, pauli: str) -> float:
-    """<psi|P|psi> for one string; see `pauli_expectations`."""
-    return float(pauli_expectations(state, [pauli])[0])
 
 
 def _dense_expectations(state: StateVector, paulis) -> np.ndarray:

@@ -6,8 +6,8 @@ whether the identity holds exactly, holds up to one scalar, or fails.
 Unnormalised conventions make global scalars conventional, so reports
 keep the fitted scalar explicitly instead of hiding it.
 
-The seven relation families between copy and XOR are data: each is one
-entry of `RELATIONS`, a pair of diagrams over the generators, and
+The eight relation families between the generators are data: each is
+one entry of `RELATIONS`, a pair of diagrams over the generators, and
 `verify_relation` contracts both and compares them.  The two laws in the
 Hadamard basis are diagram pairs too, contracted and compared the same way.
 
@@ -15,8 +15,9 @@ Two laws side by side are one law between tensor-product diagrams, so a
 family of two (the XOR and the copy law, or copy on |0> and on |1>) is
 one compare: each side is one network whose halves are disconnected
 components, contracted as an outer product.  Neither half is zero, so a
-fault in either shows in the product, and as the generators' entries are
-0 or 1, a fault in one half is reported with that half's deviation.
+fault in either shows in the product, and as each half's entries are 0
+or of modulus 1, a fault in one half is reported with that half's
+deviation.
 
 The diagrams' tags resolve through `circuits.generator_tensors`, the one
 table the compiled circuits use too, which reads each generator at call
@@ -150,6 +151,12 @@ RELATIONS = {
         (("copy", "xor"), ((0, 1, 1, 1), (0, 2, 1, 2)), ((1, 0), (0, 0))),
         (("ket0", "plus"), (), ((0, 0), (1, 0))),
     ),
+    # copy with t_j and t_k on two legs = t_{j+k}:  t1.t1 = t2;  t1.t3 = <+|
+    "phase-composition": (
+        (("copy", "t1", "t1", "copy", "t1", "t3"),
+         ((0, 1, 1, 0), (0, 2, 2, 0), (3, 1, 4, 0), (3, 2, 5, 0)), ((0, 0), (3, 0))),
+        (("t2", "plus"), (), ((0, 0), (1, 0))),
+    ),
 }
 
 RELATION_FAMILIES = tuple(RELATIONS)
@@ -188,7 +195,7 @@ def verify_relation(
     tol: float = DEFAULT_TOL,
     copy: Tensor | None = None,
 ) -> RelationReport:
-    """Check one of the seven relation families between copy and XOR:
+    """Check one of the eight relation families between the generators:
     contract both sides of its entry in `RELATIONS` and compare them.
 
     `copy` defaults to the copy generator; the self-test injects a

@@ -161,6 +161,14 @@ def as_int(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def as_tuple(value, what: str) -> tuple:
+    """`value`'s items as a tuple, or a ValueError naming it."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not a sequence") from None
+
+
 def _check_legs(legs: Sequence[int], rank: int, side: str) -> None:
     seen = set()
     for p in legs:

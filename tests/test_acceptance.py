@@ -90,8 +90,9 @@ def test_criterion_4_clifford_recovery():
         r.status is RelationStatus.EXACT_HOLD and r.max_deviation <= 1e-12
         for r in reports
     )
-    product = gen.pointwise_product(gen.t_vector(1), gen.t_vector(3))
-    ok &= product.data == (1 + 0j, 1 + 0j)
+    # t1.t1 = t2 and t1.t3 = <+|: the pointwise law a run S S compiles by
+    composition = relations.verify_relation("phase-composition", tol=1e-12)
+    ok &= composition.status is RelationStatus.EXACT_HOLD and composition.max_deviation == 0.0
     _verdict("4 clifford-recovery", ok)
 
 
@@ -180,7 +181,7 @@ def test_criterion_8_hadamard_column_indexing():
         rep = boolfn.verify_hadamard_column_indexing(n, tol=1e-12)
         ok &= rep.status is relations.RelationStatus.EXACT_HOLD and rep.max_deviation <= 1e-12
         forms = boolfn.linear_forms(n)
-        distinct = {boolfn.polarity_vector(f).data for f in forms}
+        distinct = {tuple(col) for col in boolfn.polarity_table(n).T}
         ok &= len(forms) == len(distinct) == 1 << n
     _verdict("8 hadamard-column-indexing", ok)
 

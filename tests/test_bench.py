@@ -66,7 +66,7 @@ def test_relation_suite_row_restores_plan():
     plan = TensorNetwork.plan
     row = bench.relation_suite_row()
     assert TensorNetwork.plan is plan
-    assert row["reports"] == 24 and row["networks"] > 0 and row["merges"] > 0
+    assert row["reports"] == 25 and row["networks"] > 0 and row["merges"] > 0
 
 
 def test_relation_suite_row_times_each_report_group(monkeypatch):

@@ -15,15 +15,12 @@ from stabtensor.boolfn import (
     BooleanLinearForm,
     TruthTable,
     delta_entropy,
-    eval_linear,
-    format_truth_table,
     hadamard_power,
     is_reversible,
     linear_forms,
     output_entropy_gap,
     parse_truth_table,
     polarity_table,
-    polarity_vector,
     verify_hadamard_column_indexing,
 )
 from stabtensor.relations import RelationStatus
@@ -31,6 +28,14 @@ from tests.conftest import to_np
 
 AND_TABLE = TruthTable(2, (0, 0, 0, 1))  # outputs 00,00,00,01
 AND_DELTA = 9 / 4 * math.log2(3) - 3
+
+
+def eval_linear(form, x):
+    """Pointwise reference for a form's value at the bit string x."""
+    acc = form.c0
+    for ci, xi in zip(form.c, x):
+        acc ^= int(ci) & int(xi)
+    return acc
 
 
 def all_tables(n):
@@ -120,7 +125,7 @@ class TestReversible:
 
 class TestTableParsing:
     def test_round_trip(self):
-        text = format_truth_table(AND_TABLE)
+        text = "bits 2\n00 00\n01 00\n10 00\n11 01\n"
         assert parse_truth_table(text) == AND_TABLE
 
     def test_rejects_out_of_order_rows(self):
@@ -168,57 +173,51 @@ class TestLinearForms:
         for c0 in (True, np.int64(1)):
             form = BooleanLinearForm("1", c0)
             assert type(form.c0) is int and form.c0 == 1
-            assert polarity_vector(form).data == (-1, 1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_linear(BooleanLinearForm("10", 0), "101")
+            assert (eval_linear(form, "0"), eval_linear(form, "1")) == (1, 0)
 
     def test_polarity_all_ones_for_zero_form(self):
-        vec = polarity_vector(BooleanLinearForm("00", 0))
-        assert vec.data == (1, 1, 1, 1)
+        assert polarity_table(2)[:, 0].tolist() == [1, 1, 1, 1]
 
     def test_polarity_single_bit(self):
-        vec = polarity_vector(BooleanLinearForm("1", 0))
-        assert vec.data == (1, -1)
+        assert polarity_table(1)[:, 1].tolist() == [1, -1]
 
     def test_affine_negates_entrywise(self):
+        table = polarity_table(2)
         for c in range(4):
-            base = polarity_vector(BooleanLinearForm(f"{c:02b}", 0))
-            negated = polarity_vector(BooleanLinearForm(f"{c:02b}", 1))
-            assert negated.data == tuple(-v for v in base.data)
+            negated = BooleanLinearForm(f"{c:02b}", 1)
+            assert [(-1) ** eval_linear(negated, f"{x:02b}") for x in range(4)] == [
+                -v for v in table[:, c]
+            ]
 
     def test_count_of_linear_forms(self):
         for n in range(1, 5):
             forms = linear_forms(n)
             assert len(forms) == 1 << n
-            assert len({polarity_vector(f).data for f in forms}) == 1 << n
+            assert len({tuple(col) for col in polarity_table(n).T}) == 1 << n
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_polarity_matches_pointwise_reference(self, n):
+        table = polarity_table(n)
         for c in range(1 << n):
             for c0 in (0, 1):
                 form = BooleanLinearForm(f"{c:0{n}b}", c0)
-                want = tuple(
-                    complex((-1) ** eval_linear(form, f"{x:0{n}b}")) for x in range(1 << n)
-                )
-                assert polarity_vector(form).data == want
+                want = [(-1) ** eval_linear(form, f"{x:0{n}b}") for x in range(1 << n)]
+                assert [(-1) ** c0 * v for v in table[:, c]] == want
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_polarity_table_columns_are_the_forms_polarity_vectors(self, n):
         table = polarity_table(n)
         assert table.shape == (1 << n, 1 << n)
         for c, form in enumerate(linear_forms(n)):
-            assert tuple(table[:, c]) == polarity_vector(form).data
+            assert form.c == f"{c:0{n}b}" and form.c0 == 0
             assert list(table[:, c]) == [
                 (-1) ** eval_linear(form, f"{x:0{n}b}") for x in range(1 << n)
             ]
 
     def test_polarity_vectors_orthogonal(self):
         n = 3
-        vecs = [to_np(polarity_vector(f)).reshape(-1) for f in linear_forms(n)]
-        gram = np.array([[v @ w for w in vecs] for v in vecs])
-        np.testing.assert_array_equal(gram, (1 << n) * np.eye(1 << n))
+        table = polarity_table(n)
+        np.testing.assert_array_equal(table.T @ table, (1 << n) * np.eye(1 << n))
 
 
 class TestHadamardColumns:

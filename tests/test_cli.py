@@ -115,6 +115,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "check=copy-laws status=Fails" in out
 
+    def test_injected_fault_fails_phase_composition(self, capsys):
+        # The corrupted copy's entry 010 makes entry 0 of t1.t1 read 1 + i.
+        assert cli.main(["--format", "records", "verify", "--selftest-fault"]) == 1
+        out = capsys.readouterr().out
+        assert "check=phase-composition status=Fails" in out
+
     def test_records_are_byte_identical_across_runs(self, capsys):
         cli.main(["--format", "records", "verify"])
         first = capsys.readouterr().out
@@ -498,10 +504,13 @@ class TestPolarity:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_records_match_the_per_form_loop(self, n, capsys):
-        # Reference: one polarity vector per form, its entries as ints.
+        # Reference: one form at a time, each entry (-1)**(c . x) from its bits.
         want = ""
         for form in boolfn.linear_forms(n):
-            entries = ",".join(str(int(v.real)) for v in boolfn.polarity_vector(form).data)
+            entries = ",".join(
+                str((-1) ** sum(int(c) * int(b) for c, b in zip(form.c, f"{x:0{n}b}")))
+                for x in range(1 << n)
+            )
             want += f"form c={form.c} c0={form.c0} polarity={entries}\n"
         want += boolfn.verify_hadamard_column_indexing(n).record() + "\n"
         assert cli.main(["--format", "records", "polarity", "--n", str(n)]) == 0

@@ -6,12 +6,14 @@ valid neighbours of these inputs are tested beside the code they exercise.
 
 import re
 
+import numpy as np
 import pytest
 
 from stabtensor import generators as gen
 from stabtensor import kernel_backend, oracles, tensor
 from stabtensor.boolfn import (
     BooleanLinearForm, TruthTable, hadamard_power, parse_truth_table,
+    verify_hadamard_column_indexing,
 )
 from stabtensor.circuits import Circuit, CircuitParseError, GateApp, parse_circuit
 from stabtensor.tensor import (
@@ -50,6 +52,16 @@ REJECTIONS = {
     "table-n-0": (lambda: TruthTable(0, ()), ValueError, "truth table needs n >= 1"),
     "table-output-range": (lambda: TruthTable(1, (0, 2)), ValueError,
                            "output 2 is not an 1-bit value"),
+    # n and each output follow the integer rule, and the outputs must be a
+    # sequence, so a float or a string is never a raw TypeError.
+    "table-n-float": (lambda: TruthTable(2.0, (0, 1, 2, 3)), ValueError,
+                      "truth table n 2.0 is not an integer"),
+    "table-n-str": (lambda: TruthTable("2", (0, 1, 2, 3)), ValueError,
+                    "truth table n '2' is not an integer"),
+    "table-outputs-not-a-sequence": (lambda: TruthTable(1, 5), ValueError,
+                                     "truth table outputs 5 is not a sequence"),
+    "table-output-float": (lambda: TruthTable(2, (0, 1, 2, 3.0)), ValueError,
+                           "output 3.0 is not an integer"),
     "table-bits-0": (lambda: parse_truth_table("bits 0\n"), ValueError,
                      "line 1: bits must be >= 1"),
     "table-three-fields": (lambda: parse_truth_table("bits 1\n0 1 1\n"), ValueError,
@@ -68,6 +80,10 @@ REJECTIONS = {
     "form-c-not-str": (lambda: BooleanLinearForm(101), ValueError,
                        "coefficients 101 must be a nonempty bit string"),
     "hadamard-power-0": (lambda: hadamard_power(0), ValueError, "n must be >= 1"),
+    "hadamard-power-float": (lambda: hadamard_power(2.0), ValueError,
+                             "n 2.0 is not an integer"),
+    "hadamard-columns-float": (lambda: verify_hadamard_column_indexing(2.0), ValueError,
+                               "n 2.0 is not an integer"),
     "tensor-rank": (lambda: Tensor(-1, []), ValueError, "rank must be non-negative, got -1"),
     "tensor-from-fn-rank": (lambda: tensor_from_fn(-1, complex), ValueError,
                             "rank must be non-negative, got -1"),
@@ -124,6 +140,12 @@ def test_rejection_is_named(name):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
         build()
     assert type(caught.value) is error
+
+
+def test_truth_table_outputs_in_a_list_are_stored_as_a_tuple_that_hashes():
+    table = TruthTable(True, [np.int64(1), 0])
+    assert table == TruthTable(1, (1, 0)) and hash(table) == hash(TruthTable(1, (1, 0)))
+    assert type(table.n) is int and all(type(v) is int for v in table.outputs)
 
 
 def test_comments_and_blank_lines_in_a_truth_table_are_skipped():

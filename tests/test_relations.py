@@ -21,7 +21,8 @@ def test_relation_family_holds(rid):
     assert rep.holds, rep.record()
 
 
-@pytest.mark.parametrize("rid", ["associativity", "bialgebra", "copy-laws", "hopf", "unit-scalar"])
+@pytest.mark.parametrize("rid", ["associativity", "bialgebra", "copy-laws", "hopf", "unit-scalar",
+                                 "phase-composition"])
 def test_exact_relations_have_zero_deviation(rid):
     rep = relations.verify_relation(rid)
     assert rep.status is RelationStatus.EXACT_HOLD
@@ -92,11 +93,11 @@ def _patch_generator(monkeypatch, accessor, tensor, *args):
     monkeypatch.setattr(gen, accessor, lambda *a: tensor if a == args else real(*a))
 
 
-# sha256 of the records of all seven families: as shipped, then under each
+# sha256 of the records of all eight families: as shipped, then under each
 # single-entry flip of copy (through `copy=`), then under each single-entry
 # flip of xor (through the accessor).  Every line is ExactHold or Fails with
 # lambda 1.0+0.0j or -, so the digest does not depend on the BLAS in use.
-FAMILY_RECORDS_SHA256 = "a74176f8026b83fbb2688474c421f5cec027cbfba611c80f657271992e897972"
+FAMILY_RECORDS_SHA256 = "ef3d1f12294ba9147dcf506479f6056b4b359559e6e4a187903faae304c56632"
 
 
 def test_family_records_are_pinned(monkeypatch):
@@ -111,7 +112,7 @@ def test_family_records_are_pinned(monkeypatch):
     for k in range(8):
         monkeypatch.setattr(gen, "xor_tensor", lambda t=_flipped(xor, k): t)
         lines += records()
-    assert len(lines) == 119
+    assert len(lines) == 136
     for line in lines:
         assert re.search(r" status=(ExactHold lambda=1\.0\+0\.0j|Fails lambda=-) ", line), line
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -300,7 +301,7 @@ def test_every_report_is_one_compare(monkeypatch):
     monkeypatch.setattr(relations, "compare", counting)
     monkeypatch.setattr(boolfn, "compare", counting)
     reports = cli.verification_reports(DEFAULT_TOL)
-    assert len(reports) == 24
+    assert len(reports) == 25
     assert [id(r) for r in reports] == [id(r) for r in made]
 
 
