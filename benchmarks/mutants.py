@@ -98,8 +98,9 @@ MUTANTS = [
            '                if not all(w.isascii() and w.isdigit() for w in fields[1:]):\n'
            '                    raise CircuitParseError(f"bad wire list in {line!r}")\n'
            '                wires = tuple(map(int, fields[1:]))\n'
-           '                wires = shared_wires.setdefault(wires, wires)\n'
-           '                op = built[line] = GateApp(gate, wires)\n',
+           '                op = GateApp(gate, shared_wires.setdefault(wires, wires))\n'
+           '                _check_wires(wires, width)\n'
+           '                built[line] = op\n',
            '            op = built.get(head)\n'
            '            if op is None:\n'
            '                gate = _GATE_NAMES.get(head)\n'
@@ -108,15 +109,24 @@ MUTANTS = [
            '                if not all(w.isascii() and w.isdigit() for w in fields[1:]):\n'
            '                    raise CircuitParseError(f"bad wire list in {line!r}")\n'
            '                wires = tuple(map(int, fields[1:]))\n'
-           '                wires = shared_wires.setdefault(wires, wires)\n'
-           '                op = built[head] = GateApp(gate, wires)\n'),
+           '                op = GateApp(gate, shared_wires.setdefault(wires, wires))\n'
+           '                _check_wires(wires, width)\n'
+           '                built[head] = op\n'),
+    # The parse's range and input checks (circuits.parse_circuit): made on
+    # the line that holds the fault, and against the whole width.
+    Mutant("parse-wire-range-unchecked", "src/stabtensor/circuits.py",
+           "                _check_wires(wires, width)\n", ""),
+    Mutant("parse-input-unchecked", "src/stabtensor/circuits.py",
+           "                _check_input(input_bits, width)\n", ""),
+    Mutant("wire-range-off-by-one", "src/stabtensor/circuits.py",
+           "if not 0 <= w < width:", "if not 0 <= w <= width:"),
     # The one tag table (circuits.generator_tensors) every diagram reads.
     Mutant("tag-table-ket0-is-ket1", "src/stabtensor/circuits.py",
            '"ket0": gen.ket_zero()', '"ket0": gen.ket_one()'),
     # The network's scalar (tensor.TensorNetwork), which carries that phase.
     Mutant("phase-dropped", "src/stabtensor/tensor.py",
            "        self.scalar = scalar\n", "        self.scalar = 1\n"),
-    # The relation tables (relations.RELATIONS and the Hadamard-basis pairs).
+    # The relation tables (relations.RELATIONS and relations.HADAMARD_BASIS).
     Mutant("unit-laws-xor-unit-ket1", "src/stabtensor/relations.py",
            '(("xor", "ket0", "copy", "plus")', '(("xor", "ket1", "copy", "plus")'),
     Mutant("copy-laws-right-side-ket0", "src/stabtensor/relations.py",
@@ -126,6 +136,12 @@ MUTANTS = [
     # Only the phase-composition report reads this side: t1.t1 is t2, not t1.
     Mutant("phase-composition-right-side-t1", "src/stabtensor/relations.py",
            '(("t2", "plus"), ()', '(("t1", "plus"), ()'),
+    # The self-test's corrupted copy (cli.report_groups) reaches both tables.
+    Mutant("hadamard-basis-without-corrupted-copy", "src/stabtensor/cli.py",
+           "verify_relation(rid, tol, delta)\n"
+           "                                   for rid in relations.HADAMARD_BASIS",
+           "verify_relation(rid, tol)\n"
+           "                                   for rid in relations.HADAMARD_BASIS"),
     # The polarity table (boolfn.polarity_table) the Hadamard columns are
     # checked against: negated whole, and -1 wherever c . x is nonzero
     # rather than odd (wrong from n = 2, where c = x = 11 gives 2).
@@ -197,6 +213,15 @@ MUTANTS = [
            "    rank_a, rank_b = a._rank, b._rank\n    if False:\n"),
     Mutant("pauli-str-unchecked", "src/stabtensor/oracles.py",
            "if not isinstance(pauli, str) or len(pauli) != n", "if len(pauli) != n"),
+    # Sizes under the integer rule: the phase vector's power, the linear
+    # forms' bit count, and the seeded circuit's depth.
+    Mutant("t-vector-k-not-an-int", "src/stabtensor/generators.py",
+           'as_int(k, "t_vector k") % 4', "k % 4"),
+    Mutant("linear-forms-n-unchecked", "src/stabtensor/boolfn.py",
+           '    """All 2**n linear (c0 = 0) forms on n bits."""\n    n = _as_bits(n)\n',
+           '    """All 2**n linear (c0 = 0) forms on n bits."""\n'),
+    Mutant("random-circuit-negative-depth-allowed", "src/stabtensor/oracles.py",
+           "    if depth < 0:\n", "    if depth < -1:\n"),
 ]
 
 

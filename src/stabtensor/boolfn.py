@@ -165,6 +165,14 @@ class BooleanLinearForm:
         return len(self.c)
 
 
+def _as_bits(n) -> int:
+    """A bit count `n` by the integer rule, at least 1."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n
+
+
 def polarity_table(n: int) -> np.ndarray:
     """The 2**n x 2**n integer array with entry [x, c] = (-1)**(c . x).
 
@@ -173,15 +181,14 @@ def polarity_table(n: int) -> np.ndarray:
     c . x for all of them is one product of that matrix with its
     transpose; column c is the polarity vector of `linear_forms(n)[c]`.
     """
+    n = _as_bits(n)
     points = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     return 1 - 2 * ((points @ points.T) & 1)
 
 
 def hadamard_power(n: int) -> Tensor:
     """n-fold tensor power of the Hadamard matrix, legs (rows..., cols...)."""
-    n = as_int(n, "n")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_bits(n)
     nodes = {k: gen.hadamard() for k in range(n)}
     rows_then_cols = [(k, leg) for leg in (0, 1) for k in range(n)]
     return TensorNetwork(nodes, [], rows_then_cols).contract()
@@ -203,4 +210,5 @@ def verify_hadamard_column_indexing(n: int, tol: float = DEFAULT_TOL) -> Relatio
 
 def linear_forms(n: int) -> list[BooleanLinearForm]:
     """All 2**n linear (c0 = 0) forms on n bits."""
+    n = _as_bits(n)
     return [BooleanLinearForm(f"{c:0{n}b}", 0) for c in range(1 << n)]

@@ -329,13 +329,20 @@ class Circuit:
         for op in self.ops:
             if not isinstance(op, GateApp):
                 raise ValueError(f"op {op!r} is not a GateApp")
-            for w in op.wires:
-                if not 0 <= w < self.width:
-                    raise ValueError(f"wire {w} outside 0..{self.width - 1}")
+            _check_wires(op.wires, self.width)
         if self.input is not None:
-            if (not isinstance(self.input, str) or len(self.input) != self.width
-                    or set(self.input) - {"0", "1"}):
-                raise ValueError(f"input {self.input!r} is not a {self.width}-bit string")
+            _check_input(self.input, self.width)
+
+
+def _check_wires(wires: tuple[int, ...], width: int) -> None:
+    for w in wires:
+        if not 0 <= w < width:
+            raise ValueError(f"wire {w} outside 0..{width - 1}")
+
+
+def _check_input(bits, width: int) -> None:
+    if not isinstance(bits, str) or len(bits) != width or set(bits) - {"0", "1"}:
+        raise ValueError(f"input {bits!r} is not a {width}-bit string")
 
 
 # Each gate name to GATE_ARITY's own string of it, the one string every
@@ -350,6 +357,9 @@ def parse_circuit(text: str) -> Circuit:
     line (`H 0`, `CN 0 1`, ...).  Lines starting with `#` are comments.
     Numbers are ASCII decimal digits only: no sign, underscore or other
     script's digits, all of which `int` would take.
+
+    Each fault is reported with its line, a wire past the header's width
+    and an input of the wrong length included.
 
     Equal op lines (equal once stripped) share one immutable `GateApp`:
     each distinct line is checked and built once per call, and every
@@ -387,6 +397,7 @@ def parse_circuit(text: str) -> Circuit:
                 if len(fields) != 2:
                     raise CircuitParseError(f"bad input line {line!r}")
                 input_bits = fields[1]
+                _check_input(input_bits, width)
                 continue
             op = built.get(line)
             if op is None:
@@ -396,17 +407,15 @@ def parse_circuit(text: str) -> Circuit:
                 if not all(w.isascii() and w.isdigit() for w in fields[1:]):
                     raise CircuitParseError(f"bad wire list in {line!r}")
                 wires = tuple(map(int, fields[1:]))
-                wires = shared_wires.setdefault(wires, wires)
-                op = built[line] = GateApp(gate, wires)
+                op = GateApp(gate, shared_wires.setdefault(wires, wires))
+                _check_wires(wires, width)
+                built[line] = op
             ops.append(op)
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from None
     if width is None:
         raise CircuitParseError("missing `wires N` header")
-    try:
-        return Circuit(width, tuple(ops), input_bits)
-    except ValueError as exc:
-        raise CircuitParseError(str(exc)) from None
+    return Circuit(width, tuple(ops), input_bits)
 
 
 def cn_component_polynomial(i: int, j: int, q: int, r: int) -> int:
@@ -470,7 +479,7 @@ def compile_circuit(circuit: Circuit) -> TensorNetwork:
 
 
 def _network(width: int, bits: str | list[str] | None, blocks: list,
-             scalar: complex = 1) -> TensorNetwork:
+             scalar: complex) -> TensorNetwork:
     """The network of `blocks`, each a (block, wires) pair in circuit order,
     on `width` wires that start from the input kets of `bits` (a string or
     list of "0" and "1"), or from identity anchors when `bits` is None; its
@@ -512,15 +521,16 @@ def _store_products() -> None:
     identity anchors.  Then every merge of one CN on each pair of start
     states (`_START`, a start word on its ket, or a bare ket): each start
     word's merges with its ket, and CN's with the two states."""
+    # These networks are only planned, never contracted: their scalar is 1.
     for block in (CN_BLOCK, *dict.fromkeys(filter(None, WORD_BLOCKS))):
         wires = tuple(range(len(block[2])))
-        net = _network(len(wires), None, [(block, wires)])
+        net = _network(len(wires), None, [(block, wires)], 1)
         stored_merges(list(net.nodes.values()), net.plan(), store_product)
     # Every state is some element's on |0>, so _START["0"] holds every start.
     starts = dict.fromkeys((WORD_BLOCKS[e], bit) for e, bit in _START["0"])
     for (control, bit_c), (target, bit_t) in product(starts, repeat=2):
         words = [(block, (w,)) for w, block in enumerate((control, target)) if block]
-        net = _network(2, bit_c + bit_t, [*words, (CN_BLOCK, (0, 1))])
+        net = _network(2, bit_c + bit_t, [*words, (CN_BLOCK, (0, 1))], 1)
         stored_merges(list(net.nodes.values()), net.plan(), store_product)
 
 

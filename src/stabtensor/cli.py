@@ -81,10 +81,10 @@ def report_groups(tol: float, inject_fault: bool = False) -> dict[str, Callable[
     and the zero-argument call that makes its reports."""
     delta = _corrupted_copy_tensor() if inject_fault else None
     return {
-        "families": lambda: [relations.verify_relation(rid, tol=tol, copy=delta)
-                             for rid in relations.RELATION_FAMILIES],
-        "hadamard_basis": lambda: [relations.verify_xor_in_hadamard_basis(tol=tol),
-                                   relations.verify_xor_copies_plus_minus(tol=tol)],
+        "families": lambda: [relations.verify_relation(rid, tol, delta)
+                             for rid in relations.RELATIONS],
+        "hadamard_basis": lambda: [relations.verify_relation(rid, tol, delta)
+                                   for rid in relations.HADAMARD_BASIS],
         "clifford": lambda: relations.verify_clifford_recovery(tol=tol),
         "columns": lambda: [boolfn.verify_hadamard_column_indexing(n, tol=tol)
                             for n in range(1, 5)],

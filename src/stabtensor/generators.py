@@ -23,7 +23,7 @@ import math
 
 # contract_pair is unused here; perfbench's tracer test reads it as
 # `generators.contract_pair`.
-from stabtensor.tensor import Tensor, contract_pair, tensor_from_fn  # noqa: F401
+from stabtensor.tensor import Tensor, as_int, contract_pair, tensor_from_fn  # noqa: F401
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -59,7 +59,7 @@ def hadamard() -> Tensor:
 
 def t_vector(k: int) -> Tensor:
     """The unnormalised vector (1, i**k); period 4 in k."""
-    return _T_VECTORS[k % 4]
+    return _T_VECTORS[as_int(k, "t_vector k") % 4]
 
 
 def plus_covector() -> Tensor:

@@ -23,7 +23,7 @@ import numpy as np
 
 # circuit_state is not called here; perfbench's tracer test reads oracles.circuit_state.
 from stabtensor.circuits import Circuit, GateApp, circuit_state
-from stabtensor.tensor import Tensor
+from stabtensor.tensor import Tensor, as_int
 
 MAX_DENSE_WIDTH = 12
 
@@ -293,7 +293,16 @@ CLIFFORD_GATES = ("H", "S", "X", "Y", "Z", "CN")
 def random_clifford_circuit(
     width: int, depth: int, seed: int, gates: tuple[str, ...] = CLIFFORD_GATES
 ) -> Circuit:
-    """Seeded random circuit: uniform over gate type, then over wires."""
+    """Seeded random circuit: uniform over gate type, then over wires.
+
+    Width (at least 1) and depth (at least 0) follow the integer rule and
+    are checked before the first draw."""
+    width = as_int(width, "circuit width")
+    if width < 1:
+        raise ValueError("circuit needs at least one wire")
+    depth = as_int(depth, "depth")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     rng = random.Random(seed)
     if width < 2:
         gates = tuple(g for g in gates if g != "CN")
@@ -339,6 +348,9 @@ def phase_fixed_delta(candidate: np.ndarray, reference: np.ndarray) -> tuple[flo
 def crosscheck_paulis(n: int, seed: int = 0) -> list[str]:
     """The crosscheck's strings: X, Y and Z on each wire alone, then 8
     strings over IXYZ drawn from `seed`."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     paulis = ["I" * w + p + "I" * (n - w - 1) for w in range(n) for p in "XYZ"]
     rng = random.Random(seed)
     for _ in range(8):

@@ -6,10 +6,12 @@ whether the identity holds exactly, holds up to one scalar, or fails.
 Unnormalised conventions make global scalars conventional, so reports
 keep the fitted scalar explicitly instead of hiding it.
 
-The eight relation families between the generators are data: each is
-one entry of `RELATIONS`, a pair of diagrams over the generators, and
-`verify_relation` contracts both and compares them.  The two laws in the
-Hadamard basis are diagram pairs too, contracted and compared the same way.
+The laws between the generators are data, in two tables of diagram
+pairs over the generators: the eight relation families in `RELATIONS`,
+and the two laws in the Hadamard basis in `HADAMARD_BASIS`, keyed by
+report id.  `verify_relation` is the one function that contracts a pair:
+it looks the id up in either table, contracts both diagrams and compares
+them, with a given `copy` tensor in place of the copy generator.
 
 Two laws side by side are one law between tensor-product diagrams, so a
 family of two (the XOR and the copy law, or copy on |0> and on |1>) is
@@ -159,27 +161,40 @@ RELATIONS = {
     ),
 }
 
-RELATION_FAMILIES = tuple(RELATIONS)
-
-
 # The two laws in the Hadamard basis, held the same way ("H" a Hadamard
-# node) and each reported on its own; both hold up to one scalar.
-# xor = copy with H on all three legs
-_XOR_IN_HADAMARD_BASIS = (
-    (("xor",), (), ((0, 0), (0, 1), (0, 2))),
-    (("copy", "H", "H", "H"), ((0, 0, 1, 0), (0, 1, 2, 0), (0, 2, 3, 0)),
-     ((1, 1), (2, 1), (3, 1))),
-)
-# xor with H on leg 0 = copy with H on legs 1 and 2
-_XOR_COPIES_PLUS_MINUS = (
-    (("xor", "H"), ((0, 0, 1, 0),), ((0, 1), (0, 2), (1, 1))),
-    (("copy", "H", "H"), ((1, 1, 0, 1), (2, 1, 0, 2)), ((1, 0), (2, 0), (0, 0))),
-)
+# node) and keyed by report id; both hold up to one scalar.
+HADAMARD_BASIS = {
+    # xor = copy with H on all three legs
+    "xor-hadamard-conjugation": (
+        (("xor",), (), ((0, 0), (0, 1), (0, 2))),
+        (("copy", "H", "H", "H"), ((0, 0, 1, 0), (0, 1, 2, 0), (0, 2, 3, 0)),
+         ((1, 1), (2, 1), (3, 1))),
+    ),
+    # xor with H on leg 0 = copy with H on legs 1 and 2: leg k of both sides
+    # picks H|k>, so the one fitted scalar serves |+> and |-> alike
+    "xor-copies-plus-minus": (
+        (("xor", "H"), ((0, 0, 1, 0),), ((0, 1), (0, 2), (1, 1))),
+        (("copy", "H", "H"), ((1, 1, 0, 1), (2, 1, 0, 2)), ((1, 0), (2, 0), (0, 0))),
+    ),
+}
 
 
-def _compare_sides(relation_id: str, sides, tol: float, copy=None) -> RelationReport:
-    """Contract both diagrams of `sides`, a pair held as in `RELATIONS`, and
-    compare them; `copy` stands in for the copy generator when given."""
+def verify_relation(
+    relation_id: str,
+    tol: float = DEFAULT_TOL,
+    copy: Tensor | None = None,
+) -> RelationReport:
+    """Check one law of `RELATIONS` or `HADAMARD_BASIS`: contract both
+    diagrams of its entry and compare them.
+
+    The diagrams' tags resolve through `circuits.generator_tensors()`, with
+    `copy`, when given, in place of the copy generator: the self-test
+    injects a corrupted one to confirm the suite detects violations.
+    """
+    try:
+        sides = RELATIONS.get(relation_id) or HADAMARD_BASIS[relation_id]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown relation {relation_id!r}") from None
     tensors = generator_tensors()
     if copy is not None:
         tensors["copy"] = copy
@@ -188,38 +203,6 @@ def _compare_sides(relation_id: str, sides, tol: float, copy=None) -> RelationRe
         for tags, bonds, open_legs in sides
     )
     return compare(relation_id, lhs, rhs, tol)
-
-
-def verify_relation(
-    relation_id: str,
-    tol: float = DEFAULT_TOL,
-    copy: Tensor | None = None,
-) -> RelationReport:
-    """Check one of the eight relation families between the generators:
-    contract both sides of its entry in `RELATIONS` and compare them.
-
-    `copy` defaults to the copy generator; the self-test injects a
-    corrupted one to confirm the suite detects violations.
-    """
-    try:
-        sides = RELATIONS[relation_id]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown relation {relation_id!r}") from None
-    return _compare_sides(relation_id, sides, tol, copy)
-
-
-def verify_xor_in_hadamard_basis(tol: float = DEFAULT_TOL) -> RelationReport:
-    """XOR against the copy tensor conjugated by Hadamard on all three legs."""
-    return _compare_sides("xor-hadamard-conjugation", _XOR_IN_HADAMARD_BASIS, tol)
-
-
-def verify_xor_copies_plus_minus(tol: float = DEFAULT_TOL) -> RelationReport:
-    """XOR as a 1-in/2-out map copies |+> and |-> with one shared scalar.
-
-    Leg k of both sides picks the basis vector H|k>, so the one scalar that
-    `compare` fits over the whole tensor serves |+> and |-> alike.
-    """
-    return _compare_sides("xor-copies-plus-minus", _XOR_COPIES_PLUS_MINUS, tol)
 
 
 def compiled_cn() -> Tensor:

@@ -121,6 +121,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "check=phase-composition status=Fails" in out
 
+    def test_injected_fault_fails_both_hadamard_basis_laws(self, capsys):
+        # Both laws' diagrams hold a copy node, so the corrupted copy reaches them.
+        assert cli.main(["--format", "records", "verify", "--selftest-fault"]) == 1
+        captured = capsys.readouterr()
+        for rid in ("xor-hadamard-conjugation", "xor-copies-plus-minus"):
+            assert f"check={rid} status=Fails lambda=- " in captured.out
+        assert captured.err == "9 relation(s) failed\n"
+
     def test_records_are_byte_identical_across_runs(self, capsys):
         cli.main(["--format", "records", "verify"])
         first = capsys.readouterr().out

@@ -12,8 +12,8 @@ import pytest
 from stabtensor import generators as gen
 from stabtensor import kernel_backend, oracles, tensor
 from stabtensor.boolfn import (
-    BooleanLinearForm, TruthTable, hadamard_power, parse_truth_table,
-    verify_hadamard_column_indexing,
+    BooleanLinearForm, TruthTable, hadamard_power, linear_forms, parse_truth_table,
+    polarity_table, verify_hadamard_column_indexing,
 )
 from stabtensor.circuits import Circuit, CircuitParseError, GateApp, parse_circuit
 from stabtensor.tensor import (
@@ -49,6 +49,15 @@ REJECTIONS = {
                               CircuitParseError, "line 2: bad input line 'input 0 1'"),
     "parse-no-header": (lambda: parse_circuit("# nothing but a comment\n\n"),
                         CircuitParseError, "missing `wires N` header"),
+    # A wire past the header's width and an input of the wrong length are
+    # Circuit's faults, named with their line, and found when their line
+    # is read, before any fault on a later line.
+    "parse-wire-past-width": (lambda: parse_circuit("wires 3\nH 0\nCN 1 3\n"),
+                              CircuitParseError, "line 3: wire 3 outside 0..2"),
+    "parse-input-length": (lambda: parse_circuit("wires 2\ninput 011\n"),
+                           CircuitParseError, "line 2: input '011' is not a 2-bit string"),
+    "parse-wire-fault-before-later-line": (lambda: parse_circuit("wires 3\nH 5\nT 0\n"),
+                                           CircuitParseError, "line 2: wire 5 outside 0..2"),
     "table-n-0": (lambda: TruthTable(0, ()), ValueError, "truth table needs n >= 1"),
     "table-output-range": (lambda: TruthTable(1, (0, 2)), ValueError,
                            "output 2 is not an 1-bit value"),
@@ -84,6 +93,18 @@ REJECTIONS = {
                              "n 2.0 is not an integer"),
     "hadamard-columns-float": (lambda: verify_hadamard_column_indexing(2.0), ValueError,
                                "n 2.0 is not an integer"),
+    # The linear forms and their polarity table take n as hadamard_power does.
+    "linear-forms-0": (lambda: linear_forms(0), ValueError, "n must be >= 1"),
+    "linear-forms-float": (lambda: linear_forms(2.0), ValueError, "n 2.0 is not an integer"),
+    "polarity-table-negative": (lambda: polarity_table(-1), ValueError, "n must be >= 1"),
+    "polarity-table-float": (lambda: polarity_table(2.0), ValueError,
+                             "n 2.0 is not an integer"),
+    # The phase vector's power follows the integer rule: 1.0 is not an
+    # index, and "1" % 4 is string formatting.
+    "t-vector-float": (lambda: gen.t_vector(1.0), ValueError,
+                       "t_vector k 1.0 is not an integer"),
+    "t-vector-str": (lambda: gen.t_vector("1"), ValueError,
+                     "t_vector k '1' is not an integer"),
     "tensor-rank": (lambda: Tensor(-1, []), ValueError, "rank must be non-negative, got -1"),
     "tensor-from-fn-rank": (lambda: tensor_from_fn(-1, complex), ValueError,
                             "rank must be non-negative, got -1"),
@@ -117,6 +138,19 @@ REJECTIONS = {
                                 ValueError, "wire 2 outside 0..1"),
     "tableau-cn-one-wire": (lambda: oracles.StabilizerTableau(2).apply("CN", (0, 0)),
                             ValueError, "CN wires must be distinct, got (0, 0)"),
+    # The seeded generators' sizes, checked before the first draw.
+    "random-circuit-width-0": (lambda: oracles.random_clifford_circuit(0, 5, 1), ValueError,
+                               "circuit needs at least one wire"),
+    "random-circuit-width-float": (lambda: oracles.random_clifford_circuit(2.0, 5, 1),
+                                   ValueError, "circuit width 2.0 is not an integer"),
+    "random-circuit-depth-float": (lambda: oracles.random_clifford_circuit(2, 5.0, 1),
+                                   ValueError, "depth 5.0 is not an integer"),
+    "random-circuit-depth-negative": (lambda: oracles.random_clifford_circuit(2, -1, 1),
+                                      ValueError, "depth must be >= 0"),
+    "crosscheck-paulis-0": (lambda: oracles.crosscheck_paulis(0), ValueError,
+                            "n must be >= 1"),
+    "crosscheck-paulis-float": (lambda: oracles.crosscheck_paulis(2.0), ValueError,
+                                "n 2.0 is not an integer"),
     "pauli-state-type": (lambda: oracles.pauli_expectations("01", ["Z"]), TypeError,
                          "unsupported state type str"),
     # A string given as a list of its letters is refused by both oracles alike.

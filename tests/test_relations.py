@@ -15,7 +15,7 @@ from stabtensor.oracles import GATE_MATRICES
 from stabtensor.tensor import DEFAULT_TOL, Tensor, max_abs_diff
 
 
-@pytest.mark.parametrize("rid", relations.RELATION_FAMILIES)
+@pytest.mark.parametrize("rid", relations.RELATIONS)
 def test_relation_family_holds(rid):
     rep = relations.verify_relation(rid)
     assert rep.holds, rep.record()
@@ -47,7 +47,7 @@ def test_corrupted_copy_tensor_detected():
 
 
 def test_xor_in_hadamard_basis_scalar_is_sqrt2():
-    rep = relations.verify_xor_in_hadamard_basis()
+    rep = relations.verify_relation("xor-hadamard-conjugation")
     assert rep.status is RelationStatus.HOLDS_UP_TO_SCALAR
     assert rep.scalar is not None
     assert abs(rep.scalar - math.sqrt(2)) <= 1e-12
@@ -55,7 +55,7 @@ def test_xor_in_hadamard_basis_scalar_is_sqrt2():
 
 
 def test_xor_copies_plus_minus_shares_one_scalar():
-    rep = relations.verify_xor_copies_plus_minus()
+    rep = relations.verify_relation("xor-copies-plus-minus")
     assert rep.status is RelationStatus.HOLDS_UP_TO_SCALAR
     assert rep.scalar is not None
     assert abs(rep.scalar - math.sqrt(2)) <= 1e-12
@@ -103,7 +103,7 @@ FAMILY_RECORDS_SHA256 = "ef3d1f12294ba9147dcf506479f6056b4b359559e6e4a187903faae
 def test_family_records_are_pinned(monkeypatch):
     def records(copy=None):
         return [relations.verify_relation(rid, copy=copy).record()
-                for rid in relations.RELATION_FAMILIES]
+                for rid in relations.RELATIONS]
 
     lines = records()
     for k in range(8):
@@ -174,8 +174,7 @@ def test_every_diagram_tag_is_a_key_of_the_one_table():
               for name in circuits.compile_circuit(Circuit(2, (), bits)).nodes}
     assert starts == {"id", "ket0", "ket1"}
     tags |= starts
-    for sides in (*relations.RELATIONS.values(), relations._XOR_IN_HADAMARD_BASIS,
-                  relations._XOR_COPIES_PLUS_MINUS):
+    for sides in (*relations.RELATIONS.values(), *relations.HADAMARD_BASIS.values()):
         for side_tags, _, _ in sides:
             tags.update(side_tags)
     assert tags <= set(circuits.generator_tensors())
@@ -221,7 +220,7 @@ def test_swapped_cn_wires_fail_clifford_cn(monkeypatch, capsys):
 
 def test_corrupted_xor_fails_copies_plus_minus(monkeypatch):
     monkeypatch.setattr(gen, "xor_tensor", lambda: _flipped(xor_tensor(), 0b000))
-    rep = relations.verify_xor_copies_plus_minus()
+    rep = relations.verify_relation("xor-copies-plus-minus")
     assert rep.status is RelationStatus.FAILS
     assert rep.scalar is None
 
@@ -249,8 +248,8 @@ def test_flipped_polarity_sign_fails_column_indexing(monkeypatch, flip):
 
 def test_xor_records_hold_exactly_at_coarse_tolerance():
     # |1/sqrt2 - 1/2| and the conjugation's own gap are both below 0.5
-    for rep in (relations.verify_xor_in_hadamard_basis(tol=0.5),
-                relations.verify_xor_copies_plus_minus(tol=0.5)):
+    for rid in relations.HADAMARD_BASIS:
+        rep = relations.verify_relation(rid, tol=0.5)
         assert rep.status is RelationStatus.EXACT_HOLD, rep.record()
 
 
@@ -275,9 +274,8 @@ def test_cn_transcription_reports():
 
 def test_records_are_deterministic():
     def run():
-        reps = [relations.verify_relation(r) for r in relations.RELATION_FAMILIES]
-        reps.append(relations.verify_xor_in_hadamard_basis())
-        reps.append(relations.verify_xor_copies_plus_minus())
+        reps = [relations.verify_relation(r) for r in (*relations.RELATIONS,
+                                                        *relations.HADAMARD_BASIS)]
         reps.extend(relations.verify_clifford_recovery())
         return "\n".join(r.record() for r in reps)
 
