@@ -222,6 +222,30 @@ MUTANTS = [
            '    """All 2**n linear (c0 = 0) forms on n bits."""\n'),
     Mutant("random-circuit-negative-depth-allowed", "src/stabtensor/oracles.py",
            "    if depth < 0:\n", "    if depth < -1:\n"),
+    # The one fitted scalar (relations.compare): never through lambda ~ 0,
+    # fitted at the right side's largest entry, and its deviation scaled.
+    Mutant("compare-zero-scalar-holds", "src/stabtensor/relations.py",
+           "if dev <= tol and abs(lam) > tol:", "if dev <= tol:"),
+    Mutant("compare-pivot-argmin", "src/stabtensor/relations.py",
+           "pivot = int(np.argmax(np.abs(flat)))", "pivot = int(np.argmin(np.abs(flat)))"),
+    Mutant("compare-deviation-unscaled", "src/stabtensor/relations.py",
+           "np.abs(lhs.array - lam * rhs.array)", "np.abs(lhs.array - rhs.array)"),
+    # The oracles' input checks, each made before any draw or oracle run.
+    Mutant("crosscheck-state-type-unchecked", "src/stabtensor/oracles.py",
+           "    if not isinstance(state, Tensor):\n", "    if False:\n"),
+    Mutant("crosscheck-state-rank-unchecked", "src/stabtensor/oracles.py",
+           "    if state.rank != circuit.width:\n", "    if False:\n"),
+    Mutant("state-vector-width-not-an-int", "src/stabtensor/oracles.py",
+           'self.n = n = as_int(self.n, "state width")', "n = self.n"),
+    Mutant("state-vector-size-unchecked", "src/stabtensor/oracles.py",
+           "if np.size(self.amplitudes) != 1 << n:", "if False:"),
+    Mutant("tableau-width-not-an-int", "src/stabtensor/oracles.py",
+           '        n = as_int(n, "tableau width")\n', ""),
+    Mutant("random-circuit-gate-names-unchecked", "src/stabtensor/oracles.py",
+           "        if not (isinstance(gate, str) and gate in GATE_ARITY):\n",
+           "        if False:\n"),
+    Mutant("random-circuit-no-fitting-gate-allowed", "src/stabtensor/oracles.py",
+           "    if not fitting:\n", "    if False:\n"),
 ]
 
 

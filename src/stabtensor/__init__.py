@@ -11,7 +11,6 @@ from stabtensor.tensor import (
     Tensor,
     TensorNetwork,
     contract_pair,
-    equal_up_to_scalar,
     max_abs_diff,
     tensor_from_fn,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "Tensor",
     "TensorNetwork",
     "contract_pair",
-    "equal_up_to_scalar",
     "kernel_backend",
     "max_abs_diff",
     "tensor_from_fn",

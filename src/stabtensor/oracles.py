@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # circuit_state is not called here; perfbench's tracer test reads oracles.circuit_state.
-from stabtensor.circuits import Circuit, GateApp, circuit_state
-from stabtensor.tensor import Tensor, as_int
+from stabtensor.circuits import GATE_ARITY, Circuit, GateApp, circuit_state
+from stabtensor.tensor import Tensor, as_int, as_tuple
 
 MAX_DENSE_WIDTH = 12
 
@@ -49,10 +49,22 @@ GATE_MATRICES = {
 
 @dataclass
 class StateVector:
-    """Dense n-qubit state; wire 0 is the most significant basis bit."""
+    """Dense n-qubit state; wire 0 is the most significant basis bit.
+
+    `n` (at least 1) follows the integer rule, and `amplitudes` must hold
+    exactly 2**n entries; either fault is a ValueError."""
 
     n: int
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        self.n = n = as_int(self.n, "state width")
+        if n < 1:
+            raise ValueError("state needs at least one qubit")
+        if np.size(self.amplitudes) != 1 << n:
+            raise ValueError(
+                f"{n}-qubit state needs {1 << n} amplitudes, got {np.size(self.amplitudes)}"
+            )
 
 
 def dense_simulate(circuit: Circuit) -> StateVector:
@@ -77,11 +89,6 @@ def dense_simulate(circuit: Circuit) -> StateVector:
     return StateVector(n, psi.reshape(-1))
 
 
-# The wires each gate of the tableau gate set acts on; `apply` reads any
-# other gate as an error, never as one of these.
-_TABLEAU_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "NOT": 1, "CN": 2}
-
-
 class StabilizerTableau:
     """The 2n generator rows of a stabilizer state, bit-packed by wire.
 
@@ -93,6 +100,7 @@ class StabilizerTableau:
     """
 
     def __init__(self, n: int):
+        n = as_int(n, "tableau width")
         if n < 1:
             raise ValueError("tableau needs at least one qubit")
         self.n = n
@@ -102,9 +110,10 @@ class StabilizerTableau:
 
     def apply(self, gate: str, wires: tuple[int, ...]) -> None:
         """Conjugate every row by `gate` on `wires`.  A gate outside the
-        tableau gate set, a wrong wire count, a wire outside 0..n-1 or CN
-        on one wire is a ValueError, raised before any column changes."""
-        arity = _TABLEAU_ARITY.get(gate)
+        tableau gate set (the gates of `circuits.GATE_ARITY`), a wrong wire
+        count, a wire outside 0..n-1 or CN on one wire is a ValueError,
+        raised before any column changes."""
+        arity = GATE_ARITY.get(gate)
         if arity is None:
             raise ValueError(f"gate {gate!r} is not in the tableau gate set")
         if len(wires) != arity:
@@ -295,17 +304,25 @@ def random_clifford_circuit(
 ) -> Circuit:
     """Seeded random circuit: uniform over gate type, then over wires.
 
-    Width (at least 1) and depth (at least 0) follow the integer rule and
-    are checked before the first draw."""
+    Width (at least 1) and depth (at least 0) follow the integer rule, and
+    each of `gates` must be a `circuits.GATE_ARITY` name, at least one of
+    them on no more wires than `width`; all are checked before the first
+    draw, which picks among the gates that fit."""
     width = as_int(width, "circuit width")
     if width < 1:
         raise ValueError("circuit needs at least one wire")
     depth = as_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    gates = as_tuple(gates, "gates")
+    for gate in gates:
+        if not (isinstance(gate, str) and gate in GATE_ARITY):
+            raise ValueError(f"unknown gate {gate!r}")
+    fitting = tuple(g for g in gates if GATE_ARITY[g] <= width)
+    if not fitting:
+        raise ValueError(f"no gate of {gates!r} fits {width} wire(s)")
+    gates = fitting
     rng = random.Random(seed)
-    if width < 2:
-        gates = tuple(g for g in gates if g != "CN")
     ops = []
     for _ in range(depth):
         gate = rng.choice(gates)
@@ -365,7 +382,16 @@ def crosscheck_circuit(circuit: Circuit, state: Tensor, seed: int = 0) -> Crossc
     The amplitudes are compared as they are, with no scalar fitted out, so
     a fault in the global phase or the norm disagrees; `scalar_magnitude`
     is the engine state's 2-norm, 1 when the state is right.
+
+    A `state` that is not a Tensor is a TypeError, and one whose rank is
+    not the circuit's width a ValueError, both before any oracle runs.
     """
+    if not isinstance(state, Tensor):
+        raise TypeError(f"state is a {type(state).__name__}, not a Tensor")
+    if state.rank != circuit.width:
+        raise ValueError(
+            f"state has rank {state.rank}, but the circuit has {circuit.width} wires"
+        )
     dense = dense_simulate(circuit)
     net_state = state.array.reshape(-1)
     amp_delta = float(np.max(np.abs(net_state - dense.amplitudes)))

@@ -49,9 +49,7 @@ from stabtensor.tensor import (
     Tensor,
     TensorNetwork,
     contract_pair,
-    equal_up_to_scalar,
     max_abs_diff,
-    max_scaled_diff,
     tensor_from_fn,
 )
 
@@ -93,18 +91,28 @@ def compare(
     tol: float = DEFAULT_TOL,
     expected_mismatch: bool = False,
 ) -> RelationReport:
+    """Compare `lhs` with `rhs` entrywise, fitting at most one scalar.
+
+    `ExactHold` when no entry differs by more than `tol`.  Otherwise lam is
+    fitted at rhs's largest-magnitude entry (the first on ties), and the
+    law holds up to lam when lhs - lam * rhs is within `tol` everywhere and
+    |lam| > tol: a fit through lam ~ 0 only says that lhs vanishes.  Every
+    other case, an all-zero rhs included, `Fails` with the raw deviation.
+    """
     raw = max_abs_diff(lhs, rhs)
     if raw <= tol:
         return RelationReport(
             relation_id, RelationStatus.EXACT_HOLD, 1 + 0j, raw, expected_mismatch,
         )
-    lam = equal_up_to_scalar(lhs, rhs, tol)
-    # A fit through lambda ~ 0 only says the left side vanishes; treat as failure.
-    if lam is not None and abs(lam) > tol:
-        dev = max_scaled_diff(lhs, lam, rhs)
-        return RelationReport(
-            relation_id, RelationStatus.HOLDS_UP_TO_SCALAR, lam, dev, expected_mismatch,
-        )
+    flat = rhs.array.reshape(-1)
+    pivot = int(np.argmax(np.abs(flat)))
+    if pivot_value := flat.item(pivot):
+        lam = lhs.array.item(pivot) / pivot_value
+        dev = float(np.abs(lhs.array - lam * rhs.array).max())
+        if dev <= tol and abs(lam) > tol:
+            return RelationReport(
+                relation_id, RelationStatus.HOLDS_UP_TO_SCALAR, lam, dev, expected_mismatch,
+            )
     return RelationReport(relation_id, RelationStatus.FAILS, None, raw, expected_mismatch)
 
 

@@ -69,10 +69,6 @@ class Tensor:
         return self._rank
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (2,) * self._rank
-
-    @property
     def array(self) -> np.ndarray:
         """The entries as a read-only complex128 array of shape (2,)*rank."""
         return self._array
@@ -81,26 +77,6 @@ class Tensor:
     def data(self) -> tuple[complex, ...]:
         """The entries flat in row-major leg order, as Python complex."""
         return tuple(self._array.reshape(-1).tolist())
-
-    def __getitem__(self, idx) -> complex:
-        if isinstance(idx, tuple):
-            if len(idx) != self._rank:
-                raise IndexError(f"expected {self._rank} indices, got {len(idx)}")
-            flat = 0
-            for bit in idx:
-                if bit not in (0, 1):
-                    raise IndexError(f"leg index must be 0 or 1, got {bit}")
-                try:
-                    flat = (flat << 1) | bit
-                except TypeError:  # a float 0.0 or 1.0 passes the test above
-                    raise IndexError(f"leg index must be 0 or 1, got {bit}") from None
-            return self._array.item(flat)
-        return self._array.reshape(-1).item(operator.index(idx))
-
-    def item(self) -> complex:
-        if self._rank != 0:
-            raise ValueError(f"item() on rank-{self._rank} tensor")
-        return self._array.item()
 
     def scale(self, factor: complex) -> Tensor:
         return Tensor(self._rank, factor * self._array)
@@ -322,32 +298,6 @@ def max_abs_diff(a: Tensor, b: Tensor) -> float:
     if a.rank != b.rank:
         raise ValueError(f"shape mismatch: rank {a.rank} vs {b.rank}")
     return float(np.abs(a.array - b.array).max())
-
-
-def max_scaled_diff(a: Tensor, factor: complex, b: Tensor) -> float:
-    if a.rank != b.rank:
-        raise ValueError(f"shape mismatch: rank {a.rank} vs {b.rank}")
-    return float(np.abs(a.array - factor * b.array).max())
-
-
-def equal_up_to_scalar(a: Tensor, b: Tensor, tol: float = DEFAULT_TOL) -> complex | None:
-    """Return lam with max|a - lam*b| <= tol, or None if no such scalar.
-
-    lam is fixed by the largest-magnitude entry of b (first one on ties).
-    Two all-zero tensors compare equal with lam = 1.
-    """
-    if a.rank != b.rank:
-        raise ValueError(f"shape mismatch: rank {a.rank} vs {b.rank}")
-    flat_b = b.array.reshape(-1)
-    pivot = int(np.argmax(np.abs(flat_b)))
-    if flat_b[pivot] == 0:
-        if np.abs(a.array).max() <= tol:
-            return 1 + 0j
-        return None
-    lam = a.array.item(pivot) / flat_b.item(pivot)
-    if max_scaled_diff(a, lam, b) <= tol:
-        return lam
-    return None
 
 
 class PlanStep(NamedTuple):

@@ -6,7 +6,7 @@ from stabtensor.tensor import Tensor
 
 
 def to_np(t: Tensor) -> np.ndarray:
-    return np.array(t.data, dtype=complex).reshape(t.shape)
+    return np.array(t.data, dtype=complex).reshape(t.array.shape)
 
 
 def random_tensor(rng, rank: int) -> Tensor:

@@ -51,8 +51,8 @@ def test_criterion_1_generator_fidelity():
     x = gen.xor_tensor()
     ok = True
     for i, j, k in itertools.product((0, 1), repeat=3):
-        ok &= d[(i, j, k)] == (1 if i == j == k else 0)
-        ok &= x[(i, j, k)] == (1 if i == j ^ k else 0)
+        ok &= d.array[i, j, k] == (1 if i == j == k else 0)
+        ok &= x.array[i, j, k] == (1 if i == j ^ k else 0)
     for perm in itertools.permutations(range(3)):
         ok &= np.array_equal(x.array.transpose(perm), x.array)
     elapsed = time.perf_counter() - start
@@ -99,7 +99,7 @@ def test_criterion_4_clifford_recovery():
 def test_criterion_5_cn_transcription():
     contracted = cn_index_contraction()
     ok = all(
-        contracted[idx] == cn_component_polynomial(*idx)
+        contracted.array[idx] == cn_component_polynomial(*idx)
         for idx in itertools.product((0, 1), repeat=4)
     )
     exact, versus = relations.verify_cn_transcription()
@@ -218,4 +218,4 @@ def test_simulation_states_match_dense_amplitudes_exactly_ordered():
     )
     # the compiled CN, legs (out-c, out-t, in-c, in-t), maps |10> to |11>
     wired = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
-    assert wired[(1, 1, 1, 0)] == 1
+    assert wired.array[1, 1, 1, 0] == 1

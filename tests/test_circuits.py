@@ -198,7 +198,7 @@ class TestIndexContraction:
     def test_all_16_entries_match_polynomial_exactly(self):
         t = cn_index_contraction()
         for idx in itertools.product((0, 1), repeat=4):
-            assert t[idx] == cn_component_polynomial(*idx), idx
+            assert t.array[idx] == cn_component_polynomial(*idx), idx
 
     def test_corner_values(self):
         assert cn_component_polynomial(0, 0, 0, 0) == 1
@@ -208,8 +208,8 @@ class TestIndexContraction:
         # the two constructions disagree, e.g. at (1, 0, 1, 1)
         wired = circuit_unitary(Circuit(2, (GateApp("CN", (0, 1)),)))
         contracted = cn_index_contraction()
-        assert wired[(1, 0, 1, 1)] == 1
-        assert contracted[(1, 0, 1, 1)] == 0
+        assert wired.array[1, 0, 1, 1] == 1
+        assert contracted.array[1, 0, 1, 1] == 0
         assert max_abs_diff(wired, contracted) == 1.0
 
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from stabtensor import generators as gen
 from stabtensor.circuits import Circuit, GateApp, circuit_unitary
+from stabtensor.relations import RelationStatus, compare
 from stabtensor.tensor import (
     Tensor,
     contract_pair,
-    equal_up_to_scalar,
     max_abs_diff,
 )
 from tests.conftest import random_tensor, to_np
@@ -26,14 +26,14 @@ def test_copy_entries_match_membership_predicate():
     d = gen.copy_tensor()
     for i, j, k in itertools.product((0, 1), repeat=3):
         want = 1 if i == j == k else 0
-        assert d[(i, j, k)] == want
+        assert d.array[i, j, k] == want
 
 
 def test_xor_entries_match_membership_predicate():
     x = gen.xor_tensor()
     for q, r, s in itertools.product((0, 1), repeat=3):
         want = 1 if q == r ^ s else 0
-        assert x[(q, r, s)] == want
+        assert x.array[q, r, s] == want
 
 
 def test_copy_duplicates_basis_states():
@@ -80,8 +80,8 @@ def test_t_vector_quadrants(k, expected):
 
 def test_plus_covector_pairings():
     p = gen.plus_covector()
-    assert contract_pair(p, (0,), gen.ket_zero(), (0,)).item() == 1
-    assert contract_pair(p, (0,), gen.t_vector(1), (0,)).item() == 1 + 1j
+    assert contract_pair(p, (0,), gen.ket_zero(), (0,)).array.item() == 1
+    assert contract_pair(p, (0,), gen.t_vector(1), (0,)).array.item() == 1 + 1j
 
 
 def test_counit_yields_identity():
@@ -187,17 +187,14 @@ def test_xor_copies_x_basis_with_shared_scalar():
     h = gen.hadamard()
     plus = contract_pair(h, (1,), gen.ket_zero(), (0,))
     minus = contract_pair(h, (1,), gen.ket_one(), (0,))
-    lam = None
+    scalars = []
     for v in (plus, minus):
         applied = contract_pair(x, (0,), v, (0,))  # legs raised: 1-in 2-out
         pair = contract_pair(v, (), v, ())
-        this = equal_up_to_scalar(applied, pair, 1e-12)
-        assert this is not None
-        if lam is None:
-            lam = this
-        else:
-            assert abs(this - lam) <= 1e-12
-    assert lam is not None and abs(lam - SQ2) <= 1e-12
+        report = compare("xor-copies", applied, pair, 1e-12)
+        assert report.status is RelationStatus.HOLDS_UP_TO_SCALAR
+        scalars.append(report.scalar)
+    assert abs(scalars[0] - SQ2) <= 1e-12 and abs(scalars[1] - scalars[0]) <= 1e-12
 
 
 @given(st.integers(min_value=-8, max_value=8))

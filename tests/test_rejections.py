@@ -17,7 +17,7 @@ from stabtensor.boolfn import (
 )
 from stabtensor.circuits import Circuit, CircuitParseError, GateApp, parse_circuit
 from stabtensor.tensor import (
-    RankBudgetError, Tensor, contract_pair, max_abs_diff, max_scaled_diff, tensor_from_fn,
+    RankBudgetError, Tensor, contract_pair, max_abs_diff, tensor_from_fn,
 )
 
 REJECTIONS = {
@@ -117,16 +117,25 @@ REJECTIONS = {
     "tensor-from-fn-over-budget": (lambda: tensor_from_fn(tensor.MAX_RANK + 1, complex),
                                    RankBudgetError,
                                    "a tensor_from_fn result has rank 25; the rank budget is 24"),
-    "index-count": (lambda: gen.hadamard()[(0,)], IndexError, "expected 2 indices, got 1"),
-    "index-bit": (lambda: gen.hadamard()[(0, 2)], IndexError,
-                  "leg index must be 0 or 1, got 2"),
-    "item-rank": (lambda: gen.ket_zero().item(), ValueError, "item() on rank-1 tensor"),
     "abs-diff-rank": (lambda: max_abs_diff(gen.ket_zero(), gen.hadamard()), ValueError,
                       "shape mismatch: rank 1 vs 2"),
-    "scaled-diff-rank": (lambda: max_scaled_diff(gen.hadamard(), 1, gen.ket_zero()),
-                         ValueError, "shape mismatch: rank 2 vs 1"),
     "tableau-width-0": (lambda: oracles.StabilizerTableau(0), ValueError,
                         "tableau needs at least one qubit"),
+    "tableau-width-float": (lambda: oracles.StabilizerTableau(2.0), ValueError,
+                            "tableau width 2.0 is not an integer"),
+    "tableau-gate-unknown": (lambda: oracles.StabilizerTableau(2).apply("T", (0,)),
+                             ValueError, "gate 'T' is not in the tableau gate set"),
+    # A state vector's width follows the integer rule, and it holds exactly
+    # 2**n amplitudes, so a wrong count is not numpy's IndexError or
+    # reshape error in the expectations.
+    "state-vector-width-float": (lambda: oracles.StateVector(2.0, np.zeros(4)), ValueError,
+                                 "state width 2.0 is not an integer"),
+    "state-vector-width-0": (lambda: oracles.StateVector(0, np.ones(1)), ValueError,
+                             "state needs at least one qubit"),
+    "state-vector-too-few": (lambda: oracles.StateVector(2, np.zeros(3)), ValueError,
+                             "2-qubit state needs 4 amplitudes, got 3"),
+    "state-vector-too-many": (lambda: oracles.StateVector(2, np.zeros(8)), ValueError,
+                              "2-qubit state needs 4 amplitudes, got 8"),
     # A gate's wires are checked before any column is read, so a negative
     # wire does not act on the last one and CN on one wire does not clear
     # its X column.
@@ -147,10 +156,30 @@ REJECTIONS = {
                                    ValueError, "depth 5.0 is not an integer"),
     "random-circuit-depth-negative": (lambda: oracles.random_clifford_circuit(2, -1, 1),
                                       ValueError, "depth must be >= 0"),
+    # The gates too: an unknown name fails though nothing is drawn, and a
+    # gate set with no gate that fits the width fails before a draw would.
+    "random-circuit-gate-unknown": (
+        lambda: oracles.random_clifford_circuit(2, 0, 1, ("H", "T")),
+        ValueError, "unknown gate 'T'"),
+    "random-circuit-gates-not-a-sequence": (
+        lambda: oracles.random_clifford_circuit(2, 5, 1, 5),
+        ValueError, "gates 5 is not a sequence"),
+    "random-circuit-no-gates": (lambda: oracles.random_clifford_circuit(2, 5, 1, ()),
+                                ValueError, "no gate of () fits 2 wire(s)"),
+    "random-circuit-cn-on-one-wire": (
+        lambda: oracles.random_clifford_circuit(1, 5, 1, ("CN",)),
+        ValueError, "no gate of ('CN',) fits 1 wire(s)"),
     "crosscheck-paulis-0": (lambda: oracles.crosscheck_paulis(0), ValueError,
                             "n must be >= 1"),
     "crosscheck-paulis-float": (lambda: oracles.crosscheck_paulis(2.0), ValueError,
                                 "n 2.0 is not an integer"),
+    # The crosscheck's state is checked before the dense oracle runs.
+    "crosscheck-state-not-a-tensor": (
+        lambda: oracles.crosscheck_circuit(Circuit(2, (), "00"), [1, 0, 0, 0]),
+        TypeError, "state is a list, not a Tensor"),
+    "crosscheck-state-rank": (
+        lambda: oracles.crosscheck_circuit(Circuit(3, (), "000"), Tensor(2, (1, 0, 0, 0))),
+        ValueError, "state has rank 2, but the circuit has 3 wires"),
     "pauli-state-type": (lambda: oracles.pauli_expectations("01", ["Z"]), TypeError,
                          "unsupported state type str"),
     # A string given as a list of its letters is refused by both oracles alike.

@@ -1,4 +1,5 @@
-"""Core tensor operations: construction, contraction, networks, scalar equality."""
+"""Core tensor operations: construction, contraction, networks, and the one
+fitted scalar of `relations.compare`."""
 
 import collections
 import hashlib
@@ -10,12 +11,13 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stabtensor import generators as gen
 from stabtensor import tensor
 from stabtensor.circuits import Circuit, GateApp, cn_component_polynomial, compile_circuit
+from stabtensor.relations import RelationStatus, compare
 from stabtensor.tensor import (
     MAX_RANK,
     PlanStep,
@@ -23,7 +25,6 @@ from stabtensor.tensor import (
     Tensor,
     TensorNetwork,
     contract_pair,
-    equal_up_to_scalar,
     max_abs_diff,
     tensor_from_fn,
 )
@@ -34,7 +35,7 @@ class TestConstruction:
     def test_scalar_from_fn(self):
         t = tensor_from_fn(0, lambda: 1)
         assert t.rank == 0
-        assert t.item() == 1
+        assert t.array.item() == 1
 
     def test_basis_vector_from_fn(self):
         t = tensor_from_fn(1, lambda x: 1 - x)
@@ -42,8 +43,8 @@ class TestConstruction:
 
     def test_copy_polynomial_support(self):
         t = tensor_from_fn(3, lambda i, j, k: 1 - (i + j + k) + i * j + i * k + j * k)
-        assert t[(0, 0, 0)] == 1
-        assert t[(1, 1, 1)] == 1
+        assert t.array[0, 0, 0] == 1
+        assert t.array[1, 1, 1] == 1
         assert sum(abs(v) for v in t.data) == 2
 
     def test_from_fn_walks_the_indices_row_major(self):
@@ -102,14 +103,14 @@ class TestConstruction:
         t = Tensor(2, [1e200] * 4)
         assert t.data == (1e200,) * 4
         huge = Tensor(2, [1.7e308, -1.7e308j, 1.7e308 + 1.7e308j, 0])
-        assert huge[1, 0] == 1.7e308 + 1.7e308j
+        assert huge.array[1, 0] == 1.7e308 + 1.7e308j
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             Tensor(2, (1, 0))
 
     def test_shape(self):
-        assert Tensor(3, [0] * 8).shape == (2, 2, 2)
+        assert Tensor(3, [0] * 8).array.shape == (2, 2, 2)
 
     def test_storage_is_read_only(self):
         t = Tensor(2, (1, 0, 0, 1))
@@ -133,34 +134,16 @@ class TestConstruction:
     def test_data_entries_are_python_complex(self):
         t = contract_pair(gen.hadamard(), (1,), gen.ket_zero(), (0,))
         assert all(type(v) is complex for v in t.data)
-        assert type(t[(1,)]) is complex
-        assert type(Tensor(0, (2,)).item()) is complex
+        assert type(t.array.item(1)) is complex
+        assert type(Tensor(0, (2,)).array.item()) is complex
 
-    def test_int_index_matches_data(self, monkeypatch):
+    def test_int_index_matches_data(self):
+        # `.data` lists `.array`'s entries flat in row-major leg order: bit
+        # r - 1 - k of a flat index is leg k's index.
         t = random_tensor(random.Random(4), 5)
-        data = t.data
-        # One entry is read without building the whole tuple.
-        monkeypatch.setattr(Tensor, "data", property(lambda self: pytest.fail(".data built")))
-        for k in range(-40, 40):
-            if -32 <= k < 32:
-                assert t[k] == data[k]
-                assert type(t[k]) is complex
-            else:
-                with pytest.raises(IndexError):
-                    t[k]
-        monkeypatch.undo()
-        # Slices are not indices: `t.data[...]` slices the entries.
-        for idx in (slice(3, 7), slice(None, None, -1)):
-            with pytest.raises(TypeError):
-                t[idx]
-
-    def test_float_leg_index_rejected(self):
-        # 1.0 == 1 passes the 0-or-1 test; it must still be an IndexError
-        t = gen.copy_tensor()
-        for idx in ((0, 1.0, 0), (1.0, 1, 1)):
-            with pytest.raises(IndexError, match="^leg index must be 0 or 1, got 1.0$"):
-                t[idx]
-        assert t[(np.int64(1), 1, np.int64(1))] == 1
+        for k, value in enumerate(t.data):
+            legs = tuple((k >> (4 - leg)) & 1 for leg in range(5))
+            assert t.array.item(k) == t.array.item(legs) == value
 
 
 class TestContractPair:
@@ -298,36 +281,58 @@ class TestPermute:
 
 
 class TestEqualUpToScalar:
+    """`relations.compare`: exact, up to one fitted scalar, or failing."""
+
     def test_scalar_multiple(self):
         h = gen.hadamard()
-        lam = equal_up_to_scalar(h.scale(2.0), h, 1e-12)
-        assert lam is not None and abs(lam - 2.0) < 1e-12
+        report = compare("h2", h.scale(2.0), h, 1e-12)
+        assert report.status is RelationStatus.HOLDS_UP_TO_SCALAR
+        assert report.scalar == 2 and report.max_deviation == 0.0
 
     def test_independent_vectors(self):
-        assert equal_up_to_scalar(gen.ket_zero(), gen.ket_one(), 1e-12) is None
+        report = compare("kets", gen.ket_zero(), gen.ket_one(), 1e-12)
+        assert report.status is RelationStatus.FAILS
+        assert report.scalar is None and report.max_deviation == 1.0
 
     def test_both_zero(self):
         z = Tensor(1, (0, 0))
-        assert equal_up_to_scalar(z, z, 1e-12) == 1
+        report = compare("zeros", z, z, 1e-12)
+        assert report.status is RelationStatus.EXACT_HOLD
+        assert report.scalar == 1 and report.max_deviation == 0.0
 
     def test_zero_vs_nonzero(self):
-        assert equal_up_to_scalar(Tensor(1, (0, 0)), gen.ket_one(), 1e-12) == 0
-        assert equal_up_to_scalar(gen.ket_one(), Tensor(1, (0, 0)), 1e-12) is None
+        # A fit through lambda = 0 only says the left side vanishes, and an
+        # all-zero right side has no pivot to fit at: both fail, each with
+        # the raw deviation.
+        for lhs, rhs in ((Tensor(1, (0, 0)), gen.ket_one()),
+                         (gen.ket_one(), Tensor(1, (0, 0)))):
+            report = compare("zero", lhs, rhs, 1e-12)
+            assert report.status is RelationStatus.FAILS
+            assert report.scalar is None and report.max_deviation == 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            equal_up_to_scalar(gen.ket_zero(), gen.copy_tensor(), 1e-12)
+        with pytest.raises(ValueError, match=r"^shape mismatch: rank 1 vs 3$"):
+            compare("ranks", gen.ket_zero(), gen.copy_tensor(), 1e-12)
+
+    def test_pivot_is_the_first_largest_entry_of_the_right_side(self):
+        # Entries 0 and 2 of rhs tie for the largest magnitude, and entry 3
+        # is zero.  The fit at entry 0 is 2 exactly, and the deviation is
+        # the scaled one, left at entry 2.
+        rhs = Tensor(2, (1, 0.5, -1, 0))
+        lhs = Tensor(2, (2, 1, -2 + 1e-11, 0))
+        report = compare("ties", lhs, rhs, 1e-10)
+        assert report.status is RelationStatus.HOLDS_UP_TO_SCALAR
+        assert report.scalar == 2
+        assert report.max_deviation == abs((-2 + 1e-11) - (-2)) > 0
 
     def test_xor_vs_hadamard_conjugated_copy(self):
         # independent reference: conjugate the copy array by H with numpy
         h = to_np(gen.hadamard())
         d = to_np(gen.copy_tensor())
         conj = np.einsum("ijk,ix,jy,kz->xyz", d, h, h, h)
-        lam = equal_up_to_scalar(
-            gen.xor_tensor(), Tensor(3, conj.reshape(-1)), 1e-12
-        )
-        assert lam is not None
-        assert abs(lam - math.sqrt(2)) < 1e-12
+        report = compare("xor", gen.xor_tensor(), Tensor(3, conj.reshape(-1)), 1e-12)
+        assert report.status is RelationStatus.HOLDS_UP_TO_SCALAR
+        assert abs(report.scalar - math.sqrt(2)) < 1e-12
 
     @given(
         st.randoms(use_true_random=False),
@@ -340,8 +345,10 @@ class TestEqualUpToScalar:
         if max(abs(v) for v in t.data) < 0.1:  # the property needs nonzero a
             t = Tensor(t.rank, (1 + 0.5j,) + t.data[1:])
         lam = complex(mag * math.cos(angle), mag * math.sin(angle))
-        got = equal_up_to_scalar(t.scale(lam), t, 1e-9)
-        assert got is not None and abs(got - lam) < 1e-9
+        assume(max_abs_diff(t.scale(lam), t) > 1e-9)  # else an exact hold, lambda 1
+        report = compare("planted", t.scale(lam), t, 1e-9)
+        assert report.status is RelationStatus.HOLDS_UP_TO_SCALAR
+        assert abs(report.scalar - lam) < 1e-9
 
 
 @given(st.randoms(use_true_random=False))
@@ -421,7 +428,7 @@ class TestNetworks:
         rng = random.Random(9)
         t = random_tensor(rng, 2)
         net = TensorNetwork({"n": t}, [("n", 0, "n", 1)], [])
-        assert abs(net.contract().item() - (t.data[0] + t.data[3])) < 1e-14
+        assert abs(net.contract().array.item() - (t.data[0] + t.data[3])) < 1e-14
 
     def test_dangling_leg_rejected(self):
         with pytest.raises(ValueError, match=r"^dangling leg \('n', 0\)$"):
