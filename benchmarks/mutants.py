@@ -188,11 +188,11 @@ MUTANTS = [
            "flat = state.array.reshape(-1).view(np.uint64)",
            "flat = (state.array.reshape(-1) + 0.0).view(np.uint64)"),
     # The writer's chunks (cli.TEXT_LINES): each chunk's index digits and
-    # amplitude parts start where the chunk does, not where its block does.
+    # amplitude parts start where the chunk does, not at the state's start.
     Mutant("writer-chunk-index-not-advanced", "src/stabtensor/cli.py",
-           "np.arange(start + at, start + at + count,", "np.arange(start, start + count,"),
+           "np.arange(start, start + count,", "np.arange(0, count,"),
     Mutant("writer-chunk-parts-not-advanced", "src/stabtensor/cli.py",
-           "searchsorted(block[2 * at:2 * (at + chunk)])", "searchsorted(block[:2 * chunk])"),
+           "chunk = flat[2 * start:2 * (start + TEXT_LINES)]", "chunk = flat[:2 * TEXT_LINES]"),
     Mutant("walk-self-bond-test-dropped", "src/stabtensor/tensor.py",
            "is not None or x == y):", "is not None):"),
     Mutant("claim-mark-dropped", "src/stabtensor/tensor.py",
@@ -213,13 +213,29 @@ MUTANTS = [
            "    rank_a, rank_b = a._rank, b._rank\n    if False:\n"),
     Mutant("pauli-str-unchecked", "src/stabtensor/oracles.py",
            "if not isinstance(pauli, str) or len(pauli) != n", "if len(pauli) != n"),
-    # Sizes under the integer rule: the phase vector's power, the linear
-    # forms' bit count, and the seeded circuit's depth.
+    # Sizes under the integer rule: the phase vector's power, the polarity
+    # table's bit count, the seeded circuit's depth, and the seeds.
     Mutant("t-vector-k-not-an-int", "src/stabtensor/generators.py",
            'as_int(k, "t_vector k") % 4', "k % 4"),
-    Mutant("linear-forms-n-unchecked", "src/stabtensor/boolfn.py",
-           '    """All 2**n linear (c0 = 0) forms on n bits."""\n    n = _as_bits(n)\n',
-           '    """All 2**n linear (c0 = 0) forms on n bits."""\n'),
+    Mutant("polarity-table-n-unchecked", "src/stabtensor/boolfn.py",
+           '    n = _as_bits(n)\n    check_rank(2 * n, "a polarity table")\n',
+           '    check_rank(2 * n, "a polarity table")\n'),
+    Mutant("random-circuit-seed-not-an-int", "src/stabtensor/oracles.py",
+           "    gates = fitting\n    rng = random.Random(as_int(seed, \"seed\"))\n",
+           "    gates = fitting\n    rng = random.Random(seed)\n"),
+    Mutant("crosscheck-paulis-seed-not-an-int", "src/stabtensor/oracles.py",
+           '    rng = random.Random(as_int(seed, "seed"))\n    for _ in range(8):',
+           "    rng = random.Random(seed)\n    for _ in range(8):"),
+    # A polarity table past the rank budget is refused, and sizes are
+    # compared and named without building 2**n (the n = 100000 rows kill
+    # these before a 2**40 row would try to build 2**(2**40)).
+    Mutant("polarity-table-size-unbounded", "src/stabtensor/boolfn.py",
+           '    check_rank(2 * n, "a polarity table")\n', ""),
+    Mutant("tensor-size-compared-by-power", "src/stabtensor/tensor.py",
+           "if not is_table_size(arr.size, rank):\n            raise ValueError(\n"
+           "                f\"rank-{rank} tensor needs {table_size_text(rank)} entries",
+           "if arr.size != 1 << rank:\n            raise ValueError(\n"
+           "                f\"rank-{rank} tensor needs {1 << rank} entries"),
     Mutant("random-circuit-negative-depth-allowed", "src/stabtensor/oracles.py",
            "    if depth < 0:\n", "    if depth < -1:\n"),
     # The one fitted scalar (relations.compare): never through lambda ~ 0,
@@ -236,9 +252,16 @@ MUTANTS = [
     Mutant("crosscheck-state-rank-unchecked", "src/stabtensor/oracles.py",
            "    if state.rank != circuit.width:\n", "    if False:\n"),
     Mutant("state-vector-width-not-an-int", "src/stabtensor/oracles.py",
-           'self.n = n = as_int(self.n, "state width")', "n = self.n"),
+           'n = as_int(self.n, "state width")', "n = self.n"),
     Mutant("state-vector-size-unchecked", "src/stabtensor/oracles.py",
-           "if np.size(self.amplitudes) != 1 << n:", "if False:"),
+           "if not is_table_size(np.size(self.amplitudes), n):", "if False:"),
+    Mutant("state-vector-size-compared-by-power", "src/stabtensor/oracles.py",
+           "if not is_table_size(np.size(self.amplitudes), n):\n"
+           "            raise ValueError(f\"{n}-qubit state needs {table_size_text(n)} amplitudes",
+           "if np.size(self.amplitudes) != 1 << n:\n"
+           "            raise ValueError(f\"{n}-qubit state needs {1 << n} amplitudes"),
+    Mutant("state-vector-not-frozen", "src/stabtensor/oracles.py",
+           "@dataclass(frozen=True)\nclass StateVector:", "@dataclass\nclass StateVector:"),
     Mutant("tableau-width-not-an-int", "src/stabtensor/oracles.py",
            '        n = as_int(n, "tableau width")\n', ""),
     Mutant("random-circuit-gate-names-unchecked", "src/stabtensor/oracles.py",

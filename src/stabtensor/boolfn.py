@@ -1,4 +1,4 @@
-"""Reversibility analysis of n-bit truth tables and linear Boolean forms.
+"""Reversibility analysis of n-bit truth tables, and linear-form polarities.
 
 `delta_entropy` transcribes the entropy difference as an input-indexed
 sum: each input contributes the probability mass of its own output value
@@ -7,12 +7,14 @@ vanishes on every permutation but also on some non-bijective tables (and
 can go negative for n >= 3), so `output_entropy_gap` is provided as the
 separately named diagnostic that is zero exactly on bijections.
 
-The linear forms on n bits and the points they are evaluated at are both
-n-bit strings, so all their polarities are one table, the character table
-of GF(2)**n: `polarity_table(n)[x, c]` is (-1)**(c . x), one integer
-matrix product of the 2**n x n point matrix with its transpose.  Column c
-is the polarity vector of `linear_forms(n)[c]`, and the Hadamard column
-check compares the n-fold Hadamard power with that table in one compare.
+A linear form on n bits, x -> c . x mod 2, is named by its coefficient
+bits c, read as an integer (most significant bit first); the points it is
+evaluated at are n-bit strings too, so all polarities are one table, the
+character table of GF(2)**n: `polarity_table(n)[x, c]` is (-1)**(c . x),
+one integer matrix product of the 2**n x n point matrix with its
+transpose.  Column c is the polarity vector of the form c, and the
+Hadamard column check compares the n-fold Hadamard power with that table
+in one compare.
 """
 
 from __future__ import annotations
@@ -25,17 +27,10 @@ import numpy as np
 
 from stabtensor import generators as gen
 from stabtensor.relations import RelationReport, compare
-from stabtensor.tensor import DEFAULT_TOL, Tensor, TensorNetwork, as_int, as_tuple
-
-
-def _is_table_size(count: int, n: int) -> bool:
-    """count == 2**n, without building 2**n when n exceeds count's width."""
-    return n < count.bit_length() and count == 1 << n
-
-
-def _table_size_text(n: int) -> str:
-    """2**n in decimal while it is short, else as the power itself."""
-    return str(1 << n) if n < 64 else f"2**{n}"
+from stabtensor.tensor import (
+    DEFAULT_TOL, Tensor, TensorNetwork, as_int, as_tuple, check_rank, is_table_size,
+    table_size_text,
+)
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,8 @@ class TruthTable:
         if n < 1:
             raise ValueError("truth table needs n >= 1")
         outputs = as_tuple(self.outputs, "truth table outputs")
-        if not _is_table_size(len(outputs), n):
-            raise ValueError(f"expected {_table_size_text(n)} outputs, got {len(outputs)}")
+        if not is_table_size(len(outputs), n):
+            raise ValueError(f"expected {table_size_text(n)} outputs, got {len(outputs)}")
         outputs = tuple([as_int(v, "output") for v in outputs])
         for v in outputs:
             if not 0 <= v < 1 << n:
@@ -100,8 +95,8 @@ def parse_truth_table(text: str) -> TruthTable:
         rows.append(int(out, 2))
     if n is None:
         raise ValueError("missing `bits n` header")
-    if not _is_table_size(len(rows), n):
-        raise ValueError(f"expected {_table_size_text(n)} rows, got {len(rows)}")
+    if not is_table_size(len(rows), n):
+        raise ValueError(f"expected {table_size_text(n)} rows, got {len(rows)}")
     return TruthTable(n, tuple(rows))
 
 
@@ -145,26 +140,6 @@ def is_reversible(table: TruthTable) -> bool:
     return sorted(table.outputs) == list(range(1 << table.n))
 
 
-@dataclass(frozen=True)
-class BooleanLinearForm:
-    """c0 xor (c . x mod 2); c0 = 1 makes the form affine."""
-
-    c: str
-    c0: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.c, str) or set(self.c) - {"0", "1"} or not self.c:
-            raise ValueError(f"coefficients {self.c!r} must be a nonempty bit string")
-        c0 = as_int(self.c0, "c0")
-        if c0 not in (0, 1):
-            raise ValueError(f"c0 must be 0 or 1, got {c0}")
-        object.__setattr__(self, "c0", c0)
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
-
-
 def _as_bits(n) -> int:
     """A bit count `n` by the integer rule, at least 1."""
     n = as_int(n, "n")
@@ -179,9 +154,12 @@ def polarity_table(n: int) -> np.ndarray:
     Points and coefficients are the same n-bit strings, the rows of the
     2**n x n point matrix (row x is x's bits, most significant first), so
     c . x for all of them is one product of that matrix with its
-    transpose; column c is the polarity vector of `linear_forms(n)[c]`.
+    transpose; column c is the polarity vector of the form with
+    coefficient bits c.  As a tensor it has 2n legs, so n above
+    MAX_RANK // 2 is a RankBudgetError before anything is allocated.
     """
     n = _as_bits(n)
+    check_rank(2 * n, "a polarity table")
     points = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     return 1 - 2 * ((points @ points.T) & 1)
 
@@ -207,8 +185,3 @@ def verify_hadamard_column_indexing(n: int, tol: float = DEFAULT_TOL) -> Relatio
     expected = Tensor(2 * n, 2.0 ** (-n / 2.0) * polarity_table(n))
     return compare(f"hadamard-column-indexing-n{n}", hadamard_power(n), expected, tol)
 
-
-def linear_forms(n: int) -> list[BooleanLinearForm]:
-    """All 2**n linear (c0 = 0) forms on n bits."""
-    n = _as_bits(n)
-    return [BooleanLinearForm(f"{c:0{n}b}", 0) for c in range(1 << n)]

@@ -10,12 +10,12 @@ The argument parser is built once, at import, and every `main` call parses
 with it; `parse_args` keeps no state between calls, so each call starts
 from the defaults.
 
-`simulate` writes its 2**n amplitude lines in blocks of up to WRITE_BLOCK,
+`simulate` writes its 2**n amplitude lines in chunks of up to TEXT_LINES,
 each in one `sys.stdout.write`; each distinct amplitude part (a real or
-imaginary bit pattern) of a block is formatted once.  The block's text is
-built in numpy TEXT_LINES lines at a time, in one reused byte matrix, with
-no Python code per amplitude: chunk-sized buffers are reused from the heap,
-where a whole block's are mapped fresh from the kernel on every call.
+imaginary bit pattern) of a chunk is formatted once, and the chunk's text
+is built in numpy in one byte matrix, with no Python code per amplitude.
+Chunk-sized buffers are reused from the heap, where larger ones are mapped
+fresh from the kernel on every call.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ from stabtensor.tensor import DEFAULT_TOL, RankBudgetError, Tensor
 
 ENV_TOL = "STABTENSOR_TOL"
 
-# Amplitude lines per stdout write: a state of up to 16 wires goes out in
-# one call, and the text of a wider one is never held whole.
-WRITE_BLOCK = 1 << 16
-# Amplitude lines whose text a block builds at a time: at 12 wires each of
-# its buffers stays under about 80 KB, which malloc reuses from its heap;
-# from 2**11 lines on, a 12-wire print took 20-50 fresh pages per call.
+# Amplitude lines per stdout write: a state of up to 10 wires goes out in
+# one call.  At 12 wires each of a chunk's buffers stays under about 80 KB,
+# which malloc reuses from its heap; from 2**11 lines on, a 12-wire print
+# took 20-50 fresh pages per call.
 TEXT_LINES = 1 << 10
 
 # The eight digits of each byte value, most significant first, as ASCII.
@@ -127,51 +125,40 @@ def _write_amplitudes(head: str, state: Tensor, line: str,
     """Write `head`, then `line.format(k, fmt(re), fmt(im))` for every
     amplitude re + im*j of `state`, k as an MSB-first bit string, to stdout.
 
-    Each block of up to WRITE_BLOCK lines goes out in one write.  A
-    stabilizer state has few distinct amplitude parts, so a block sorts the
-    bit patterns of its real and imaginary parts together (0.0 and -0.0
-    stay apart) and calls `fmt` once per distinct one.  The block's text is
-    built TEXT_LINES lines at a time in one reused byte matrix, a row per
-    line: `line` with each part NUL-padded to the widest, the index digits
-    and both parts written over its rows per chunk, the NULs dropped from
-    each chunk.  Chunking keeps every buffer a few tens of KB, small enough
-    for malloc to reuse from its heap; a whole block's buffers are large
-    enough that each call maps them fresh from the kernel and takes the
-    page faults.
+    Each chunk of up to TEXT_LINES lines goes out in one write, the first
+    with `head`.  A stabilizer state has few distinct amplitude parts, so a
+    chunk sorts the bit patterns of its real and imaginary parts together
+    (0.0 and -0.0 stay apart) and calls `fmt` once per distinct one.  Its
+    text is built in a byte matrix, a row per line: `line` with each part
+    NUL-padded to the widest, the index digits and both parts written over
+    its rows, the NULs dropped.
     """
     n = state.rank
     lead, before, between, _ = line.split("{}")
     flat = state.array.reshape(-1).view(np.uint64)  # re, im, re, im, ...
-    for start in range(0, flat.size // 2, WRITE_BLOCK):
-        block = flat[2 * start:2 * (start + WRITE_BLOCK)]
-        size = block.size // 2
-        ordered = block.copy()
+    for start in range(0, flat.size // 2, TEXT_LINES):
+        chunk = flat[2 * start:2 * (start + TEXT_LINES)]
+        count = chunk.size // 2
+        ordered = chunk.copy()
         ordered.sort()
-        first = np.empty(block.size, bool)  # first of its run of equal parts
+        first = np.empty(chunk.size, bool)  # first of its run of equal parts
         first[0] = True
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
         distinct = ordered[first]
         texts = np.array(list(map(fmt, distinct.view(np.float64).tolist())), "S")
         width = texts.itemsize
         row = line.format("\0" * n, "\0" * width, "\0" * width).encode()
-        chunk = min(TEXT_LINES, size)
-        lines = np.frombuffer(bytearray(row) * chunk, np.uint8).reshape(chunk, -1)
+        rows = np.frombuffer(bytearray(row) * count, np.uint8).reshape(count, -1)
+        # big-endian bytes of each index; MAX_RANK keeps n below 32 bits
+        index = np.arange(start, start + count, dtype=">u4").view(np.uint8)
+        digits = _BYTE_DIGITS.take(index, axis=0).reshape(count, 32)
+        rows[:, len(lead):len(lead) + n] = digits[:, 32 - n:]
         re_at = len(lead) + n + len(before)
         im_at = re_at + width + len(between)
-        pieces = [head]
-        for at in range(0, size, chunk):
-            codes = distinct.searchsorted(block[2 * at:2 * (at + chunk)])
-            count = codes.size // 2
-            rows = lines[:count]
-            # big-endian bytes of each index; MAX_RANK keeps n below 32 bits
-            index = np.arange(start + at, start + at + count, dtype=">u4").view(np.uint8)
-            digits = _BYTE_DIGITS.take(index, axis=0).reshape(count, 32)
-            rows[:, len(lead):len(lead) + n] = digits[:, 32 - n:]
-            parts = texts.take(codes).view(np.uint8).reshape(count, 2, width)
-            rows[:, re_at:re_at + width] = parts[:, 0]
-            rows[:, im_at:im_at + width] = parts[:, 1]
-            pieces.append(rows[rows != 0].tobytes().decode())
-        sys.stdout.write("".join(pieces))
+        parts = texts.take(distinct.searchsorted(chunk)).view(np.uint8).reshape(count, 2, width)
+        rows[:, re_at:re_at + width] = parts[:, 0]
+        rows[:, im_at:im_at + width] = parts[:, 1]
+        sys.stdout.write(head + rows[rows != 0].tobytes().decode())
         head = ""
 
 
@@ -268,18 +255,17 @@ def cmd_polarity(args) -> int:
     if not 1 <= args.n <= 6:
         print("error: --n must be in 1..6", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    forms = boolfn.linear_forms(args.n)
-    # Column c of the table is the polarity vector of forms[c].
+    # Column c of the table is the polarity vector of the form c . x.
     columns = boolfn.polarity_table(args.n).T.tolist()
     if args.format == "records":
-        for form, column in zip(forms, columns):
+        for c, column in enumerate(columns):
             entries = ",".join(map(str, column))
-            print(f"form c={form.c} c0={form.c0} polarity={entries}")
+            print(f"form c={c:0{args.n}b} c0=0 polarity={entries}")
     else:
-        print(f"{len(forms)} linear forms on {args.n} bit(s):")
-        for form, column in zip(forms, columns):
+        print(f"{len(columns)} linear forms on {args.n} bit(s):")
+        for c, column in enumerate(columns):
             entries = " ".join(f"{v:+d}" for v in column)
-            print(f"  c={form.c}  ({entries})")
+            print(f"  c={c:0{args.n}b}  ({entries})")
     report = boolfn.verify_hadamard_column_indexing(args.n, tol=tol)
     print(report.record())
     return EXIT_OK if report.holds else EXIT_VERIFY_FAILED

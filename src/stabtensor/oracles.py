@@ -23,7 +23,7 @@ import numpy as np
 
 # circuit_state is not called here; perfbench's tracer test reads oracles.circuit_state.
 from stabtensor.circuits import GATE_ARITY, Circuit, GateApp, circuit_state
-from stabtensor.tensor import Tensor, as_int, as_tuple
+from stabtensor.tensor import Tensor, as_int, as_tuple, is_table_size, table_size_text
 
 MAX_DENSE_WIDTH = 12
 
@@ -47,24 +47,25 @@ GATE_MATRICES = {
     ),
 }
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
     """Dense n-qubit state; wire 0 is the most significant basis bit.
 
     `n` (at least 1) follows the integer rule, and `amplitudes` must hold
-    exactly 2**n entries; either fault is a ValueError."""
+    exactly 2**n entries; either fault is a ValueError.  Frozen, so no
+    later assignment gets past those checks."""
 
     n: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.n = n = as_int(self.n, "state width")
+        n = as_int(self.n, "state width")
         if n < 1:
             raise ValueError("state needs at least one qubit")
-        if np.size(self.amplitudes) != 1 << n:
-            raise ValueError(
-                f"{n}-qubit state needs {1 << n} amplitudes, got {np.size(self.amplitudes)}"
-            )
+        if not is_table_size(np.size(self.amplitudes), n):
+            raise ValueError(f"{n}-qubit state needs {table_size_text(n)} amplitudes, "
+                             f"got {np.size(self.amplitudes)}")
+        object.__setattr__(self, "n", n)
 
 
 def dense_simulate(circuit: Circuit) -> StateVector:
@@ -307,7 +308,8 @@ def random_clifford_circuit(
     Width (at least 1) and depth (at least 0) follow the integer rule, and
     each of `gates` must be a `circuits.GATE_ARITY` name, at least one of
     them on no more wires than `width`; all are checked before the first
-    draw, which picks among the gates that fit."""
+    draw, which picks among the gates that fit.  `seed` follows the
+    integer rule too."""
     width = as_int(width, "circuit width")
     if width < 1:
         raise ValueError("circuit needs at least one wire")
@@ -322,7 +324,7 @@ def random_clifford_circuit(
     if not fitting:
         raise ValueError(f"no gate of {gates!r} fits {width} wire(s)")
     gates = fitting
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     ops = []
     for _ in range(depth):
         gate = rng.choice(gates)
@@ -364,12 +366,12 @@ def phase_fixed_delta(candidate: np.ndarray, reference: np.ndarray) -> tuple[flo
 
 def crosscheck_paulis(n: int, seed: int = 0) -> list[str]:
     """The crosscheck's strings: X, Y and Z on each wire alone, then 8
-    strings over IXYZ drawn from `seed`."""
+    strings over IXYZ drawn from `seed`, an integer by the integer rule."""
     n = as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     paulis = ["I" * w + p + "I" * (n - w - 1) for w in range(n) for p in "XYZ"]
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     for _ in range(8):
         paulis.append("".join(rng.choice("IXYZ") for _ in range(n)))
     return paulis
@@ -384,7 +386,8 @@ def crosscheck_circuit(circuit: Circuit, state: Tensor, seed: int = 0) -> Crossc
     is the engine state's 2-norm, 1 when the state is right.
 
     A `state` that is not a Tensor is a TypeError, and one whose rank is
-    not the circuit's width a ValueError, both before any oracle runs.
+    not the circuit's width or a `seed` that is not an integer a
+    ValueError, all before any oracle runs.
     """
     if not isinstance(state, Tensor):
         raise TypeError(f"state is a {type(state).__name__}, not a Tensor")
@@ -392,12 +395,12 @@ def crosscheck_circuit(circuit: Circuit, state: Tensor, seed: int = 0) -> Crossc
         raise ValueError(
             f"state has rank {state.rank}, but the circuit has {circuit.width} wires"
         )
+    paulis = crosscheck_paulis(circuit.width, seed)
     dense = dense_simulate(circuit)
     net_state = state.array.reshape(-1)
     amp_delta = float(np.max(np.abs(net_state - dense.amplitudes)))
     scalar_mag = float(np.linalg.norm(net_state))
 
-    paulis = crosscheck_paulis(circuit.width, seed)
     deltas = np.abs(
         pauli_expectations(tableau_simulate(circuit), paulis)
         - pauli_expectations(dense, paulis)

@@ -58,9 +58,9 @@ class Tensor:
             data = list(data)  # np.array would wrap an iterator as one object
         # Always a private copy: later writes by the caller cannot reach it.
         arr = np.array(data, dtype=np.complex128, order="C")
-        if arr.size != 1 << rank:
+        if not is_table_size(arr.size, rank):
             raise ValueError(
-                f"rank-{rank} tensor needs {1 << rank} entries, got {arr.size}"
+                f"rank-{rank} tensor needs {table_size_text(rank)} entries, got {arr.size}"
             )
         _own(self, rank, arr)
 
@@ -127,6 +127,16 @@ def tensor_from_fn(rank: int, fn: Callable[..., complex]) -> Tensor:
     check_rank(rank, "a tensor_from_fn result")
     # product's order is row-major: the leftmost leg varies slowest.
     return Tensor(rank, [complex(fn(*idx)) for idx in itertools.product((0, 1), repeat=rank)])
+
+
+def is_table_size(count: int, n: int) -> bool:
+    """count == 2**n, without building 2**n when n exceeds count's width."""
+    return n < count.bit_length() and count == 1 << n
+
+
+def table_size_text(n: int) -> str:
+    """2**n in decimal while it is short, else as the power itself."""
+    return str(1 << n) if n < 64 else f"2**{n}"
 
 
 def as_int(value, what: str) -> int:

@@ -180,9 +180,11 @@ def test_criterion_8_hadamard_column_indexing():
     for n in range(1, 5):
         rep = boolfn.verify_hadamard_column_indexing(n, tol=1e-12)
         ok &= rep.status is relations.RelationStatus.EXACT_HOLD and rep.max_deviation <= 1e-12
-        forms = boolfn.linear_forms(n)
-        distinct = {tuple(col) for col in boolfn.polarity_table(n).T}
-        ok &= len(forms) == len(distinct) == 1 << n
+        # Column c is (-1)**(c . x) over the points x, one per form c . x.
+        table = boolfn.polarity_table(n)
+        ok &= all(table[x, c] == (-1) ** (c & x).bit_count()
+                  for x in range(1 << n) for c in range(1 << n))
+        ok &= len({tuple(col) for col in table.T}) == 1 << n
     _verdict("8 hadamard-column-indexing", ok)
 
 

@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 from stabtensor import boolfn
 from stabtensor.boolfn import (
-    BooleanLinearForm,
     TruthTable,
     delta_entropy,
     hadamard_power,
     is_reversible,
-    linear_forms,
     output_entropy_gap,
     parse_truth_table,
     polarity_table,
@@ -30,10 +28,10 @@ AND_TABLE = TruthTable(2, (0, 0, 0, 1))  # outputs 00,00,00,01
 AND_DELTA = 9 / 4 * math.log2(3) - 3
 
 
-def eval_linear(form, x):
-    """Pointwise reference for a form's value at the bit string x."""
-    acc = form.c0
-    for ci, xi in zip(form.c, x):
+def eval_linear(c, c0, x):
+    """Pointwise reference: c0 xor (c . x mod 2) for bit strings c and x."""
+    acc = c0
+    for ci, xi in zip(c, x):
         acc ^= int(ci) & int(xi)
     return acc
 
@@ -157,23 +155,22 @@ class TestTableParsing:
 
 
 class TestLinearForms:
+    """Column c of `polarity_table(n)` is the polarity vector of the form
+    whose coefficient bits are c, most significant first."""
+
     def test_zero_form(self):
-        form = BooleanLinearForm("000", 0)
         for x in range(8):
-            assert eval_linear(form, f"{x:03b}") == 0
+            assert eval_linear("000", 0, f"{x:03b}") == 0
+        assert polarity_table(3)[:, 0].tolist() == [1] * 8
 
     def test_single_bit(self):
-        assert eval_linear(BooleanLinearForm("11", 0), "01") == 1
+        assert eval_linear("11", 0, "01") == 1
+        assert polarity_table(2)[0b01, 0b11] == -1
 
     def test_negation_constant(self):
-        assert eval_linear(BooleanLinearForm("1", 1), "1") == 0
-        assert eval_linear(BooleanLinearForm("1", 1), "0") == 1
-
-    def test_c0_is_stored_as_the_int_index_makes(self):
-        for c0 in (True, np.int64(1)):
-            form = BooleanLinearForm("1", c0)
-            assert type(form.c0) is int and form.c0 == 1
-            assert (eval_linear(form, "0"), eval_linear(form, "1")) == (1, 0)
+        assert eval_linear("1", 1, "1") == 0
+        assert eval_linear("1", 1, "0") == 1
+        assert (-polarity_table(1)[:, 1]).tolist() == [-1, 1]
 
     def test_polarity_all_ones_for_zero_form(self):
         assert polarity_table(2)[:, 0].tolist() == [1, 1, 1, 1]
@@ -184,34 +181,32 @@ class TestLinearForms:
     def test_affine_negates_entrywise(self):
         table = polarity_table(2)
         for c in range(4):
-            negated = BooleanLinearForm(f"{c:02b}", 1)
-            assert [(-1) ** eval_linear(negated, f"{x:02b}") for x in range(4)] == [
+            assert [(-1) ** eval_linear(f"{c:02b}", 1, f"{x:02b}") for x in range(4)] == [
                 -v for v in table[:, c]
             ]
 
     def test_count_of_linear_forms(self):
         for n in range(1, 5):
-            forms = linear_forms(n)
-            assert len(forms) == 1 << n
-            assert len({tuple(col) for col in polarity_table(n).T}) == 1 << n
+            table = polarity_table(n)
+            assert table.shape[1] == 1 << n
+            assert len({tuple(col) for col in table.T}) == 1 << n
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_polarity_matches_pointwise_reference(self, n):
         table = polarity_table(n)
         for c in range(1 << n):
             for c0 in (0, 1):
-                form = BooleanLinearForm(f"{c:0{n}b}", c0)
-                want = [(-1) ** eval_linear(form, f"{x:0{n}b}") for x in range(1 << n)]
+                want = [(-1) ** eval_linear(f"{c:0{n}b}", c0, f"{x:0{n}b}")
+                        for x in range(1 << n)]
                 assert [(-1) ** c0 * v for v in table[:, c]] == want
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_polarity_table_columns_are_the_forms_polarity_vectors(self, n):
         table = polarity_table(n)
         assert table.shape == (1 << n, 1 << n)
-        for c, form in enumerate(linear_forms(n)):
-            assert form.c == f"{c:0{n}b}" and form.c0 == 0
+        for c in range(1 << n):
             assert list(table[:, c]) == [
-                (-1) ** eval_linear(form, f"{x:0{n}b}") for x in range(1 << n)
+                (-1) ** eval_linear(f"{c:0{n}b}", 0, f"{x:0{n}b}") for x in range(1 << n)
             ]
 
     def test_polarity_vectors_orthogonal(self):

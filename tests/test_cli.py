@@ -277,11 +277,14 @@ class TestSimulate:
         else:
             assert "  |00>  +0.0000000000-0.0000000000j\n" in out
 
-    @pytest.mark.parametrize("block,width,calls", [(cli.WRITE_BLOCK, 12, 1), (5, 5, 7)])
-    def test_records_per_write(self, block, width, calls, tmp_path, monkeypatch):
+    # 2**12 lines in one chunk of up to 2**16, or in chunks of 2**10; 32
+    # lines in chunks of 5.
+    @pytest.mark.parametrize("lines,width,calls",
+                             [(1 << 16, 12, 1), (cli.TEXT_LINES, 12, 4), (5, 5, 7)])
+    def test_records_per_write(self, lines, width, calls, tmp_path, monkeypatch):
         circ = next(c for c in _seeded_circuits() if c.width == width and "1" in c.input)
         path = _circuit_file(tmp_path / "c.circ", circ)
-        monkeypatch.setattr(cli, "WRITE_BLOCK", block)
+        monkeypatch.setattr(cli, "TEXT_LINES", lines)
         out = _CountingOut()
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(["--format", "records", "simulate", path]) == 0
@@ -304,20 +307,16 @@ class TestSimulate:
         assert cli.main(["--format", fmt, "simulate", str(path)]) == 0
         assert capsys.readouterr().out == _line_loop_output(fmt, state)
 
-    # (WRITE_BLOCK, TEXT_LINES or None for the default, writes) on a 6-wire
-    # state, 64 lines: blocks of 4 lines; one block built in 16 chunks of 4;
-    # blocks of 5 built in chunks of 3 and 2, the last block in 3 and 1.
-    @pytest.mark.parametrize("fmt,block,text_lines,calls", [
-        pytest.param(fmt, block, text_lines, calls, id=f"{fmt}{name}")
-        for block, text_lines, calls, name in [(4, None, 16, ""),
-                                               (cli.WRITE_BLOCK, 4, 1, "-text4"),
-                                               (5, 3, 13, "-block5-text3")]
+    # (TEXT_LINES or None for the default, writes) on a 6-wire state, 64
+    # lines: one chunk; 16 chunks of 4; 21 chunks of 3 and a last one of 1.
+    @pytest.mark.parametrize("fmt,text_lines,calls", [
+        pytest.param(fmt, text_lines, calls, id=f"{fmt}{name}")
+        for text_lines, calls, name in [(None, 1, ""), (4, 16, "-text4"), (3, 22, "-text3")]
         for fmt in ("records", "human")])
-    def test_small_blocks_carry_high_index_bits(self, fmt, block, text_lines, calls,
+    def test_small_blocks_carry_high_index_bits(self, fmt, text_lines, calls,
                                                 tmp_path, monkeypatch):
         circ = next(c for c in _seeded_circuits() if c.width == 6 and "1" in c.input)
         path = _circuit_file(tmp_path / "c.circ", circ)
-        monkeypatch.setattr(cli, "WRITE_BLOCK", block)
         if text_lines is not None:
             monkeypatch.setattr(cli, "TEXT_LINES", text_lines)
         out = _CountingOut()
@@ -333,13 +332,13 @@ class TestSimulate:
         out = _CountingOut()
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(["--format", "records", "simulate", str(path)]) == 0
-        assert out.calls == 2 == (1 << 17) // cli.WRITE_BLOCK
+        assert out.calls == 128 == (1 << 17) // cli.TEXT_LINES
         state = circuit_state(circuits.parse_circuit(path.read_text()))
         _assert_same_text(out.getvalue(), _line_loop_output("records", state))
 
     def test_closed_pipe_exits_1_without_a_traceback(self, tmp_path):
-        # Each of GHZ-17's two write blocks is far larger than a pipe
-        # buffer, so the first write is still blocked when the pipe closes.
+        # GHZ-17's 128 chunk writes hold far more than a pipe buffer, so
+        # writes are still to come, or blocked, when the pipe closes.
         ops = "".join(f"CN {w} {w + 1}\n" for w in range(16))
         path = tmp_path / "ghz17.circ"
         path.write_text("wires 17\nH 0\n" + ops)
@@ -514,12 +513,13 @@ class TestPolarity:
     def test_records_match_the_per_form_loop(self, n, capsys):
         # Reference: one form at a time, each entry (-1)**(c . x) from its bits.
         want = ""
-        for form in boolfn.linear_forms(n):
+        for c in range(1 << n):
+            bits = f"{c:0{n}b}"
             entries = ",".join(
-                str((-1) ** sum(int(c) * int(b) for c, b in zip(form.c, f"{x:0{n}b}")))
+                str((-1) ** sum(int(a) * int(b) for a, b in zip(bits, f"{x:0{n}b}")))
                 for x in range(1 << n)
             )
-            want += f"form c={form.c} c0={form.c0} polarity={entries}\n"
+            want += f"form c={bits} c0=0 polarity={entries}\n"
         want += boolfn.verify_hadamard_column_indexing(n).record() + "\n"
         assert cli.main(["--format", "records", "polarity", "--n", str(n)]) == 0
         assert capsys.readouterr().out == want

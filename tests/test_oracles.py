@@ -1,5 +1,6 @@
 """Dense and tableau oracles, their agreement channel, and the crosscheck."""
 
+import dataclasses
 import importlib.util
 import itertools
 import random
@@ -96,6 +97,15 @@ class TestDense:
     def test_width_limit(self):
         with pytest.raises(ValueError):
             dense_simulate(Circuit(13, ()))
+
+    def test_state_is_frozen_so_its_size_check_holds(self):
+        state = dense_simulate(Circuit(2, (), "00"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.amplitudes = np.zeros(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.n = 3
+        assert pauli_expectations(state, ["ZZ"]).tolist() == [1.0]
+        assert type(StateVector(np.int64(1), np.ones(2)).n) is int
 
 
 class TestTableau:
@@ -436,3 +446,11 @@ def test_random_circuit_is_deterministic_per_seed():
     c = random_clifford_circuit(5, 30, seed=8)
     assert a == b
     assert a != c
+
+
+def test_numpy_integer_seeds_draw_as_their_int_does():
+    for seed in (np.int64(7), np.uint8(7)):
+        assert random_clifford_circuit(5, 30, seed) == random_clifford_circuit(5, 30, 7)
+        assert crosscheck_paulis(4, seed) == crosscheck_paulis(4, 7)
+        assert crosscheck_circuit(BELL, circuit_state(BELL), seed) == crosscheck_circuit(
+            BELL, circuit_state(BELL), 7)

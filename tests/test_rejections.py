@@ -12,8 +12,8 @@ import pytest
 from stabtensor import generators as gen
 from stabtensor import kernel_backend, oracles, tensor
 from stabtensor.boolfn import (
-    BooleanLinearForm, TruthTable, hadamard_power, linear_forms, parse_truth_table,
-    polarity_table, verify_hadamard_column_indexing,
+    TruthTable, hadamard_power, parse_truth_table, polarity_table,
+    verify_hadamard_column_indexing,
 )
 from stabtensor.circuits import Circuit, CircuitParseError, GateApp, parse_circuit
 from stabtensor.tensor import (
@@ -78,27 +78,22 @@ REJECTIONS = {
     "table-bad-input": (lambda: parse_truth_table("bits 1\n2 0\n"), ValueError,
                         "line 2: bad input bits '2'"),
     "table-empty": (lambda: parse_truth_table(""), ValueError, "missing `bits n` header"),
-    "form-empty": (lambda: BooleanLinearForm(""), ValueError,
-                   "coefficients '' must be a nonempty bit string"),
-    "form-not-bits": (lambda: BooleanLinearForm("012"), ValueError,
-                      "coefficients '012' must be a nonempty bit string"),
-    "form-c0": (lambda: BooleanLinearForm("1", 2), ValueError, "c0 must be 0 or 1, got 2"),
-    # A float c0 that equals 1 is not the integer 1.
-    "form-c0-float": (lambda: BooleanLinearForm("10", 1.0), ValueError,
-                      "c0 1.0 is not an integer"),
-    "form-c-not-str": (lambda: BooleanLinearForm(101), ValueError,
-                       "coefficients 101 must be a nonempty bit string"),
+    # 2**n is never built to compare sizes: 2**(2**40) would need 128 GiB.
+    "table-n-2-pow-40": (lambda: TruthTable(2 ** 40, ()), ValueError,
+                         "expected 2**1099511627776 outputs, got 0"),
     "hadamard-power-0": (lambda: hadamard_power(0), ValueError, "n must be >= 1"),
     "hadamard-power-float": (lambda: hadamard_power(2.0), ValueError,
                              "n 2.0 is not an integer"),
     "hadamard-columns-float": (lambda: verify_hadamard_column_indexing(2.0), ValueError,
                                "n 2.0 is not an integer"),
-    # The linear forms and their polarity table take n as hadamard_power does.
-    "linear-forms-0": (lambda: linear_forms(0), ValueError, "n must be >= 1"),
-    "linear-forms-float": (lambda: linear_forms(2.0), ValueError, "n 2.0 is not an integer"),
+    # The polarity table takes n as hadamard_power does, and as a tensor of
+    # 2n legs it is refused past the rank budget before it is allocated.
+    "polarity-table-0": (lambda: polarity_table(0), ValueError, "n must be >= 1"),
     "polarity-table-negative": (lambda: polarity_table(-1), ValueError, "n must be >= 1"),
     "polarity-table-float": (lambda: polarity_table(2.0), ValueError,
                              "n 2.0 is not an integer"),
+    "polarity-table-13": (lambda: polarity_table(13), RankBudgetError,
+                          "a polarity table has rank 26; the rank budget is 24"),
     # The phase vector's power follows the integer rule: 1.0 is not an
     # index, and "1" % 4 is string formatting.
     "t-vector-float": (lambda: gen.t_vector(1.0), ValueError,
@@ -113,6 +108,11 @@ REJECTIONS = {
                           "tensor rank 2.0 is not an integer"),
     "tensor-from-fn-rank-float": (lambda: tensor_from_fn(2.0, complex), ValueError,
                                   "tensor rank 2.0 is not an integer"),
+    # A rank far past the entries is compared without building 2**rank.
+    "tensor-rank-100000": (lambda: Tensor(100000, (1, 0)), ValueError,
+                           "rank-100000 tensor needs 2**100000 entries, got 2"),
+    "tensor-rank-2-pow-40": (lambda: Tensor(2 ** 40, (1, 0)), ValueError,
+                             "rank-1099511627776 tensor needs 2**1099511627776 entries, got 2"),
     # Refused before fn is called, not after its 2**25 calls.
     "tensor-from-fn-over-budget": (lambda: tensor_from_fn(tensor.MAX_RANK + 1, complex),
                                    RankBudgetError,
@@ -136,6 +136,11 @@ REJECTIONS = {
                              "2-qubit state needs 4 amplitudes, got 3"),
     "state-vector-too-many": (lambda: oracles.StateVector(2, np.zeros(8)), ValueError,
                               "2-qubit state needs 4 amplitudes, got 8"),
+    "state-vector-width-100000": (lambda: oracles.StateVector(100000, np.zeros(2)), ValueError,
+                                  "100000-qubit state needs 2**100000 amplitudes, got 2"),
+    "state-vector-width-2-pow-40": (
+        lambda: oracles.StateVector(2 ** 40, np.zeros(2)), ValueError,
+        "1099511627776-qubit state needs 2**1099511627776 amplitudes, got 2"),
     # A gate's wires are checked before any column is read, so a negative
     # wire does not act on the last one and CN on one wire does not clear
     # its X column.
@@ -173,6 +178,15 @@ REJECTIONS = {
                             "n must be >= 1"),
     "crosscheck-paulis-float": (lambda: oracles.crosscheck_paulis(2.0), ValueError,
                                 "n 2.0 is not an integer"),
+    # A seed follows the integer rule, so a numpy integer draws as its int
+    # does and a float or a string is refused, not hashed into a seed.
+    "random-circuit-seed-float": (lambda: oracles.random_clifford_circuit(2, 5, 1.5),
+                                  ValueError, "seed 1.5 is not an integer"),
+    "crosscheck-paulis-seed-float": (lambda: oracles.crosscheck_paulis(2, 1.0), ValueError,
+                                     "seed 1.0 is not an integer"),
+    "crosscheck-seed-str": (
+        lambda: oracles.crosscheck_circuit(Circuit(2, (), "00"), Tensor(2, (1, 0, 0, 0)), "1"),
+        ValueError, "seed '1' is not an integer"),
     # The crosscheck's state is checked before the dense oracle runs.
     "crosscheck-state-not-a-tensor": (
         lambda: oracles.crosscheck_circuit(Circuit(2, (), "00"), [1, 0, 0, 0]),
